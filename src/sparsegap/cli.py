@@ -1,7 +1,8 @@
 """Command-line front end: dictionary construction, threshold tables, experiments.
 
 Exit status contract: 0 = all invariants held, 1 = a soundness violation
-or an INCONCLUSIVE verdict occurred, 2 = usage or config error.
+or an INCONCLUSIVE verdict occurred, or a sampler hit its redraw cap (one
+line on stderr, no report), 2 = usage or config error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -29,19 +31,14 @@ from .dictionary import (
 )
 from .manifest import build_manifest
 from .random_subsets import SweepConfig, statistics_sweep, weak_rank_bound_experiment
-from .signals import ExperimentReport, equivalence_experiment, gap_experiment
-from .thresholds import evaluate_thresholds
+from .signals import ExperimentReport, RedrawCapExceededError, equivalence_experiment, gap_experiment
+from .thresholds import GapThresholds, evaluate_thresholds
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-BOUNDS_COLUMNS = (
-    "s", "t", "delta", "mu", "m", "n_atoms",
-    "donoho_elad_lhs", "donoho_elad_rhs", "strong_gap_rhs",
-    "overlap_rhs", "overlap_vacuous", "t_threshold", "generic_up_rhs",
-    "weak_gap_rhs", "weak_gap_simplified_rhs", "error",
-)
+BOUNDS_COLUMNS = tuple(f.name for f in fields(GapThresholds)) + ("error",)
 
 
 class ConfigError(ValueError):
@@ -106,7 +103,7 @@ def _bounds_rows(mu: float, m: int, n_atoms: int, s_values, t_of_s, delta: int) 
     return rows
 
 
-def _emit(rows: list[dict], columns, fmt: str, out, extra: dict | None = None) -> None:
+def _emit(rows: list[dict], columns, fmt: str, out) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
@@ -115,10 +112,7 @@ def _emit(rows: list[dict], columns, fmt: str, out, extra: dict | None = None) -
             writer.writerow({k: row.get(k) for k in columns})
         text = buf.getvalue()
     else:
-        payload = {"rows": rows}
-        if extra:
-            payload.update(extra)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -162,13 +156,12 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"experiment {name!r} missing keys: {sorted(missing)}")
 
 
-def _run_experiment(cfg: dict, seed: int, threads: int) -> ExperimentReport:
+def _run_experiment(cfg: dict, seed: int) -> ExperimentReport:
     d = _build_dictionary(cfg["dictionary"])
     name = cfg["experiment"]
     if name == "gap":
         return gap_experiment(d, int(cfg["s"]), int(cfg["t"]), int(cfg["delta"]),
-                              int(cfg["pairs"]), int(cfg["trials_per_pair"]),
-                              seed, threads=threads)
+                              int(cfg["pairs"]), int(cfg["trials_per_pair"]), seed)
     if name == "equivalence":
         return equivalence_experiment(d, AtomSet.of(cfg["s_set"]), AtomSet.of(cfg["t_set"]),
                                       int(cfg["trials"]), seed)
@@ -197,6 +190,7 @@ def _violated(report: ExperimentReport) -> bool:
 
 
 def cmd_experiment(args) -> int:
+    """Run the configured experiment; ``args.argv`` is recorded as the command line."""
     try:
         cfg = json.loads(Path(args.config).read_text())
         _validate_config(cfg)
@@ -204,10 +198,10 @@ def cmd_experiment(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    report = _run_experiment(cfg, seed, args.threads)
+    report = _run_experiment(cfg, seed)
     report.manifest = build_manifest(
-        command_line=" ".join(sys.argv),
-        config=cfg,
+        command_line=" ".join(args.argv),
+        config={**cfg, "seed": seed},
         provenance=report.params.get("dictionary", {}),
         master_seed=seed,
         tool_version=__version__,
@@ -257,19 +251,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--out")
     p_exp.add_argument("--format", choices=["json", "csv", "both"], default="json")
-    p_exp.add_argument("--threads", type=int, default=1)
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv, namespace=argparse.Namespace(argv=argv))
     try:
         return args.func(args)
     except (DictionaryError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RedrawCapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -112,7 +112,8 @@ class Dictionary:
         return self.atoms[:, list(atom_set.indices)]
 
     def complement(self, atom_set: AtomSet) -> AtomSet:
-        return AtomSet(tuple(i for i in range(self.n_atoms) if i not in set(atom_set.indices)))
+        taken = set(atom_set.indices)
+        return AtomSet(tuple(i for i in range(self.n_atoms) if i not in taken))
 
 
 def coherence(atoms_or_dict) -> float:

@@ -1,8 +1,10 @@
 """Run provenance embedded in every emitted report.
 
-The digest covers everything that determines the numbers (command line,
-config, dictionary provenance, master seed, tool version) and excludes
-the timestamp, so re-running a manifest reproduces the digest exactly.
+The digest covers the resolved inputs that determine the numbers: the
+validated config with flag overrides applied, the dictionary provenance,
+the master seed and the tool version.  The command line and the
+timestamp are recorded next to it but not hashed, so two runs that differ
+only in where they write (``--out``) or when they ran share a digest.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ class RunManifest:
         return asdict(self)
 
 
-def config_digest(command_line: str, config: dict, provenance: dict,
-                  master_seed, tool_version: str) -> str:
+def config_digest(config: dict, provenance: dict, master_seed, tool_version: str) -> str:
     payload = json.dumps(
-        {"command_line": command_line, "config": config, "provenance": provenance,
+        {"config": config, "provenance": provenance,
          "master_seed": master_seed, "tool_version": tool_version},
         sort_keys=True, default=str,
     )
@@ -41,7 +42,7 @@ def build_manifest(command_line: str, config: dict, provenance: dict,
                    master_seed, tool_version: str) -> RunManifest:
     return RunManifest(
         command_line=command_line,
-        config_digest=config_digest(command_line, config, provenance, master_seed, tool_version),
+        config_digest=config_digest(config, provenance, master_seed, tool_version),
         dictionary_provenance=provenance,
         master_seed=master_seed,
         tool_version=tool_version,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dictionary import AtomSet, Dictionary, is_weakly_incoherent
+from .dictionary import TIGHTNESS_TOL, AtomSet, Dictionary, is_weakly_incoherent
 from .rank_bounds import numerical_rank
 from .signals import ExperimentReport
 from .thresholds import HypothesisViolatedError
@@ -151,7 +151,7 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
     m, n = d.m, d.n_atoms
     if n <= 2 * m:
         raise HypothesisViolatedError("requires N > 2m")
-    if abs(d.redundancy - n / m) > 1e-8:
+    if abs(d.redundancy - n / m) > TIGHTNESS_TOL:
         raise ValueError("dictionary must be a tight frame")
     if s < 1 or v_size < 0 or s + v_size > n:
         raise ValueError("invalid (s, v_size)")

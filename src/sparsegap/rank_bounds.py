@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,18 +40,22 @@ class DependentSetError(ValueError):
     """An atom set required to be linearly independent is not."""
 
 
+def _schatten(a: np.ndarray, sv: Optional[np.ndarray], p) -> float:
+    """Schatten p-norm of A given its singular values (unused for p = 2)."""
+    if p == 2:
+        # entrywise Frobenius formula, exact for S2
+        return float(np.linalg.norm(a))
+    if p == math.inf:
+        return float(sv[0]) if sv.size else 0.0
+    return float(np.sum(sv**p) ** (1.0 / p))
+
+
 def schatten_norm(a: np.ndarray, p) -> float:
     """lp norm of the singular value vector; p in [1, inf]."""
     a = np.asarray(a)
     if p != math.inf and p < 1:
         raise ValueError("Schatten norm requires p >= 1")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if p == math.inf:
-        return float(sv[0]) if sv.size else 0.0
-    if p == 2:
-        # entrywise Frobenius formula, exact for S2
-        return float(np.linalg.norm(a))
-    return float(np.sum(sv**p) ** (1.0 / p))
+    return _schatten(a, None if p == 2 else np.linalg.svd(a, compute_uv=False), p)
 
 
 def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:
@@ -71,21 +75,27 @@ def numerical_rank(a: np.ndarray, tol: Optional[float] = None) -> int:
     return int(np.sum(sv > tol))
 
 
+def _norm_ratio_bound(a: np.ndarray, sv: np.ndarray, p, q) -> float:
+    """rank_lb_norm_ratio(a, p, q) given the singular values of A."""
+    if p != math.inf and p < 1:
+        raise ValueError("requires p >= 1")
+    if not (p < q):
+        raise ValueError("requires p < q")
+    np_norm = _schatten(a, sv, p)
+    nq_norm = _schatten(a, sv, q)
+    if nq_norm == 0.0:
+        raise ValueError("zero matrix")
+    exponent = p if q == math.inf else p * q / (q - p)
+    return float((np_norm / nq_norm) ** exponent)
+
+
 def rank_lb_norm_ratio(a: np.ndarray, p, q) -> float:
     """rank(A) >= (||A||_Sp / ||A||_Sq)^(pq/(q-p)) for p < q.
 
     For q = inf the exponent is the analytic limit p.
     """
-    if p != math.inf and p < 1:
-        raise ValueError("requires p >= 1")
-    if not (p < q):
-        raise ValueError("requires p < q")
-    np_norm = schatten_norm(a, p)
-    nq_norm = schatten_norm(a, q)
-    if nq_norm == 0.0:
-        raise ValueError("zero matrix")
-    exponent = p if q == math.inf else p * q / (q - p)
-    return float((np_norm / nq_norm) ** exponent)
+    a = np.asarray(a)
+    return _norm_ratio_bound(a, np.linalg.svd(a, compute_uv=False), p, q)
 
 
 def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
@@ -143,16 +153,7 @@ class RankReport:
     lb_coherence: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "exact_rank": self.exact_rank,
-            "tolerance_used": self.tolerance_used,
-            "lb_trace_frobenius": self.lb_trace_frobenius,
-            "lb_frobenius_spectral": self.lb_frobenius_spectral,
-            "lb_norm_ratio": self.lb_norm_ratio,
-            "norm_ratio_pq": list(self.norm_ratio_pq) if self.norm_ratio_pq else None,
-            "lb_coherence": self.lb_coherence,
-            "singular_values": list(self.singular_values),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -182,7 +183,7 @@ def rank_report(
     lb_nr = pq = None
     if norm_ratio_pq is not None and sv.size and sv[0] > 0:
         p, q = norm_ratio_pq
-        lb_nr = rank_lb_norm_ratio(a, p, q)
+        lb_nr = _norm_ratio_bound(a, sv, p, q)
         pq = (float(p), float(q))
     lb_co = None
     if mu is not None:

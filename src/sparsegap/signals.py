@@ -15,7 +15,6 @@ import enum
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,6 +24,7 @@ from .dictionary import AtomSet, Dictionary
 from .rank_bounds import (
     DependentSetError,
     RankReport,
+    default_rank_tolerance,
     numerical_rank,
     projector_onto_range,
     rank_report,
@@ -59,7 +59,7 @@ class RepresentabilityVerdict:
 
 
 class RedrawCapExceededError(RuntimeError):
-    """Could not sample a linearly independent support within the cap."""
+    """A sampler found no acceptable atom set within INDEPENDENCE_REDRAW_CAP draws."""
 
 
 def _complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -184,25 +184,45 @@ def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
     )
 
 
+def _range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of range(A), with numerical_rank(A) columns, and A's singular values."""
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, sv > default_rank_tolerance(sv, a.shape)], sv
+
+
 def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
-                        rng: np.random.Generator) -> tuple[AtomSet, int]:
+                        rng: np.random.Generator) -> tuple[AtomSet, np.ndarray, int]:
     """T = delta atoms of S plus t - delta atoms of the complement.
 
-    Redraws T while cond(Phi_T) exceeds the cap; returns the redraw count.
+    Redraws T while cond(Phi_T) exceeds the cap; returns T, a basis of
+    range(Phi_T) from the conditioning check's SVD, and the redraw count.
     """
     s_idx = np.array(s_set.indices)
-    comp = np.array([i for i in range(d.n_atoms) if i not in set(s_set.indices)])
-    redraws = 0
-    while True:
+    comp = np.array(d.complement(s_set).indices)
+    for redraws in range(INDEPENDENCE_REDRAW_CAP):
         inside = rng.choice(s_idx, size=delta, replace=False) if delta else np.empty(0, int)
         outside = rng.choice(comp, size=t - delta, replace=False) if t - delta else np.empty(0, int)
         t_set = AtomSet(tuple(sorted(int(i) for i in np.concatenate([inside, outside]))))
-        sv = np.linalg.svd(d.subdictionary(t_set), compute_uv=False)
+        basis, sv = _range_basis(d.subdictionary(t_set))
         if sv[-1] > 0 and sv[0] / sv[-1] <= CONDITION_CAP:
-            return t_set, redraws
-        redraws += 1
-        if redraws >= INDEPENDENCE_REDRAW_CAP:
-            return t_set, redraws
+            return t_set, basis, redraws
+    raise RedrawCapExceededError(
+        f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g} found in "
+        f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})"
+    )
+
+
+def _trial_residuals(d: Dictionary, s_set: AtomSet, basis: np.ndarray, streams: list) -> list[float]:
+    """residual_over of draw_generic_signal(d, s_set, st) for each stream st, batched.
+
+    Equal up to rounding; S must already be known to be linearly independent.
+    """
+    x = np.array([_complex_gaussian(np.random.default_rng(st), len(s_set)) for st in streams])
+    u = d.subdictionary(s_set) @ x.reshape(len(streams), len(s_set)).T
+    norm_u = np.linalg.norm(u, axis=0)
+    if not norm_u.all():
+        raise ValueError("zero signal has no meaningful residual")
+    return (np.linalg.norm(u - basis @ (basis.conj().T @ u), axis=0) / norm_u).tolist()
 
 
 def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
@@ -213,17 +233,16 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
 
     Soundness: rank condition true means every residual stays above the
     floor.  Completeness: range containment (rank(Phi_R) = rank(Phi_T))
-    means every residual stays at or below the ceiling.
+    means every residual stays at or below the ceiling.  Trial i draws
+    from the stream [seed, i].
     """
     holds, report = rank_condition(d, s_set, t_set)
-    rank_t = numerical_rank(d.subdictionary(t_set)) if len(t_set) else 0
+    basis, _ = _range_basis(d.subdictionary(t_set))
+    rank_t = basis.shape[1]
     containment = report.exact_rank == rank_t
-    rows = []
-    for i in range(trials):
-        sig = draw_generic_signal(d, s_set, [seed, i])
-        res = residual_over(d, t_set, sig.signal) if len(t_set) else 1.0
-        rows.append({"trial": i, "residual": res,
-                     "verdict": classify_residual(res, ceiling, floor).value})
+    residuals = _trial_residuals(d, s_set, basis, [[seed, i] for i in range(trials)])
+    rows = [{"trial": i, "residual": res, "verdict": classify_residual(res, ceiling, floor).value}
+            for i, res in enumerate(residuals)]
     verdicts = [r["verdict"] for r in rows]
     sound = (not holds) or all(v == Verdict.NOT_REPRESENTABLE.value for v in verdicts)
     complete = (not containment) or all(v == Verdict.REPRESENTABLE.value for v in verdicts)
@@ -250,51 +269,45 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
 
 
 def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
-                   trials_per_pair: int, seed: int, threads: int = 1,
+                   trials_per_pair: int, seed: int,
                    ceiling: float = RESIDUAL_CEILING,
                    floor: float = RESIDUAL_FLOOR) -> ExperimentReport:
     """Sample (S, T) pairs with exact overlap and tally verdicts.
 
     A violation is a pair where the overlap condition predicts
     non-representability yet some generic trial comes out REPRESENTABLE.
+    Pair p samples S and T from the stream [seed, p] (RedrawCapExceededError
+    past the redraw cap); its trial i draws from [seed, p, i].
     """
     if not (0 <= delta <= min(s, t)) or s < 1:
         raise ValueError("need s >= 1 and 0 <= delta <= min(s, t)")
     if s + t - delta > d.n_atoms:
         raise ValueError("s + t - delta exceeds the number of atoms")
     decision = overlap_condition(s, t, delta, d.coherence) if t >= 1 else None
-
-    def run_pair(p: int) -> list[dict]:
+    predicted_blocked = bool(decision.holds) if decision else False
+    rows = []
+    rank_condition_failures = t_redraws_total = 0
+    for p in range(pairs if t and trials_per_pair else 0):
         rng = np.random.default_rng([seed, p])
         s_set = _sample_support(d, s, rng)
-        t_set, redraws = _sample_overlapping(d, s_set, t, delta, rng)
+        t_set, basis, redraws = _sample_overlapping(d, s_set, t, delta, rng)
         holds, _ = rank_condition(d, s_set, t_set)
-        rows = []
-        for i in range(trials_per_pair):
-            sig = draw_generic_signal(d, s_set, [seed, p, i])
-            res = residual_over(d, t_set, sig.signal)
-            rows.append({
-                "pair": p,
-                "trial": i,
-                "residual": res,
-                "verdict": classify_residual(res, ceiling, floor).value,
-                "rank_condition": holds,
-                "predicted_blocked": bool(decision.holds) if decision else False,
-                "t_redraws": redraws,
-            })
-        return rows
+        rank_condition_failures += not holds
+        t_redraws_total += redraws
+        residuals = _trial_residuals(d, s_set, basis, [[seed, p, i] for i in range(trials_per_pair)])
+        rows += [{
+            "pair": p,
+            "trial": i,
+            "residual": res,
+            "verdict": classify_residual(res, ceiling, floor).value,
+            "rank_condition": holds,
+            "predicted_blocked": predicted_blocked,
+            "t_redraws": redraws,
+        } for i, res in enumerate(residuals)]
 
-    if t == 0 or pairs == 0 or trials_per_pair == 0:
-        all_rows = []
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_rows = [row for rows in pool.map(run_pair, range(pairs)) for row in rows]
-    else:
-        all_rows = [row for p in range(pairs) for row in run_pair(p)]
-
-    violations = sum(1 for r in all_rows
+    violations = sum(1 for r in rows
                      if r["predicted_blocked"] and r["verdict"] == Verdict.REPRESENTABLE.value)
-    inconclusive = sum(1 for r in all_rows if r["verdict"] == Verdict.INCONCLUSIVE.value)
+    inconclusive = sum(1 for r in rows if r["verdict"] == Verdict.INCONCLUSIVE.value)
     rep = ExperimentReport(
         kind="gap",
         params={"s": s, "t": t, "delta": delta, "pairs": pairs,
@@ -303,16 +316,16 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
         master_seed=seed,
         columns=("pair", "trial", "residual", "verdict", "rank_condition",
                  "predicted_blocked", "t_redraws"),
-        trials=all_rows,
+        trials=rows,
     )
     rep.summary = {
         "overlap_rhs": decision.rhs if decision else None,
         "overlap_vacuous": decision.vacuous if decision else None,
-        "predicted_blocked": bool(decision.holds) if decision else False,
+        "predicted_blocked": predicted_blocked,
         "violations": violations,
         "n_inconclusive": inconclusive,
-        "n_trials": len(all_rows),
-        "rank_condition_failures": sum(1 for r in all_rows if not r["rank_condition"]) // max(trials_per_pair, 1),
-        "t_redraws_total": sum(r["t_redraws"] for r in all_rows) // max(trials_per_pair, 1),
+        "n_trials": len(rows),
+        "rank_condition_failures": rank_condition_failures,
+        "t_redraws_total": t_redraws_total,
     }
     return rep

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 
@@ -133,23 +133,7 @@ class GapThresholds:
     weak_gap_simplified_rhs: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "delta": self.delta,
-            "mu": self.mu,
-            "m": self.m,
-            "n_atoms": self.n_atoms,
-            "donoho_elad_lhs": self.donoho_elad_lhs,
-            "donoho_elad_rhs": self.donoho_elad_rhs,
-            "strong_gap_rhs": self.strong_gap_rhs,
-            "overlap_rhs": self.overlap_rhs,
-            "overlap_vacuous": self.overlap_vacuous,
-            "t_threshold": self.t_threshold,
-            "generic_up_rhs": self.generic_up_rhs,
-            "weak_gap_rhs": self.weak_gap_rhs,
-            "weak_gap_simplified_rhs": self.weak_gap_simplified_rhs,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

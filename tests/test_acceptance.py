@@ -271,7 +271,7 @@ def test_criterion_09_l0_cross_check():
     report(9, counterexamples == 0, f"counterexamples={counterexamples}")
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def test_criterion_10_determinism(tmp_path, monkeypatch, capsys):
     cfg = {
         "experiment": "gap",
         "dictionary": {"kind": "random-tight", "m": 16, "n_atoms": 48, "seed": 7},
@@ -281,9 +281,13 @@ def test_criterion_10_determinism(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     outs = []
+    # the same command line (which the manifest records) run twice, from
+    # two working directories so that the second run cannot read the first
     for name in ("a", "b"):
-        out = tmp_path / name
-        code = cli_main(["experiment", "--config", str(cfg_path), "--out", str(out),
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        out = tmp_path / name / "report"
+        code = cli_main(["experiment", "--config", str(cfg_path), "--out", "report",
                          "--format", "both"])
         assert code == 0
         payload = json.loads(out.with_suffix(".json").read_text())

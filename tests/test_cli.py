@@ -2,9 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from sparsegap.cli import main
+from sparsegap.dictionary import Dictionary, save_dictionary
 
 
 def run(argv, capsys):
@@ -92,19 +94,62 @@ class TestExperimentCommand:
         assert report["summary"]["violations"] == 0
         assert report["manifest"]["master_seed"] == 5
 
-    def test_repeat_seed_identical_payloads(self, gap_config, tmp_path, capsys):
-        out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
-        run(["experiment", "--config", str(gap_config), "--out", str(out1),
-             "--format", "both"], capsys)
-        run(["experiment", "--config", str(gap_config), "--out", str(out2),
-             "--format", "both"], capsys)
+    def test_repeat_seed_identical_payloads(self, gap_config, tmp_path, monkeypatch, capsys):
+        # one command line, which the manifest records, run from two directories
+        argv = ["experiment", "--config", str(gap_config), "--out", "run", "--format", "both"]
+        out1 = tmp_path / "a" / "run"
+        out2 = tmp_path / "b" / "run"
+        for out in (out1, out2):
+            out.parent.mkdir()
+            monkeypatch.chdir(out.parent)
+            run(argv, capsys)
         a = json.loads(out1.with_suffix(".json").read_text())
         b = json.loads(out2.with_suffix(".json").read_text())
         a["manifest"].pop("timestamp")
         b["manifest"].pop("timestamp")
         assert a == b
         assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
+
+    def test_manifest_digest_ignores_out(self, gap_config, tmp_path, capsys):
+        manifests = []
+        for name in ("a", "b"):
+            argv = ["experiment", "--config", str(gap_config), "--out", str(tmp_path / name)]
+            assert run(argv, capsys)[0] == 0
+            manifest = json.loads((tmp_path / f"{name}.json").read_text())["manifest"]
+            assert manifest["command_line"] == " ".join(argv)
+            manifests.append(manifest)
+        assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+
+    def test_seed_flag_resolved_into_digest(self, gap_config, capsys):
+        # --seed 5 repeats the config's own seed: same resolved inputs, same digest
+        digests = []
+        for extra in ([], ["--seed", "5"]):
+            _, stdout, _ = run(["experiment", "--config", str(gap_config)] + extra, capsys)
+            digests.append(json.loads(stdout)["manifest"]["config_digest"])
+        assert digests[0] == digests[1]
+
+    def test_threads_flag_rejected(self, gap_config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--threads", "2", "--config", str(gap_config)])
+        assert exc.value.code == 2
+
+    def test_redraw_cap_exits_one(self, tmp_path, capsys):
+        # e1 and four copies of e2: every independent S of size 2 leaves a
+        # complement of parallel atoms, so no T of size 2 is well conditioned
+        atoms = np.zeros((2, 5), dtype=complex)
+        atoms[0, 0] = 1.0
+        atoms[1, 1:] = 1.0
+        save_dictionary(Dictionary(atoms=atoms, coherence=1.0, redundancy=4.0), tmp_path / "d.sgdict")
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({
+            "experiment": "gap",
+            "dictionary": {"path": str(tmp_path / "d.sgdict")},
+            "s": 2, "t": 2, "delta": 0, "pairs": 1, "trials_per_pair": 1,
+        }))
+        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_unknown_experiment_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

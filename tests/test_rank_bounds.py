@@ -284,6 +284,17 @@ class TestRankReport:
             assert rep.lb_trace_frobenius <= rep.exact_rank + 1e-9
             assert rep.lb_frobenius_spectral <= rep.exact_rank + 1e-9
             assert rep.lb_norm_ratio <= rep.exact_rank + 1e-9
+            # computed from the report's own singular values, bit for bit
+            assert rep.lb_norm_ratio == rank_lb_norm_ratio(a, 1, 2)
+
+    def test_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rank_report(np.arange(12.0).reshape(3, 4), mu=0.5)
+        assert len(calls) == 1
+        schatten_norm(np.eye(3), 2)  # entrywise Frobenius, no SVD
+        assert len(calls) == 1
 
     def test_singular_values_sorted(self):
         rng = np.random.default_rng(10)

@@ -3,10 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from sparsegap.dictionary import AtomSet, build_random_tight_frame, build_spikes_sines
-from sparsegap.rank_bounds import DependentSetError
+from sparsegap.dictionary import AtomSet, Dictionary, build_random_tight_frame, build_spikes_sines
+from sparsegap.rank_bounds import DependentSetError, numerical_rank
 from sparsegap.signals import (
+    INDEPENDENCE_REDRAW_CAP,
+    RedrawCapExceededError,
     Verdict,
+    _sample_overlapping,
+    _sample_support,
+    classify_residual,
     draw_generic_signal,
     equivalence_experiment,
     gap_experiment,
@@ -153,12 +158,6 @@ class TestGapExperiment:
         rep = gap_experiment(d, s=2, t=0, delta=0, pairs=3, trials_per_pair=3, seed=1)
         assert rep.trials == [] and rep.summary["n_trials"] == 0
 
-    def test_threads_match_serial(self):
-        d = build_spikes_sines(16)
-        serial = gap_experiment(d, 4, 4, 1, pairs=4, trials_per_pair=3, seed=10, threads=1)
-        parallel = gap_experiment(d, 4, 4, 1, pairs=4, trials_per_pair=3, seed=10, threads=4)
-        assert serial.to_json() == parallel.to_json()
-
     def test_exact_overlap_sampling(self):
         d = build_spikes_sines(16)
         rep = gap_experiment(d, 4, 6, 2, pairs=6, trials_per_pair=1, seed=12)
@@ -176,3 +175,91 @@ class TestGapExperiment:
         from_json = [r["residual"] for r in json.loads(rep.to_json())["trials"]]
         from_csv = [float(line.split(",")[2]) for line in rep.to_csv().splitlines()[1:]]
         assert from_json == from_csv
+
+
+# Residuals of the batched engine against the per-trial reference path
+# (draw_generic_signal + residual_over) differ only by rounding.  Residuals
+# at rounding level (S inside T) are compared absolutely.
+RESIDUAL_RTOL = 1e-13
+RESIDUAL_ATOL = 1e-14
+
+
+def assert_rows_match_reference(d, rows, sets_of_row, stream_of_row):
+    for row in rows:
+        s_set, t_set = sets_of_row(row)
+        sig = draw_generic_signal(d, s_set, stream_of_row(row))
+        ref = residual_over(d, t_set, sig.signal)
+        assert row["verdict"] == classify_residual(ref).value
+        assert abs(row["residual"] - ref) <= RESIDUAL_RTOL * ref + RESIDUAL_ATOL
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """One-element list counting numpy.linalg.svd calls from here on."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def tight_24_64():
+    return build_random_tight_frame(24, 64, seed=3)
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("kind", ["spikes-sines", "tight"])
+    @pytest.mark.parametrize("s,t,delta", [(4, 5, 0), (4, 6, 2), (4, 6, 4)])
+    def test_gap_rows(self, kind, s, t, delta, tight_24_64):
+        d = build_spikes_sines(16) if kind == "spikes-sines" else tight_24_64
+        rep = gap_experiment(d, s, t, delta, pairs=4, trials_per_pair=6, seed=17)
+        # re-sample each pair's S and T from the pair stream, as the engine does
+        pair_sets = {}
+        for p in range(4):
+            rng = np.random.default_rng([17, p])
+            s_set = _sample_support(d, s, rng)
+            pair_sets[p] = (s_set, _sample_overlapping(d, s_set, t, delta, rng)[0])
+        assert len(rep.trials) == 24
+        assert_rows_match_reference(d, rep.trials, lambda r: pair_sets[r["pair"]],
+                                    lambda r: [17, r["pair"], r["trial"]])
+        if delta == s:
+            assert all(r["verdict"] == "REPRESENTABLE" for r in rep.trials)
+
+    @pytest.mark.parametrize("kind", ["spikes-sines", "tight"])
+    @pytest.mark.parametrize("t_indices", [[5, 6, 7], [1, 2, 9], [0, 1, 2, 3]])
+    def test_equivalence_rows(self, kind, t_indices, tight_24_64):
+        d = build_spikes_sines(16) if kind == "spikes-sines" else tight_24_64
+        s_set, t_set = AtomSet.of([0, 1, 2]), AtomSet.of(t_indices)
+        rep = equivalence_experiment(d, s_set, t_set, trials=8, seed=19)
+        assert rep.summary["rank_t"] == numerical_rank(d.subdictionary(t_set))
+        assert_rows_match_reference(d, rep.trials, lambda r: (s_set, t_set),
+                                    lambda r: [19, r["trial"]])
+
+    def test_svd_count_independent_of_trials(self, svd_calls):
+        d = build_spikes_sines(16)
+        counts = []
+        for trials in (1, 7):
+            svd_calls[0] = 0
+            gap_experiment(d, 4, 4, 1, pairs=3, trials_per_pair=trials, seed=10)
+            counts.append(svd_calls[0])
+        assert counts[0] == counts[1] > 0
+
+
+class TestRedrawCap:
+    def test_parallel_complement_raises_at_cap(self, svd_calls):
+        # S = {e1, e2}; the complement holds three copies of e2, so every T
+        # of two complement atoms is rank one and no draw is well conditioned
+        atoms = np.zeros((2, 5), dtype=complex)
+        atoms[0, 0] = 1.0
+        atoms[1, 1:] = 1.0
+        d = Dictionary(atoms=atoms, coherence=1.0, redundancy=4.0)
+        with pytest.raises(RedrawCapExceededError):
+            _sample_overlapping(d, AtomSet.of([0, 1]), 2, 0, np.random.default_rng(0))
+        assert svd_calls[0] == INDEPENDENCE_REDRAW_CAP  # one SVD per T draw
+        with pytest.raises(RedrawCapExceededError):
+            gap_experiment(d, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
