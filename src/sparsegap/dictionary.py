@@ -23,6 +23,8 @@ import numpy as np
 
 COLUMN_NORM_TOL = 1e-12
 TIGHTNESS_TOL = 1e-8
+COHERENCE_TOL = 1e-12   # rounding slack above 1 for the coherence of unit-norm atoms
+METADATA_TOL = 1e-9    # stored vs recomputed coherence/redundancy in sgdict-1 files
 
 FORMAT_VERSION = "sgdict-1"
 
@@ -160,7 +162,7 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     if rho < n / m - 1e-10:
         raise DictionaryError(f"redundancy {rho} below N/m = {n / m}")
     mu = coherence(atoms) if n >= 2 else 0.0
-    if not (0.0 <= mu <= 1.0 + 1e-12):
+    if not (0.0 <= mu <= 1.0 + COHERENCE_TOL):
         raise DictionaryError(f"coherence {mu} outside [0, 1]")
     if n > m and mu < welch_lower_bound(m, n) - 1e-10:
         raise DictionaryError("coherence below the Grassmannian bound")
@@ -201,9 +203,13 @@ def build_random_tight_frame(
     """Random unit-norm tight frame via alternating projections.
 
     Iterates two steps: project onto scaled co-isometries (Phi Phi* =
-    (N/m) I, via SVD) and renormalize columns, until both the tightness
-    residual |rho - N/m| and the worst column-norm deviation fall below
-    ``tol``.  Raises TightFrameConvergenceError when the cap is hit.
+    (N/m) I) and renormalize columns, until both the tightness residual
+    |rho - N/m| and the worst column-norm deviation fall below ``tol``.
+    One Hermitian eigendecomposition Phi Phi* = V diag(w) V* per iterate
+    serves both steps: its largest eigenvalue is rho, and it gives the
+    projection sqrt(N/m) (Phi Phi*)^(-1/2) Phi, the scaled polar factor of
+    Phi.  Raises TightFrameConvergenceError when the cap is hit or an
+    iterate is rank-deficient.
     """
     if n_atoms <= m:
         raise DictionaryError("a redundant tight frame needs n_atoms > m")
@@ -211,13 +217,16 @@ def build_random_tight_frame(
     atoms = rng.standard_normal((m, n_atoms)) + 1j * rng.standard_normal((m, n_atoms))
     atoms /= np.linalg.norm(atoms, axis=0)
     target = n_atoms / m
-    rho_res = norm_res = math.inf
-    for _ in range(max_iterations):
-        u, _, vh = np.linalg.svd(atoms, full_matrices=False)
-        atoms = math.sqrt(target) * (u @ vh)
+    w, v = np.linalg.eigh(atoms @ atoms.conj().T)
+    rho_res = abs(float(w[-1]) - target)
+    norm_res = float(np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max())
+    for iteration in range(max_iterations):
+        if not w[0] > 0:  # (Phi Phi*)^(-1/2) does not exist; NaN also lands here
+            raise TightFrameConvergenceError(iteration, rho_res, norm_res)
+        atoms = (v * np.sqrt(target / w)) @ (v.conj().T @ atoms)
         atoms /= np.linalg.norm(atoms, axis=0)
-        sv = np.linalg.svd(atoms, compute_uv=False)
-        rho_res = abs(float(sv[0] ** 2) - target)
+        w, v = np.linalg.eigh(atoms @ atoms.conj().T)
+        rho_res = abs(float(w[-1]) - target)
         norm_res = float(np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max())
         if rho_res <= tol and norm_res <= tol:
             return _finalize(
@@ -285,15 +294,29 @@ def save_dictionary(d: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
-    """Read a dictionary written by :func:`save_dictionary`, revalidating it."""
+    """Read a dictionary written by :func:`save_dictionary`, revalidating it.
+
+    The payload must be a plain file name in the metadata's directory, and
+    the stored coherence and redundancy must match the recomputed ones
+    within METADATA_TOL; otherwise DictionaryError.
+    """
     path = Path(path)
     meta = json.loads(path.read_text())
     if meta.get("format") != FORMAT_VERSION:
         raise DictionaryError(f"unsupported dictionary format {meta.get('format')!r}")
+    payload = meta.get("payload")
+    if (not isinstance(payload, str) or payload in ("", ".", "..")
+            or any(sep in payload for sep in "/\\")):
+        raise DictionaryError(f"payload {payload!r} is not a file name beside the metadata")
     m, n = int(meta["m"]), int(meta["n_atoms"])
-    buf = np.frombuffer((path.parent / meta["payload"]).read_bytes(), dtype="<f8")
+    buf = np.frombuffer((path.parent / payload).read_bytes(), dtype="<f8")
     if buf.size != 2 * m * n:
         raise DictionaryError("payload size does not match metadata")
     flat = buf[0::2] + 1j * buf[1::2]
     atoms = flat.reshape((m, n), order="F")
-    return _finalize(atoms, dict(meta["provenance"]))
+    d = _finalize(atoms, dict(meta["provenance"]))
+    for name in ("coherence", "redundancy"):
+        stored, actual = meta.get(name), getattr(d, name)
+        if not isinstance(stored, (int, float)) or not abs(stored - actual) <= METADATA_TOL:
+            raise DictionaryError(f"stored {name} {stored!r} differs from recomputed {actual!r}")
+    return d

@@ -57,9 +57,11 @@ def subset_statistics(d: Dictionary, s_set: AtomSet, seed: Optional[int] = None)
         max_cross = float(np.sqrt(np.max(np.sum(np.abs(cross) ** 2, axis=0))))
     else:
         max_cross = 0.0
-    gram = phi_s.conj().T @ phi_s
-    gram_dev = float(np.linalg.norm(gram - np.eye(len(s_set)), 2))
-    sigma_min = float(np.linalg.svd(phi_s, compute_uv=False)[-1])
+    sv = np.linalg.svd(phi_s, compute_uv=False)
+    # the Gram eigenvalues are sv**2, plus s - m zeros when s > m
+    gram_eig = np.concatenate([sv**2, np.zeros(len(s_set) - sv.size)])
+    gram_dev = float(np.abs(gram_eig - 1.0).max())
+    sigma_min = float(sv[-1])
     pinv_norm = math.inf if sigma_min == 0.0 else 1.0 / sigma_min
     return SubsetStatistics(max_cross_correlation=max_cross, gram_deviation=gram_dev,
                             pinv_norm=pinv_norm, s=len(s_set), seed=seed)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionary import AtomSet, Dictionary
+from .dictionary import COHERENCE_TOL, AtomSet, Dictionary
 
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
@@ -131,10 +131,14 @@ def rank_lb_frobenius_spectral(a: np.ndarray) -> float:
 
 
 def rank_lb_coherence(r: int, mu: float) -> float:
-    """rank(Phi_R) >= r / (1 + (r-1) mu^2) for any r unit-norm atoms."""
+    """rank(Phi_R) >= r / (1 + (r-1) mu^2) for any r unit-norm atoms.
+
+    mu may exceed 1 by COHERENCE_TOL, as the computed coherence of a
+    repeated atom can; that only lowers the bound.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if not (0.0 <= mu <= 1.0):
+    if not (0.0 <= mu <= 1.0 + COHERENCE_TOL):
         raise ValueError("mu must lie in [0, 1]")
     return r / (1.0 + (r - 1) * mu**2)
 

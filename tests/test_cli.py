@@ -38,6 +38,23 @@ class TestDictCommand:
         built_metrics = [l for l in built.splitlines() if not l.startswith("wrote")]
         assert inspected.splitlines() == built_metrics
 
+    @pytest.mark.parametrize("changes", [{"coherence": 0.9}, {"redundancy": 4.5},
+                                         {"payload": "../d.sgdict.bin"}])
+    def test_tampered_file_is_usage_error(self, tmp_path, capsys, changes):
+        out = tmp_path / "d.sgdict"
+        run(["dict", "--kind", "random-tight", "--m", "8", "--n-atoms", "32",
+             "--out", str(out)], capsys)
+        meta = json.loads(out.read_text())
+        out.write_text(json.dumps({**meta, **changes}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "gap", "dictionary": {"path": str(out)},
+                                   "s": 2, "t": 2, "delta": 0, "pairs": 1,
+                                   "trials_per_pair": 1}))
+        for argv in (["dict", "--inspect", str(out)], ["experiment", "--config", str(cfg)]):
+            code, stdout, err = run(argv, capsys)
+            assert code == 2
+            assert err.startswith("error:") and stdout == ""
+
 
 class TestBoundsCommand:
     def test_sweep_row_count_and_reduction(self, capsys):

@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from sparsegap.dictionary import (
+    TIGHTNESS_TOL,
     AtomSet,
     Dictionary,
     DictionaryError,
+    TightFrameConvergenceError,
     build_random_tight_frame,
     build_random_unit_norm,
     build_spikes_sines,
@@ -76,7 +79,68 @@ class TestRandomUnitNorm:
             build_random_unit_norm(8, 4, seed=0)
 
 
+def svd_tight_frame(m, n_atoms, seed, tol=TIGHTNESS_TOL):
+    """Alternating projections in SVD form: (atoms, iterations to converge).
+
+    The projection is the scaled polar factor sqrt(N/m) U V* of a thin SVD,
+    and rho comes from a second SVD of the renormalized iterate.
+    """
+    rng = np.random.default_rng(seed)
+    atoms = rng.standard_normal((m, n_atoms)) + 1j * rng.standard_normal((m, n_atoms))
+    atoms /= np.linalg.norm(atoms, axis=0)
+    for iteration in range(1, 10_001):
+        u, _, vh = np.linalg.svd(atoms, full_matrices=False)
+        atoms = math.sqrt(n_atoms / m) * (u @ vh)
+        atoms /= np.linalg.norm(atoms, axis=0)
+        rho = np.linalg.svd(atoms, compute_uv=False)[0] ** 2
+        norm_res = np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max()
+        if abs(rho - n_atoms / m) <= tol and norm_res <= tol:
+            return atoms, iteration
+    raise AssertionError("reference did not converge")
+
+
 class TestRandomTightFrame:
+    @pytest.mark.parametrize("m,n_atoms,seed", [(8, 32, 7), (32, 128, 7), (2, 3, 0)])
+    def test_matches_svd_reference(self, m, n_atoms, seed):
+        ref, _ = svd_tight_frame(m, n_atoms, seed)
+        d = build_random_tight_frame(m, n_atoms, seed)
+        assert np.abs(d.atoms - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("m,n_atoms,seed", [(8, 32, 7), (2, 3, 0)])
+    def test_one_factorization_per_iteration(self, m, n_atoms, seed, linalg_calls):
+        _, iterations = svd_tight_frame(m, n_atoms, seed)
+        linalg_calls.clear()
+        build_random_tight_frame(m, n_atoms, seed)
+        # the start, one per iteration, and the validation SVD in _finalize
+        assert sum(linalg_calls.values()) <= iterations + 2
+
+    def test_iteration_cap_raises_with_finite_residuals(self):
+        with pytest.raises(TightFrameConvergenceError) as info:
+            build_random_tight_frame(8, 32, seed=7, max_iterations=1)
+        err = info.value
+        assert err.iterations == 1
+        assert math.isfinite(err.rho_residual) and math.isfinite(err.norm_residual)
+        assert err.rho_residual > TIGHTNESS_TOL
+
+    def test_rank_deficient_iterate_raises(self, monkeypatch):
+        # a start with a zero row has a singular Phi Phi*, so no polar factor
+        default_rng = np.random.default_rng
+
+        class ZeroLastRow:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                x = self._rng.standard_normal(size)
+                x[-1] = 0.0
+                return x
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroLastRow)
+        with pytest.raises(TightFrameConvergenceError) as info:
+            build_random_tight_frame(3, 5, seed=1)
+        assert info.value.iterations == 0
+        assert math.isfinite(info.value.rho_residual) and math.isfinite(info.value.norm_residual)
+
     def test_redundancy_hits_target(self):
         d = build_random_tight_frame(8, 32, seed=7)
         assert abs(d.redundancy - 4.0) <= 1e-8
@@ -182,7 +246,6 @@ class TestSerialization:
         assert loaded.provenance == d.provenance
 
     def test_format_field(self, tmp_path):
-        import json
         d = build_spikes_sines(4)
         path = tmp_path / "d.sgdict"
         save_dictionary(d, path)
@@ -190,3 +253,61 @@ class TestSerialization:
         assert meta["format"] == "sgdict-1"
         payload = (tmp_path / meta["payload"]).read_bytes()
         assert len(payload) == 2 * 8 * d.m * d.n_atoms
+
+
+def tamper(path, **changes):
+    """Rewrite the sgdict-1 metadata at ``path`` with ``changes`` applied."""
+    meta = json.loads(path.read_text())
+    meta.update(changes)
+    path.write_text(json.dumps(meta))
+
+
+@pytest.fixture
+def saved_frame(tmp_path):
+    d = build_random_tight_frame(8, 32, seed=7)
+    path = tmp_path / "sub" / "d.sgdict"
+    path.parent.mkdir()
+    save_dictionary(d, path)
+    return d, path
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("payload", [
+        "../d.sgdict.bin", "..", ".", "", "sub/d.sgdict.bin", "sub\\d.sgdict.bin", None, 3,
+    ])
+    def test_rejects_payload_outside_directory(self, saved_frame, payload):
+        _, path = saved_frame
+        # a copy one level up, which a joined "../d.sgdict.bin" would read
+        data = (path.parent / "d.sgdict.bin").read_bytes()
+        (path.parent.parent / "d.sgdict.bin").write_bytes(data)
+        tamper(path, payload=payload)
+        with pytest.raises(DictionaryError, match="payload"):
+            load_dictionary(path)
+
+    def test_rejects_absolute_payload(self, saved_frame):
+        _, path = saved_frame
+        tamper(path, payload=str((path.parent / "d.sgdict.bin").resolve()))
+        with pytest.raises(DictionaryError, match="payload"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("name", ["coherence", "redundancy"])
+    @pytest.mark.parametrize("offset", [1e-6, -2e-9])
+    def test_rejects_stored_metric_mismatch(self, saved_frame, name, offset):
+        d, path = saved_frame
+        tamper(path, **{name: getattr(d, name) + offset})
+        with pytest.raises(DictionaryError, match=f"stored {name}"):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize("name", ["coherence", "redundancy"])
+    @pytest.mark.parametrize("value", [None, "0.5", float("nan")])
+    def test_rejects_missing_or_non_numeric_metric(self, saved_frame, name, value):
+        _, path = saved_frame
+        tamper(path, **{name: value})
+        with pytest.raises(DictionaryError, match=f"stored {name}"):
+            load_dictionary(path)
+
+    def test_accepts_drift_within_tolerance(self, saved_frame):
+        d, path = saved_frame
+        tamper(path, coherence=d.coherence + 1e-12, redundancy=d.redundancy - 1e-12)
+        loaded = load_dictionary(path)
+        assert loaded.coherence == d.coherence and loaded.redundancy == d.redundancy

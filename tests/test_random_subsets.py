@@ -63,6 +63,30 @@ class TestSubsetStatistics:
         st = subset_statistics(d, AtomSet.of([0, 4]))
         assert st.gram_deviation >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("s", [1, 4, 16, 17, 30])
+    def test_gram_deviation_matches_spectral_norm(self, s, linalg_calls):
+        # s > m = 16 leaves s - m zero Gram eigenvalues, so the deviation is >= 1
+        d = build_random_tight_frame(16, 48, seed=11)
+        for seed in range(5):
+            s_set = sample_uniform_subset(48, s, [seed, s])
+            linalg_calls.clear()
+            st = subset_statistics(d, s_set)
+            assert linalg_calls == {"svd": 1}
+            phi_s = d.subdictionary(s_set)
+            ref = np.linalg.norm(phi_s.conj().T @ phi_s - np.eye(s), 2)
+            # Gram eigenvalues are O(1), so rounding is relative to max(ref, 1)
+            assert abs(st.gram_deviation - ref) <= 1e-13 * max(ref, 1.0)
+            assert st.gram_deviation >= 1.0 or s <= 16
+            sigma_min = np.linalg.svd(phi_s, compute_uv=False)[-1]
+            assert st.pinv_norm == 1.0 / sigma_min
+
+    def test_gram_deviation_counts_zero_eigenvalues(self):
+        # all 17 atoms of a tight frame in C^16: every sigma^2 is 17/16, but
+        # the 17 x 17 Gram matrix is singular, so the deviation is 1
+        d = build_random_tight_frame(16, 17, seed=1)
+        st = subset_statistics(d, AtomSet(tuple(range(17))))
+        assert abs(st.gram_deviation - 1.0) < 1e-12
+
     def test_cross_correlation_entrywise_bound(self):
         d = build_random_tight_frame(16, 64, seed=2)
         for seed in range(20):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsegap.dictionary import AtomSet, build_random_unit_norm, build_spikes_sines
+from sparsegap.dictionary import AtomSet, build_random_unit_norm, build_spikes_sines, coherence
 from sparsegap.rank_bounds import (
     DependentSetError,
     NotPsdError,
@@ -128,6 +130,15 @@ class TestCoherenceBound:
 
     def test_orthonormal(self):
         assert rank_lb_coherence(9, 0.0) == 9.0
+
+    def test_repeated_atom_coherence_rounding_above_one(self):
+        v = np.array([0.1 + 0.1j, 0.1 - 0.7j])
+        atoms = np.stack([v, v], axis=1) / np.linalg.norm(v)
+        mu = coherence(atoms)
+        assert mu > 1.0  # rounding: 1 + 2.2e-16
+        assert rank_lb_coherence(2, mu) <= numerical_rank(atoms) == 1
+        with pytest.raises(ValueError):
+            rank_lb_coherence(2, 1.01)
 
     def test_spikes_sines_value(self):
         value = rank_lb_coherence(16, 0.25)
@@ -287,14 +298,11 @@ class TestRankReport:
             # computed from the report's own singular values, bit for bit
             assert rep.lb_norm_ratio == rank_lb_norm_ratio(a, 1, 2)
 
-    def test_one_svd(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    def test_one_svd(self, linalg_calls):
         rank_report(np.arange(12.0).reshape(3, 4), mu=0.5)
-        assert len(calls) == 1
+        assert linalg_calls == {"svd": 1}
         schatten_norm(np.eye(3), 2)  # entrywise Frobenius, no SVD
-        assert len(calls) == 1
+        assert linalg_calls == {"svd": 1}
 
     def test_singular_values_sorted(self):
         rng = np.random.default_rng(10)
@@ -307,3 +315,72 @@ class TestRankReport:
         rep = rank_report(np.eye(3))
         data = json.loads(rep.to_json())
         assert data["exact_rank"] == 3
+
+
+@st.composite
+def low_rank_products(draw):
+    """(B C, r) with B m x r and C r x n complex Gaussian, so rank r <= min(m, n)."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    r = draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_matrix(rng, m, r) @ random_matrix(rng, r, n), r
+
+
+@st.composite
+def badly_scaled(draw):
+    """(A 10^k, rank A) for a Gaussian or low-rank A and k in [-8, 8]."""
+    if draw(st.booleans()):
+        a, rank = draw(low_rank_products())
+    else:
+        m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        a = random_matrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, n)
+        rank = min(m, n)
+    return a * 10.0 ** draw(st.integers(-8, 8)), rank
+
+
+@st.composite
+def near_duplicate_atoms(draw):
+    """Unit-norm columns a + eps e_j around one atom a, eps = 10^k, k in [-16, -2]."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = 10.0 ** draw(st.integers(-16, -2))
+    atoms = random_matrix(rng, m, 1) + eps * random_matrix(rng, m, n)
+    return atoms / np.linalg.norm(atoms, axis=0)
+
+
+def assert_bounds_below_numerical_rank(a, mu=None):
+    rank = numerical_rank(a)
+    rep = rank_report(a, mu=mu)
+    assert rep.exact_rank == rank
+    bounds = [rep.lb_trace_frobenius, rep.lb_frobenius_spectral, rep.lb_norm_ratio]
+    bounds += [rep.lb_coherence] if mu is not None else []
+    for bound in bounds:
+        # the bounds are ratios of rounded sums over every singular value,
+        # including those below the rank cutoff; both add well under 1e-9
+        assert bound <= rank + 1e-9
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestRankReportProperties:
+    """Inputs where the scale-aware rank tolerance decides the answer."""
+
+    @PROPERTY_SETTINGS
+    @given(low_rank_products())
+    def test_low_rank_products(self, case):
+        a, rank = case
+        assert numerical_rank(a) == rank  # the cutoff drops the rounding-level values
+        assert_bounds_below_numerical_rank(a)
+
+    @PROPERTY_SETTINGS
+    @given(badly_scaled())
+    def test_badly_scaled(self, case):
+        a, rank = case
+        assert numerical_rank(a) == rank  # the cutoff scales with the matrix
+        assert_bounds_below_numerical_rank(a)
+
+    @PROPERTY_SETTINGS
+    @given(near_duplicate_atoms())
+    def test_near_duplicate_atoms(self, atoms):
+        assert_bounds_below_numerical_rank(atoms, mu=coherence(atoms))

@@ -193,20 +193,6 @@ def assert_rows_match_reference(d, rows, sets_of_row, stream_of_row):
         assert abs(row["residual"] - ref) <= RESIDUAL_RTOL * ref + RESIDUAL_ATOL
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """One-element list counting numpy.linalg.svd calls from here on."""
-    calls = [0]
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls[0] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
 @pytest.fixture(scope="module")
 def tight_24_64():
     return build_random_tight_frame(24, 64, seed=3)
@@ -240,18 +226,29 @@ class TestEngineMatchesReference:
         assert_rows_match_reference(d, rep.trials, lambda r: (s_set, t_set),
                                     lambda r: [19, r["trial"]])
 
-    def test_svd_count_independent_of_trials(self, svd_calls):
+    def test_svd_count_independent_of_trials(self, linalg_calls):
         d = build_spikes_sines(16)
         counts = []
         for trials in (1, 7):
-            svd_calls[0] = 0
+            linalg_calls.clear()
             gap_experiment(d, 4, 4, 1, pairs=3, trials_per_pair=trials, seed=10)
-            counts.append(svd_calls[0])
-        assert counts[0] == counts[1] > 0
+            counts.append(sum(linalg_calls.values()))
+        # per pair: S certified once, T's conditioning SVD, the union's rank
+        assert counts == [3 * 3, 3 * 3]
+
+    def test_gap_rank_condition_matches_reference(self, tight_24_64):
+        d = tight_24_64
+        for s, t, delta in [(4, 5, 0), (4, 6, 2), (6, 4, 4), (4, 24, 0), (6, 24, 3)]:
+            rep = gap_experiment(d, s, t, delta, pairs=5, trials_per_pair=2, seed=23)
+            for r in rep.trials:
+                rng = np.random.default_rng([23, r["pair"]])
+                s_set = _sample_support(d, s, rng)
+                t_set = _sample_overlapping(d, s_set, t, delta, rng)[0]
+                assert r["rank_condition"] == rank_condition(d, s_set, t_set)[0]
 
 
 class TestRedrawCap:
-    def test_parallel_complement_raises_at_cap(self, svd_calls):
+    def test_parallel_complement_raises_at_cap(self, linalg_calls):
         # S = {e1, e2}; the complement holds three copies of e2, so every T
         # of two complement atoms is rank one and no draw is well conditioned
         atoms = np.zeros((2, 5), dtype=complex)
@@ -260,6 +257,6 @@ class TestRedrawCap:
         d = Dictionary(atoms=atoms, coherence=1.0, redundancy=4.0)
         with pytest.raises(RedrawCapExceededError):
             _sample_overlapping(d, AtomSet.of([0, 1]), 2, 0, np.random.default_rng(0))
-        assert svd_calls[0] == INDEPENDENCE_REDRAW_CAP  # one SVD per T draw
+        assert linalg_calls == {"svd": INDEPENDENCE_REDRAW_CAP}  # one SVD per T draw
         with pytest.raises(RedrawCapExceededError):
             gap_experiment(d, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
