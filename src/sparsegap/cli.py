@@ -8,10 +8,7 @@ line on stderr, no report), 2 = usage or config error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -29,9 +26,9 @@ from .dictionary import (
     save_dictionary,
     welch_lower_bound,
 )
-from .manifest import build_manifest
+from .manifest import ExperimentReport, build_manifest, csv_text
 from .random_subsets import SweepConfig, statistics_sweep, weak_rank_bound_experiment
-from .signals import ExperimentReport, RedrawCapExceededError, equivalence_experiment, gap_experiment
+from .signals import RedrawCapExceededError, equivalence_experiment, gap_experiment
 from .thresholds import GapThresholds, evaluate_thresholds
 
 EXIT_OK = 0
@@ -39,23 +36,45 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 BOUNDS_COLUMNS = tuple(f.name for f in fields(GapThresholds)) + ("error",)
+EXPERIMENT_KEYS = {
+    "gap": {"s", "t", "delta", "pairs", "trials_per_pair"},
+    "equivalence": {"s_set", "t_set", "trials"},
+    "stats-sweep": {"s_values", "trials_per_s"},
+    "weak-rank": {"s", "v_size", "trials"},
+}
+DICTIONARY_KEYS = {"spikes-sines": {"m"}, "random-unit": {"m", "n_atoms", "seed"},
+                   "random-tight": {"m", "n_atoms", "seed"}}
+LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
+REAL_KEYS = {"beta", "c_sparsity"}           # any number; every other key is an integer
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _check_keys(obj: dict, keys: set, where: str) -> None:
+    """ConfigError unless ``obj`` holds every key, each of the type its name calls for."""
+    missing = keys - set(obj)
+    if missing:
+        raise ConfigError(f"{where} missing keys: {sorted(missing)}")
+    for key in sorted(keys):
+        items = obj[key] if key in LIST_KEYS else [obj[key]]
+        kind = (int, float) if key in REAL_KEYS else int
+        if not isinstance(items, list) or not all(isinstance(v, kind) for v in items):
+            raise ConfigError(f"{where} key {key!r} has the wrong type: {obj[key]!r}")
+
+
 def _build_dictionary(spec: dict) -> Dictionary:
     if "path" in spec:
         return load_dictionary(spec["path"])
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in DICTIONARY_KEYS:
+        raise ConfigError(f"unknown dictionary kind {kind!r}")
+    _check_keys(spec, DICTIONARY_KEYS[kind], "dictionary")
     if kind == "spikes-sines":
-        return build_spikes_sines(int(spec["m"]))
-    if kind == "random-unit":
-        return build_random_unit_norm(int(spec["m"]), int(spec["n_atoms"]), int(spec["seed"]))
-    if kind == "random-tight":
-        return build_random_tight_frame(int(spec["m"]), int(spec["n_atoms"]), int(spec["seed"]))
-    raise ConfigError(f"unknown dictionary kind {kind!r}")
+        return build_spikes_sines(spec["m"])
+    build = build_random_unit_norm if kind == "random-unit" else build_random_tight_frame
+    return build(spec["m"], spec["n_atoms"], spec["seed"])
 
 
 def _print_metrics(d: Dictionary, c: float) -> None:
@@ -87,10 +106,10 @@ def cmd_dict(args) -> int:
     return EXIT_OK
 
 
-def _bounds_rows(mu: float, m: int, n_atoms: int, s_values, t_of_s, delta: int) -> list[dict]:
+def _bounds_rows(mu: float, m: int, n_atoms: int, s_values, t_fixed, delta: int) -> list[dict]:
     rows = []
     for s in s_values:
-        t = t_of_s(s)
+        t = s if t_fixed is None else t_fixed
         row = {k: None for k in BOUNDS_COLUMNS}
         row.update({"s": s, "t": t, "delta": delta, "mu": mu, "m": m, "n_atoms": n_atoms})
         if delta > min(s, t):
@@ -98,21 +117,11 @@ def _bounds_rows(mu: float, m: int, n_atoms: int, s_values, t_of_s, delta: int) 
         else:
             gt = evaluate_thresholds(s, t, delta, mu, m, n_atoms)
             row.update(gt.to_dict())
-            row["error"] = None
         rows.append(row)
     return rows
 
 
-def _emit(rows: list[dict], columns, fmt: str, out) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k) for k in columns})
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, out) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -128,32 +137,24 @@ def cmd_bounds(args) -> int:
             print("error: provide --dict or all of --mu/--m/--n-atoms", file=sys.stderr)
             return EXIT_USAGE
         mu, m, n_atoms = args.mu, args.m, args.n_atoms
-    s_values = range(args.s_min, args.s_max + 1)
-    t_of_s = (lambda s: args.t) if args.t is not None else (lambda s: s)
-    rows = _bounds_rows(mu, m, n_atoms, s_values, t_of_s, args.delta)
-    _emit(rows, BOUNDS_COLUMNS, args.format, args.out)
+    rows = _bounds_rows(mu, m, n_atoms, range(args.s_min, args.s_max + 1), args.t, args.delta)
+    if args.format == "csv":
+        _emit(csv_text(rows, BOUNDS_COLUMNS), args.out)
+    else:
+        _emit(json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
-
-
-EXPERIMENT_KEYS = {
-    "gap": {"s", "t", "delta", "pairs", "trials_per_pair"},
-    "equivalence": {"s_set", "t_set", "trials"},
-    "stats-sweep": {"s_values", "trials_per_s"},
-    "weak-rank": {"s", "v_size", "trials"},
-}
 
 
 def _validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     name = cfg.get("experiment")
-    if name not in EXPERIMENT_KEYS:
+    if not isinstance(name, str) or name not in EXPERIMENT_KEYS:
         raise ConfigError(f"unknown experiment {name!r}")
     if "dictionary" not in cfg or not isinstance(cfg["dictionary"], dict):
         raise ConfigError("config needs a 'dictionary' object")
-    missing = EXPERIMENT_KEYS[name] - set(cfg)
-    if missing:
-        raise ConfigError(f"experiment {name!r} missing keys: {sorted(missing)}")
+    optional = ({"seed"} | REAL_KEYS) & set(cfg)
+    _check_keys(cfg, EXPERIMENT_KEYS[name] | optional, f"experiment {name!r}")
 
 
 def _run_experiment(cfg: dict, seed: int) -> ExperimentReport:
@@ -206,14 +207,10 @@ def cmd_experiment(args) -> int:
         master_seed=seed,
         tool_version=__version__,
     ).to_dict()
-    if args.out:
-        base = Path(args.out)
-        if args.format in ("json", "both"):
-            base.with_suffix(".json").write_text(report.to_json())
-        if args.format in ("csv", "both"):
-            base.with_suffix(".csv").write_text(report.to_csv())
-    else:
-        sys.stdout.write(report.to_json())
+    if not args.out or args.format in ("json", "both"):
+        _emit(report.to_json(), args.out and Path(args.out).with_suffix(".json"))
+    if args.out and args.format in ("csv", "both"):
+        _emit(report.to_csv(), Path(args.out).with_suffix(".csv"))
     return EXIT_VIOLATION if _violated(report) else EXIT_OK
 
 

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class AtomSet:
     def union(self, other: "AtomSet") -> "AtomSet":
         return AtomSet.of(set(self.indices) | set(other.indices))
 
-    def intersection(self, other: "AtomSet") -> "AtomSet":
-        return AtomSet(tuple(sorted(set(self.indices) & set(other.indices))))
-
     def difference(self, other: "AtomSet") -> "AtomSet":
         return AtomSet(tuple(sorted(set(self.indices) - set(other.indices))))
 
@@ -138,6 +135,13 @@ def redundancy(atoms_or_dict) -> float:
     return float(smax**2)
 
 
+def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:
+    """Rank cutoff sigma_max * max(shape) * eps for the given singular values."""
+    if singular_values.size == 0:
+        return 0.0
+    return float(singular_values[0]) * max(shape) * np.finfo(float).eps
+
+
 def welch_lower_bound(m: int, n_atoms: int) -> float:
     """Grassmannian lower bound on coherence; 0 when N <= m."""
     if m < 1:
@@ -156,7 +160,7 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     if worst > max(COLUMN_NORM_TOL, TIGHTNESS_TOL):
         raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
     sv = np.linalg.svd(atoms, compute_uv=False)
-    if int(np.sum(sv > sv[0] * max(m, n) * np.finfo(float).eps)) < m:
+    if int(np.sum(sv > default_rank_tolerance(sv, atoms.shape))) < m:
         raise DictionaryError("atoms do not span the ambient space")
     rho = float(sv[0] ** 2)
     if rho < n / m - 1e-10:
@@ -198,13 +202,12 @@ def build_random_tight_frame(
     n_atoms: int,
     seed: int,
     max_iterations: int = 10_000,
-    tol: float = TIGHTNESS_TOL,
 ) -> Dictionary:
     """Random unit-norm tight frame via alternating projections.
 
     Iterates two steps: project onto scaled co-isometries (Phi Phi* =
     (N/m) I) and renormalize columns, until both the tightness residual
-    |rho - N/m| and the worst column-norm deviation fall below ``tol``.
+    |rho - N/m| and the worst column-norm deviation fall below TIGHTNESS_TOL.
     One Hermitian eigendecomposition Phi Phi* = V diag(w) V* per iterate
     serves both steps: its largest eigenvalue is rho, and it gives the
     projection sqrt(N/m) (Phi Phi*)^(-1/2) Phi, the scaled polar factor of
@@ -228,7 +231,7 @@ def build_random_tight_frame(
         w, v = np.linalg.eigh(atoms @ atoms.conj().T)
         rho_res = abs(float(w[-1]) - target)
         norm_res = float(np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max())
-        if rho_res <= tol and norm_res <= tol:
+        if rho_res <= TIGHTNESS_TOL and norm_res <= TIGHTNESS_TOL:
             return _finalize(
                 atoms,
                 {"kind": "random-tight", "m": m, "n_atoms": n_atoms, "seed": seed},
@@ -298,23 +301,27 @@ def load_dictionary(path) -> Dictionary:
 
     The payload must be a plain file name in the metadata's directory, and
     the stored coherence and redundancy must match the recomputed ones
-    within METADATA_TOL; otherwise DictionaryError.
+    within METADATA_TOL.  Unreadable files and missing or mistyped metadata
+    raise DictionaryError too.
     """
-    path = Path(path)
-    meta = json.loads(path.read_text())
-    if meta.get("format") != FORMAT_VERSION:
-        raise DictionaryError(f"unsupported dictionary format {meta.get('format')!r}")
-    payload = meta.get("payload")
-    if (not isinstance(payload, str) or payload in ("", ".", "..")
-            or any(sep in payload for sep in "/\\")):
-        raise DictionaryError(f"payload {payload!r} is not a file name beside the metadata")
-    m, n = int(meta["m"]), int(meta["n_atoms"])
-    buf = np.frombuffer((path.parent / payload).read_bytes(), dtype="<f8")
+    try:
+        path = Path(path)
+        meta = json.loads(path.read_text())
+        if meta.get("format") != FORMAT_VERSION:
+            raise DictionaryError(f"unsupported dictionary format {meta.get('format')!r}")
+        payload = meta.get("payload")
+        if (not isinstance(payload, str) or payload in ("", ".", "..")
+                or any(sep in payload for sep in "/\\")):
+            raise DictionaryError(f"payload {payload!r} is not a file name beside the metadata")
+        m, n, provenance = int(meta["m"]), int(meta["n_atoms"]), dict(meta["provenance"])
+        buf = np.frombuffer((path.parent / payload).read_bytes(), dtype="<f8")
+    except (OSError, KeyError, TypeError, AttributeError) as exc:
+        raise DictionaryError(f"cannot read dictionary {path}: {type(exc).__name__}: {exc}") from exc
     if buf.size != 2 * m * n:
         raise DictionaryError("payload size does not match metadata")
     flat = buf[0::2] + 1j * buf[1::2]
     atoms = flat.reshape((m, n), order="F")
-    d = _finalize(atoms, dict(meta["provenance"]))
+    d = _finalize(atoms, provenance)
     for name in ("coherence", "redundancy"):
         stored, actual = meta.get(name), getattr(d, name)
         if not isinstance(stored, (int, float)) or not abs(stored - actual) <= METADATA_TOL:

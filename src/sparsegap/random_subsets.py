@@ -11,14 +11,13 @@ measured rank of a random S u V against the weak-incoherence bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import TIGHTNESS_TOL, AtomSet, Dictionary, is_weakly_incoherent
+from .manifest import ExperimentReport
 from .rank_bounds import numerical_rank
-from .signals import ExperimentReport
 from .thresholds import HypothesisViolatedError
 
 CROSS_GATE = 0.5
@@ -40,13 +39,12 @@ class SubsetStatistics:
     gram_deviation: float
     pinv_norm: float
     s: int
-    seed: Optional[int] = None
 
     def passes_gates(self) -> bool:
         return self.max_cross_correlation <= CROSS_GATE and self.pinv_norm <= PINV_GATE
 
 
-def subset_statistics(d: Dictionary, s_set: AtomSet, seed: Optional[int] = None) -> SubsetStatistics:
+def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     """Exact dense-linear-algebra evaluation of the three subset statistics."""
     if len(s_set) == 0:
         raise ValueError("S must be nonempty")
@@ -64,7 +62,7 @@ def subset_statistics(d: Dictionary, s_set: AtomSet, seed: Optional[int] = None)
     sigma_min = float(sv[-1])
     pinv_norm = math.inf if sigma_min == 0.0 else 1.0 / sigma_min
     return SubsetStatistics(max_cross_correlation=max_cross, gram_deviation=gram_dev,
-                            pinv_norm=pinv_norm, s=len(s_set), seed=seed)
+                            pinv_norm=pinv_norm, s=len(s_set))
 
 
 @dataclass(frozen=True)
@@ -162,10 +160,9 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        s_idx = rng.choice(n, size=s, replace=False)
-        comp = np.setdiff1d(np.arange(n), s_idx)
+        s_set = AtomSet(tuple(sorted(int(i) for i in rng.choice(n, size=s, replace=False))))
+        comp = np.array(d.complement(s_set).indices)
         v_idx = rng.choice(comp, size=v_size, replace=False) if v_size else np.empty(0, int)
-        s_set = AtomSet(tuple(sorted(int(i) for i in s_idx)))
         v_set = AtomSet(tuple(sorted(int(i) for i in v_idx)))
         st = subset_statistics(d, s_set)
         rank = numerical_rank(d.subdictionary(s_set.union(v_set)))

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionary import COHERENCE_TOL, AtomSet, Dictionary
+from .dictionary import COHERENCE_TOL, AtomSet, Dictionary, default_rank_tolerance
 
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
@@ -58,12 +58,6 @@ def schatten_norm(a: np.ndarray, p) -> float:
     return _schatten(a, None if p == 2 else np.linalg.svd(a, compute_uv=False), p)
 
 
-def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:
-    if singular_values.size == 0:
-        return 0.0
-    return float(singular_values[0]) * max(shape) * np.finfo(float).eps
-
-
 def numerical_rank(a: np.ndarray, tol: Optional[float] = None) -> int:
     """Count of singular values above the cutoff (scale-aware default)."""
     a = np.asarray(a)
@@ -99,6 +93,7 @@ def rank_lb_norm_ratio(a: np.ndarray, p, q) -> float:
 
 
 def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian psd matrix; NotPsdError for any other input."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotPsdError("input must be square")
@@ -106,15 +101,16 @@ def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
     scale = float(np.abs(a).max()) or 1.0
     if herm_dev > HERMITIAN_TOL * max(1.0, scale):
         raise NotPsdError(f"input deviates from Hermitian by {herm_dev:.3e}")
-    return np.linalg.eigvalsh((a + a.conj().T) / 2)
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    smax = float(np.abs(w).max()) if w.size else 0.0
+    if smax and float(w.min()) < -PSD_REL_TOL * smax:
+        raise NotPsdError(f"most negative eigenvalue {float(w.min()):.3e}")
+    return w
 
 
 def rank_lb_trace_frobenius(a: np.ndarray) -> float:
     """rank(A) >= trace(A)^2 / ||A||_F^2 for Hermitian psd A."""
-    w = _eigvalsh_checked(a)
-    smax = float(np.abs(w).max()) if w.size else 0.0
-    if smax and float(w.min()) < -PSD_REL_TOL * smax:
-        raise NotPsdError(f"most negative eigenvalue {float(w.min()):.3e}")
+    _eigvalsh_checked(a)
     fro_sq = float(np.linalg.norm(a)) ** 2
     if fro_sq == 0.0:
         raise ValueError("zero matrix")
@@ -163,32 +159,26 @@ class RankReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def rank_report(
-    a: np.ndarray,
-    tol: Optional[float] = None,
-    norm_ratio_pq: Optional[tuple] = (1, 2),
-    mu: Optional[float] = None,
-) -> RankReport:
+def rank_report(a: np.ndarray, mu: Optional[float] = None) -> RankReport:
     """Assemble a RankReport for an arbitrary matrix A.
 
-    The trace/Frobenius bound is evaluated on the Gram matrix A*A (same
-    rank as A, always psd).  When ``mu`` is given, A is interpreted as a
-    subdictionary of unit-norm atoms and the coherence bound is added.
+    The rank takes the default cutoff and the norm-ratio bound takes
+    (p, q) = (1, 2).  The trace/Frobenius bound is evaluated on the Gram
+    matrix A*A (same rank as A, always psd).  When ``mu`` is given, A is
+    interpreted as a subdictionary of unit-norm atoms and the coherence
+    bound is added.
     """
     a = np.asarray(a)
     sv = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = default_rank_tolerance(sv, a.shape)
+    tol = default_rank_tolerance(sv, a.shape)
     exact = int(np.sum(sv > tol))
     sq = sv**2
     fro4 = float(np.sum(sq**2))
     lb_tf = float(np.sum(sq)) ** 2 / fro4 if fro4 > 0 else 0.0
     lb_fs = float(np.sum(sq)) / float(sq[0]) if sq.size and sq[0] > 0 else 0.0
     lb_nr = pq = None
-    if norm_ratio_pq is not None and sv.size and sv[0] > 0:
-        p, q = norm_ratio_pq
-        lb_nr = _norm_ratio_bound(a, sv, p, q)
-        pq = (float(p), float(q))
+    if sv.size and sv[0] > 0:
+        lb_nr, pq = _norm_ratio_bound(a, sv, 1, 2), (1.0, 2.0)
     lb_co = None
     if mu is not None:
         lb_co = rank_lb_coherence(a.shape[1], mu)
@@ -212,12 +202,9 @@ def schur_complement(x: np.ndarray, split: int) -> np.ndarray:
     1e-10 times the spectral norm of X.
     """
     w = _eigvalsh_checked(x)
-    smax = float(np.abs(w).max()) if w.size else 0.0
-    if smax and float(w.min()) < -PSD_REL_TOL * smax:
-        raise NotPsdError(f"most negative eigenvalue {float(w.min()):.3e}")
-    n = x.shape[0]
-    if not (0 < split < n):
+    if not (0 < split < x.shape[0]):
         raise ValueError("split must satisfy 0 < k < n")
+    smax = float(np.abs(w).max())
     a = x[:split, :split]
     b = x[:split, split:]
     c = x[split:, split:]
@@ -250,11 +237,11 @@ def verify_schur_rank_identity(x: np.ndarray, split: int) -> SchurRankIdentity:
     x = np.asarray(x)
     comp = schur_complement(x, split)
     a = x[:split, :split]
-    smax = float(np.linalg.svd(x, compute_uv=False)[0])
+    sv = np.linalg.svd(x, compute_uv=False)
     amin = float(np.linalg.eigvalsh((a + a.conj().T) / 2).min())
-    tol_comp = max(smax, smax**2 / amin) * x.shape[0] * np.finfo(float).eps * 10
+    tol_comp = max(sv[0], sv[0]**2 / amin) * x.shape[0] * np.finfo(float).eps * 10
     return SchurRankIdentity(
-        rank_full=numerical_rank(x),
+        rank_full=int(np.sum(sv > default_rank_tolerance(sv, x.shape))),
         rank_block=numerical_rank(a),
         rank_complement=numerical_rank(comp, tol=tol_comp),
     )
@@ -264,22 +251,26 @@ class OverlappingSetError(ValueError):
     """Sets required to be disjoint overlap."""
 
 
+def range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of range(A), with numerical_rank(A) columns, and A's singular values."""
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, sv > default_rank_tolerance(sv, a.shape)], sv
+
+
+def projector_onto_range(a: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto range(A), via an SVD basis."""
+    basis, _ = range_basis(a)
+    return basis @ basis.conj().T
+
+
 def _check_disjoint_independent(d: Dictionary, s_set: AtomSet, v_set: AtomSet):
+    """range_basis(Phi_S) for V disjoint from S and S linearly independent (or empty)."""
     if s_set.overlap(v_set):
         raise OverlappingSetError("V must be disjoint from S")
-    phi_s = d.subdictionary(s_set)
-    if len(s_set) > 0 and numerical_rank(phi_s) < len(s_set):
+    basis, sv = range_basis(d.subdictionary(s_set))
+    if basis.shape[1] < len(s_set):
         raise DependentSetError("S is not linearly independent")
-    return phi_s
-
-
-def projector_onto_range(a: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-    """Orthogonal projector onto range(A), via an SVD basis."""
-    u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    if tol is None:
-        tol = default_rank_tolerance(sv, a.shape)
-    basis = u[:, sv > tol]
-    return basis @ basis.conj().T
+    return basis, sv
 
 
 @dataclass(frozen=True)
@@ -297,22 +288,18 @@ class ProjectedRankDecomposition:
 
 def rank_decompose_projected(d: Dictionary, s_set: AtomSet, v_set: AtomSet) -> ProjectedRankDecomposition:
     """rank(Phi_R) = |S| + rank((I - P_S) Phi_V) for disjoint V, independent S."""
-    phi_s = _check_disjoint_independent(d, s_set, v_set)
+    basis, _ = _check_disjoint_independent(d, s_set, v_set)
+    if len(v_set) == 0:  # S is independent, so its rank is |S|
+        return ProjectedRankDecomposition(len(s_set), 0, len(s_set))
     union = d.subdictionary(s_set.union(v_set))
-    rank_union = numerical_rank(union) if len(s_set) + len(v_set) else 0
-    if len(v_set) == 0:
-        return ProjectedRankDecomposition(len(s_set), 0, rank_union)
     phi_v = d.subdictionary(v_set)
-    if len(s_set) == 0:
-        projected = phi_v
-    else:
-        p_s = projector_onto_range(phi_s)
-        projected = phi_v - p_s @ phi_v
+    projected = phi_v - basis @ (basis.conj().T @ phi_v)
     # cutoff anchored to the union's scale: a column of V lying in
     # range(Phi_S) projects to pure roundoff, which must not count
     sv_union = np.linalg.svd(union, compute_uv=False)
     tol = default_rank_tolerance(sv_union, union.shape)
-    return ProjectedRankDecomposition(len(s_set), numerical_rank(projected, tol=tol), rank_union)
+    return ProjectedRankDecomposition(len(s_set), numerical_rank(projected, tol=tol),
+                                      int(np.sum(sv_union > tol)))
 
 
 def rank_lb_weak(d: Dictionary, s_set: AtomSet, v_set: AtomSet) -> float:
@@ -321,15 +308,11 @@ def rank_lb_weak(d: Dictionary, s_set: AtomSet, v_set: AtomSet) -> float:
     rank((I - P_S) Phi_V) >= |V| / rho * (1 - ||Phi_S^+||^2 * max_{v not in S} ||Phi_S* phi_v||^2),
     clamped below at zero.
     """
-    phi_s = _check_disjoint_independent(d, s_set, v_set)
+    _, sv = _check_disjoint_independent(d, s_set, v_set)
     if len(v_set) == 0:
         return 0.0
-    if len(s_set) == 0:
-        return len(v_set) / d.redundancy
-    outside = d.complement(s_set)
-    cross = phi_s.conj().T @ d.subdictionary(outside)
-    max_cross_sq = float(np.max(np.sum(np.abs(cross) ** 2, axis=0)))
-    sigma_min = np.linalg.svd(phi_s, compute_uv=False)[-1]
-    pinv_norm_sq = 1.0 / float(sigma_min) ** 2
+    cross = d.subdictionary(s_set).conj().T @ d.subdictionary(d.complement(s_set))
+    max_cross_sq = float(np.max(np.sum(np.abs(cross) ** 2, axis=0)))  # 0 for empty S
+    pinv_norm_sq = 1.0 / float(sv[-1]) ** 2 if len(s_set) else 0.0
     bound = len(v_set) / d.redundancy * (1.0 - pinv_norm_sq * max_cross_sq)
     return max(bound, 0.0)

@@ -5,28 +5,27 @@ Gaussian.  Whether u can be expressed over an alternative atom set T is
 decided numerically through the relative least-squares residual of u
 against range(Phi_T), with a two-threshold verdict policy: residuals at
 or below the ceiling count as representable, residuals above the floor
-as not representable, anything in between as inconclusive.
+as not representable, anything in between as inconclusive.  Experiments
+take range(Phi_T) from ``rank_bounds.range_basis`` and return a ``manifest.ExperimentReport``.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dictionary import AtomSet, Dictionary
+from .manifest import ExperimentReport
 from .rank_bounds import (
     DependentSetError,
     RankReport,
-    default_rank_tolerance,
     numerical_rank,
     projector_onto_range,
+    range_basis,
     rank_report,
 )
 from .thresholds import overlap_condition
@@ -48,7 +47,6 @@ class GenericSignal:
     support: AtomSet
     coefficients: np.ndarray
     signal: np.ndarray
-    rng_seed: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,7 @@ def _complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
 
 
-def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex],
-                rng_seed: Optional[int] = None) -> GenericSignal:
+def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex]) -> GenericSignal:
     """Assemble a signal from explicit coefficients (not necessarily generic)."""
     coeff = np.asarray(coefficients, dtype=np.complex128)
     if coeff.shape != (len(support),):
@@ -76,7 +73,6 @@ def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex]
         support=support,
         coefficients=coeff,
         signal=d.subdictionary(support) @ coeff,
-        rng_seed=rng_seed,
     )
 
 
@@ -87,9 +83,8 @@ def draw_generic_signal(d: Dictionary, support: AtomSet, seed) -> GenericSignal:
         raise DependentSetError("support must be a nonempty linearly independent set")
     rng = np.random.default_rng(seed)
     coeff = _complex_gaussian(rng, len(support))
-    scalar_seed = seed if isinstance(seed, int) else None
     return GenericSignal(support=support, coefficients=coeff,
-                         signal=phi_s @ coeff, rng_seed=scalar_seed)
+                         signal=phi_s @ coeff)
 
 
 def rank_condition(d: Dictionary, s_set: AtomSet, t_set: AtomSet) -> tuple[bool, RankReport]:
@@ -107,70 +102,30 @@ def residual_over(d: Dictionary, t_set: AtomSet, u: np.ndarray) -> float:
     norm_u = float(np.linalg.norm(u))
     if norm_u == 0.0:
         raise ValueError("zero signal has no meaningful residual")
-    if len(t_set) == 0:
-        return 1.0
     p = projector_onto_range(d.subdictionary(t_set))
     return float(np.linalg.norm(u - p @ u)) / norm_u
 
 
-def classify_residual(residual: float, ceiling: float = RESIDUAL_CEILING,
-                      floor: float = RESIDUAL_FLOOR) -> Verdict:
-    if floor <= ceiling:
-        raise ValueError("residual floor must exceed the ceiling")
-    if residual <= ceiling:
+def classify_residual(residual: float) -> Verdict:
+    if residual <= RESIDUAL_CEILING:
         return Verdict.REPRESENTABLE
-    if residual > floor:
+    if residual > RESIDUAL_FLOOR:
         return Verdict.NOT_REPRESENTABLE
     return Verdict.INCONCLUSIVE
 
 
-def test_representability(d: Dictionary, t_set: AtomSet, signal: GenericSignal,
-                          ceiling: float = RESIDUAL_CEILING,
-                          floor: float = RESIDUAL_FLOOR) -> RepresentabilityVerdict:
+def test_representability(d: Dictionary, t_set: AtomSet,
+                          signal: GenericSignal) -> RepresentabilityVerdict:
     """Two-threshold verdict on whether the signal lies in range(Phi_T)."""
     if len(t_set) == 0:
         raise ValueError("T must be nonempty")
     res = residual_over(d, t_set, signal.signal)
     holds, _ = rank_condition(d, signal.support, t_set)
     return RepresentabilityVerdict(rank_condition_holds=holds, residual=res,
-                                   verdict=classify_residual(res, ceiling, floor))
+                                   verdict=classify_residual(res))
 
 
 test_representability.__test__ = False  # not a pytest case despite the name
-
-
-@dataclass
-class ExperimentReport:
-    """One experiment run: configuration, per-trial rows, summary, provenance."""
-
-    kind: str
-    params: dict
-    master_seed: int
-    columns: tuple[str, ...]
-    trials: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    manifest: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "master_seed": self.master_seed,
-            "summary": self.summary,
-            "trials": self.trials,
-            "manifest": self.manifest,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(self.columns), lineterminator="\n")
-        writer.writeheader()
-        for row in self.trials:
-            writer.writerow({k: row.get(k) for k in self.columns})
-        return buf.getvalue()
 
 
 def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
@@ -182,12 +137,6 @@ def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
         f"no linearly independent support of size {s} found in "
         f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})"
     )
-
-
-def _range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of range(A), with numerical_rank(A) columns, and A's singular values."""
-    u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, sv > default_rank_tolerance(sv, a.shape)], sv
 
 
 def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
@@ -203,7 +152,7 @@ def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
         inside = rng.choice(s_idx, size=delta, replace=False) if delta else np.empty(0, int)
         outside = rng.choice(comp, size=t - delta, replace=False) if t - delta else np.empty(0, int)
         t_set = AtomSet(tuple(sorted(int(i) for i in np.concatenate([inside, outside]))))
-        basis, sv = _range_basis(d.subdictionary(t_set))
+        basis, sv = range_basis(d.subdictionary(t_set))
         if sv[-1] > 0 and sv[0] / sv[-1] <= CONDITION_CAP:
             return t_set, basis, redraws
     raise RedrawCapExceededError(
@@ -226,9 +175,7 @@ def _trial_residuals(d: Dictionary, s_set: AtomSet, basis: np.ndarray, streams: 
 
 
 def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
-                           trials: int, seed: int,
-                           ceiling: float = RESIDUAL_CEILING,
-                           floor: float = RESIDUAL_FLOOR) -> ExperimentReport:
+                           trials: int, seed: int) -> ExperimentReport:
     """Check the rank-condition dichotomy on repeated generic draws.
 
     Soundness: rank condition true means every residual stays above the
@@ -237,11 +184,11 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
     from the stream [seed, i].
     """
     holds, report = rank_condition(d, s_set, t_set)
-    basis, _ = _range_basis(d.subdictionary(t_set))
+    basis, _ = range_basis(d.subdictionary(t_set))
     rank_t = basis.shape[1]
     containment = report.exact_rank == rank_t
     residuals = _trial_residuals(d, s_set, basis, [[seed, i] for i in range(trials)])
-    rows = [{"trial": i, "residual": res, "verdict": classify_residual(res, ceiling, floor).value}
+    rows = [{"trial": i, "residual": res, "verdict": classify_residual(res).value}
             for i, res in enumerate(residuals)]
     verdicts = [r["verdict"] for r in rows]
     sound = (not holds) or all(v == Verdict.NOT_REPRESENTABLE.value for v in verdicts)
@@ -249,7 +196,7 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
     rep = ExperimentReport(
         kind="equivalence",
         params={"s_set": list(s_set.indices), "t_set": list(t_set.indices),
-                "trials": trials, "ceiling": ceiling, "floor": floor,
+                "trials": trials, "ceiling": RESIDUAL_CEILING, "floor": RESIDUAL_FLOOR,
                 "dictionary": d.provenance},
         master_seed=seed,
         columns=("trial", "residual", "verdict"),
@@ -269,9 +216,7 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
 
 
 def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
-                   trials_per_pair: int, seed: int,
-                   ceiling: float = RESIDUAL_CEILING,
-                   floor: float = RESIDUAL_FLOOR) -> ExperimentReport:
+                   trials_per_pair: int, seed: int) -> ExperimentReport:
     """Sample (S, T) pairs with exact overlap and tally verdicts.
 
     A violation is a pair where the overlap condition predicts
@@ -300,7 +245,7 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
             "pair": p,
             "trial": i,
             "residual": res,
-            "verdict": classify_residual(res, ceiling, floor).value,
+            "verdict": classify_residual(res).value,
             "rank_condition": holds,
             "predicted_blocked": predicted_blocked,
             "t_redraws": redraws,
@@ -312,7 +257,7 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     rep = ExperimentReport(
         kind="gap",
         params={"s": s, "t": t, "delta": delta, "pairs": pairs,
-                "trials_per_pair": trials_per_pair, "ceiling": ceiling, "floor": floor,
+                "trials_per_pair": trials_per_pair, "ceiling": RESIDUAL_CEILING, "floor": RESIDUAL_FLOOR,
                 "mu": d.coherence, "dictionary": d.provenance},
         master_seed=seed,
         columns=("pair", "trial", "residual", "verdict", "rank_condition",

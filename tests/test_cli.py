@@ -56,6 +56,50 @@ class TestDictCommand:
             assert err.startswith("error:") and stdout == ""
 
 
+def _break_payload(out):
+    (out.parent / "d.sgdict.bin").unlink()
+
+
+def _payload_is_directory(out):
+    (out.parent / "d.sgdict.bin").unlink()
+    (out.parent / "d.sgdict.bin").mkdir()
+
+
+def _drop_metadata_key(key):
+    def drop(out):
+        meta = json.loads(out.read_text())
+        del meta[key]
+        out.write_text(json.dumps(meta))
+    return drop
+
+
+class TestUnreadableDictionary:
+    """Every command that reads an sgdict-1 file reports a bad one as a usage error."""
+
+    @pytest.mark.parametrize("breakage", [
+        _break_payload, _payload_is_directory, _drop_metadata_key("m"),
+        _drop_metadata_key("provenance"),
+    ], ids=["payload-missing", "payload-is-directory", "no-m", "no-provenance"])
+    def test_usage_error(self, tmp_path, capsys, breakage):
+        out = tmp_path / "d.sgdict"
+        run(["dict", "--kind", "spikes-sines", "--m", "4", "--out", str(out)], capsys)
+        breakage(out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "gap", "dictionary": {"path": str(out)},
+                                   "s": 1, "t": 1, "delta": 0, "pairs": 1,
+                                   "trials_per_pair": 1}))
+        for argv in (["dict", "--inspect", str(out)], ["bounds", "--dict", str(out), "--s-max", "2"],
+                     ["experiment", "--config", str(cfg)]):
+            code, stdout, err = run(argv, capsys)
+            assert code == 2, argv
+            assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_metadata_path_is_directory(self, tmp_path, capsys):
+        code, stdout, err = run(["dict", "--inspect", str(tmp_path)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestBoundsCommand:
     def test_sweep_row_count_and_reduction(self, capsys):
         code, stdout, _ = run(["bounds", "--mu", "0.125", "--m", "16", "--n-atoms", "64",
@@ -185,6 +229,22 @@ class TestExperimentCommand:
         code, _, err = run(["experiment", "--config", str(path)], capsys)
         assert code == 2
         assert "missing keys" in err
+
+    @pytest.mark.parametrize("changes", [
+        {"dictionary": {"kind": "spikes-sines"}},
+        {"dictionary": {"kind": "random-tight", "m": 8, "n_atoms": 32, "seed": "7"}},
+        {"dictionary": {"kind": ["spikes-sines"], "m": 8}},
+        {"s": [1]},
+        {"seed": [1]},
+        {"experiment": ["gap"]},
+    ], ids=["dictionary-without-m", "string-seed", "list-kind", "list-s", "list-seed",
+            "list-experiment"])
+    def test_malformed_config_rejected(self, gap_config, capsys, changes):
+        cfg = json.loads(gap_config.read_text())
+        gap_config.write_text(json.dumps({**cfg, **changes}))
+        code, stdout, err = run(["experiment", "--config", str(gap_config)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1
 
     def test_stats_sweep_config(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"

@@ -1,0 +1,34 @@
+"""No module of the package imports a name it never uses (stdlib ast, no linter)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sparsegap
+
+MODULES = sorted(p for p in Path(sparsegap.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_finds_an_unused_import():
+    assert unused_imports("import math\nimport os\nfrom typing import Optional\nos.sep\n") == [
+        "Optional (line 3)", "math (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

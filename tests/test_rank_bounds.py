@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsegap.dictionary import AtomSet, build_random_unit_norm, build_spikes_sines, coherence
+from sparsegap.dictionary import AtomSet, Dictionary, build_random_unit_norm, build_spikes_sines, coherence
 from sparsegap.rank_bounds import (
     DependentSetError,
     NotPsdError,
     OverlappingSetError,
     SingularBlockError,
+    default_rank_tolerance,
     numerical_rank,
     rank_decompose_projected,
     rank_lb_coherence,
@@ -183,12 +184,13 @@ class TestSchurRankIdentity:
             res = verify_schur_rank_identity(np.eye(6), k)
             assert res.holds and res.rank_full == 6
 
-    def test_rank_deficient_gram(self):
+    def test_rank_deficient_gram(self, linalg_calls):
         rng = np.random.default_rng(4)
         g = random_matrix(rng, 3, 5)
         x = g.conj().T @ g
         res = verify_schur_rank_identity(x, 2)
         assert (res.rank_full, res.rank_block, res.rank_complement) == (3, 2, 1)
+        assert linalg_calls["svd"] == 3  # one each for X, its leading block and the complement
 
     def test_block_diagonal_additivity(self):
         rng = np.random.default_rng(5)
@@ -224,10 +226,13 @@ class TestProjectedDecomposition:
         dec = rank_decompose_projected(d, AtomSet.of([0, 1, 2]), AtomSet.of([]))
         assert dec.holds and dec.rank_union == 3
 
-    def test_orthogonal_atoms(self):
+    def test_orthogonal_atoms(self, linalg_calls):
         d = build_spikes_sines(4)
+        linalg_calls.clear()
         dec = rank_decompose_projected(d, AtomSet.of([0]), AtomSet.of([1]))
         assert (dec.s_size, dec.projected_rank, dec.rank_union) == (1, 1, 2)
+        # one SVD each for Phi_S, the union and the projected block
+        assert linalg_calls == {"svd": 3}
 
     def test_spikes_and_sines_split(self):
         d = build_spikes_sines(16)
@@ -276,11 +281,17 @@ class TestWeakRankBound:
         d = build_spikes_sines(8)
         assert rank_lb_weak(d, AtomSet.of([0, 1]), AtomSet.of([])) == 0.0
 
-    def test_spikes_sines_closed_form(self):
+    def test_empty_s_is_v_over_rho(self):
+        d = build_spikes_sines(8)
+        assert rank_lb_weak(d, AtomSet.of([]), AtomSet.of([2, 3, 9])) == 3 / d.redundancy
+
+    def test_spikes_sines_closed_form(self, linalg_calls):
         d = build_spikes_sines(16)
         s_set = AtomSet.of([0, 1, 2, 3])
         v_set = AtomSet.of([16 + i for i in range(8)])
+        linalg_calls.clear()
         bound = rank_lb_weak(d, s_set, v_set)
+        assert linalg_calls == {"svd": 1}  # Phi_S certifies S and gives sigma_min
         assert abs(bound - 3.0) < 1e-9
         dec = rank_decompose_projected(d, s_set, v_set)
         assert dec.projected_rank == 8 >= bound
@@ -384,3 +395,86 @@ class TestRankReportProperties:
     @given(near_duplicate_atoms())
     def test_near_duplicate_atoms(self, atoms):
         assert_bounds_below_numerical_rank(atoms, mu=coherence(atoms))
+
+
+def as_dictionary(atoms):
+    """Columns as a Dictionary, unvalidated: they need not be unit-norm or span C^m."""
+    return Dictionary(atoms=atoms, coherence=0.0, redundancy=1.0)
+
+
+def assert_projected_decomposition(atoms, s):
+    """The split at column s: S = the first s columns, V = the rest."""
+    n = atoms.shape[1]
+    dec = rank_decompose_projected(as_dictionary(atoms), AtomSet(tuple(range(s))),
+                                   AtomSet(tuple(range(s, n))))
+    assert dec.holds
+    assert dec.rank_union == numerical_rank(atoms)
+    return dec
+
+
+@st.composite
+def v_inside_range_of_s(draw):
+    """(Phi, s, fresh): s Gaussian columns, combinations of them, then `fresh` Gaussian columns."""
+    m = draw(st.integers(2, 12))
+    s = draw(st.integers(1, m - 1))
+    fresh = draw(st.integers(0, m - s))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi_s = random_matrix(rng, m, s)
+    inside = phi_s @ random_matrix(rng, s, draw(st.integers(1, 6)))
+    return np.hstack([phi_s, inside, random_matrix(rng, m, fresh)]), s, fresh
+
+
+@st.composite
+def low_rank_grams(draw):
+    """(A* A, split, r) for a rank-r product A, with a split at most r."""
+    a, r = draw(low_rank_products())
+    assume(a.shape[1] >= 2)
+    return a.conj().T @ a, draw(st.integers(1, min(r, a.shape[1] - 1))), r
+
+
+class TestProjectedDecompositionProperties:
+    """The projection Phi_V - Q (Q* Phi_V) where the union's cutoff decides the rank."""
+
+    @PROPERTY_SETTINGS
+    @given(v_inside_range_of_s())
+    def test_v_inside_range_of_s(self, case):
+        atoms, s, fresh = case
+        dec = assert_projected_decomposition(atoms, s)
+        assert dec.projected_rank == fresh  # the combinations project to roundoff
+
+    @PROPERTY_SETTINGS
+    @given(badly_scaled(), st.integers(1, 12))
+    def test_badly_scaled(self, case, s):
+        a, rank = case
+        assume(a.shape[1] >= 2)
+        s = min(s, rank, a.shape[1] - 1)  # any `rank` columns of these matrices are independent
+        dec = assert_projected_decomposition(a, s)
+        assert dec.rank_union == rank
+
+    @PROPERTY_SETTINGS
+    @given(near_duplicate_atoms(), st.integers(1, 11))
+    def test_near_duplicate_atoms(self, atoms, s):
+        s = min(s, atoms.shape[1] - 1)
+        assume(numerical_rank(atoms[:, :s]) == s)
+        # A numerical rank is well defined only with a gap around the cutoff.
+        # When a singular value of the union lies within a factor 10 of it,
+        # the union's and the projected block's singular values (different
+        # quantities) can fall on opposite sides, and the counts need not add
+        # up: near-duplicates at eps 1e-15..1e-13 do this in about 2% of draws.
+        sv = np.linalg.svd(atoms, compute_uv=False)
+        tol = default_rank_tolerance(sv, atoms.shape)
+        assume(not np.any((sv > tol / 10) & (sv < tol * 10)))
+        assert_projected_decomposition(atoms, s)
+
+
+class TestSchurRankIdentityProperties:
+    @PROPERTY_SETTINGS
+    @given(low_rank_grams())
+    def test_low_rank_grams(self, case):
+        x, split, r = case
+        try:
+            res = verify_schur_rank_identity(x, split)
+        except SingularBlockError:
+            assume(False)  # a leading block the solve cannot trust
+        assert res.holds
+        assert res.rank_full == r

@@ -92,6 +92,7 @@ class TestRepresentability:
         sig = draw_generic_signal(d, AtomSet.of([0, 1]), seed=2)
         verdict = test_representability(d, AtomSet.of([2, 3]), sig)
         assert verdict.verdict is Verdict.NOT_REPRESENTABLE
+        assert residual_over(d, AtomSet.of([]), sig.signal) == 1.0  # the empty span holds only 0
 
     def test_dirac_comb_measure_zero_exception(self):
         # the equal-coefficient comb is representable over the comb sines
