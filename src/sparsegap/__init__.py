@@ -1,71 +1,3 @@
 """Sparsity-gap toolkit: dictionaries, rank bounds, thresholds, experiments."""
 
 __version__ = "0.1.0"
-
-from .dictionary import (
-    AtomSet,
-    Dictionary,
-    build_random_tight_frame,
-    build_random_unit_norm,
-    build_spikes_sines,
-    coherence,
-    load_dictionary,
-    redundancy,
-    save_dictionary,
-    welch_lower_bound,
-)
-from .rank_bounds import (
-    RankReport,
-    numerical_rank,
-    rank_lb_coherence,
-    rank_lb_frobenius_spectral,
-    rank_lb_norm_ratio,
-    rank_lb_trace_frobenius,
-    rank_report,
-    schatten_norm,
-    schur_complement,
-    verify_schur_rank_identity,
-)
-from .thresholds import (
-    GapThresholds,
-    donoho_elad_threshold,
-    evaluate_thresholds,
-    generic_up_threshold,
-    overlap_condition,
-    strong_gap_threshold,
-    t_threshold_given_overlap,
-    weak_gap_simplified,
-    weak_gap_threshold,
-)
-
-__all__ = [
-    "AtomSet",
-    "Dictionary",
-    "GapThresholds",
-    "RankReport",
-    "build_random_tight_frame",
-    "build_random_unit_norm",
-    "build_spikes_sines",
-    "coherence",
-    "donoho_elad_threshold",
-    "evaluate_thresholds",
-    "generic_up_threshold",
-    "load_dictionary",
-    "numerical_rank",
-    "overlap_condition",
-    "rank_lb_coherence",
-    "rank_lb_frobenius_spectral",
-    "rank_lb_norm_ratio",
-    "rank_lb_trace_frobenius",
-    "rank_report",
-    "redundancy",
-    "save_dictionary",
-    "schatten_norm",
-    "schur_complement",
-    "strong_gap_threshold",
-    "t_threshold_given_overlap",
-    "verify_schur_rank_identity",
-    "weak_gap_simplified",
-    "weak_gap_threshold",
-    "welch_lower_bound",
-]

@@ -13,6 +13,7 @@ metrics cached and all structural invariants checked.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -111,8 +112,16 @@ class Dictionary:
         return self.atoms[:, list(atom_set.indices)]
 
     def complement(self, atom_set: AtomSet) -> AtomSet:
-        taken = set(atom_set.indices)
-        return AtomSet(tuple(i for i in range(self.n_atoms) if i not in taken))
+        keep = np.ones(self.n_atoms, dtype=bool)
+        keep[list(atom_set.indices)] = False
+        return AtomSet(tuple(np.flatnonzero(keep).tolist()))
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only N x N Gram matrix Phi* Phi, formed on first use and kept."""
+        g = self.atoms.conj().T @ self.atoms
+        g.flags.writeable = False
+        return g
 
 
 def coherence(atoms_or_dict) -> float:

@@ -201,6 +201,11 @@ def schur_complement(x: np.ndarray, split: int) -> np.ndarray:
     SingularBlockError when the block's smallest eigenvalue is below
     1e-10 times the spectral norm of X.
     """
+    return _schur_complement(x, split)[0]
+
+
+def _schur_complement(x: np.ndarray, split: int) -> tuple[np.ndarray, float]:
+    """schur_complement(x, split) and the leading block's smallest eigenvalue."""
     w = _eigvalsh_checked(x)
     if not (0 < split < x.shape[0]):
         raise ValueError("split must satisfy 0 < k < n")
@@ -208,11 +213,11 @@ def schur_complement(x: np.ndarray, split: int) -> np.ndarray:
     a = x[:split, :split]
     b = x[:split, split:]
     c = x[split:, split:]
-    wa = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if float(wa.min()) <= BLOCK_SINGULARITY_REL_TOL * smax:
-        raise SingularBlockError(float(wa.min()))
+    amin = float(np.linalg.eigvalsh((a + a.conj().T) / 2).min())
+    if amin <= BLOCK_SINGULARITY_REL_TOL * smax:
+        raise SingularBlockError(amin)
     comp = c - b.conj().T @ np.linalg.solve(a, b)
-    return (comp + comp.conj().T) / 2
+    return (comp + comp.conj().T) / 2, amin
 
 
 @dataclass(frozen=True)
@@ -235,10 +240,9 @@ def verify_schur_rank_identity(x: np.ndarray, split: int) -> SchurRankIdentity:
     which its own norm-relative cutoff would miscount as rank.
     """
     x = np.asarray(x)
-    comp = schur_complement(x, split)
+    comp, amin = _schur_complement(x, split)
     a = x[:split, :split]
     sv = np.linalg.svd(x, compute_uv=False)
-    amin = float(np.linalg.eigvalsh((a + a.conj().T) / 2).min())
     tol_comp = max(sv[0], sv[0]**2 / amin) * x.shape[0] * np.finfo(float).eps * 10
     return SchurRankIdentity(
         rank_full=int(np.sum(sv > default_rank_tolerance(sv, x.shape))),

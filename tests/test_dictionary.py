@@ -194,6 +194,13 @@ class TestMetrics:
         assert abs(coherence(scaled) - d.coherence) < 1e-12
         assert abs(redundancy(scaled) - d.redundancy) < 1e-10
 
+    def test_complement_lists_the_other_atoms(self):
+        d = build_spikes_sines(8)
+        for indices in [(), (0,), (3, 7, 15), tuple(range(1, 16)), tuple(range(16))]:
+            comp = d.complement(AtomSet(indices))
+            assert comp == AtomSet(tuple(i for i in range(16) if i not in indices))
+            assert all(type(i) is int for i in comp)
+
     def test_two_basis_union_coherence_is_cross_term(self):
         d = build_spikes_sines(8)
         cross = np.abs(d.atoms[:, :8].conj().T @ d.atoms[:, 8:]).max()

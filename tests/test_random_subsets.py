@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsegap.dictionary import (
     AtomSet,
@@ -10,6 +12,7 @@ from sparsegap.dictionary import (
     build_spikes_sines,
 )
 from sparsegap.random_subsets import (
+    GRAM_EIG_FLOOR,
     SweepConfig,
     sample_uniform_subset,
     statistics_sweep,
@@ -71,14 +74,19 @@ class TestSubsetStatistics:
             s_set = sample_uniform_subset(48, s, [seed, s])
             linalg_calls.clear()
             st = subset_statistics(d, s_set)
-            assert linalg_calls == {"svd": 1}
+            calls = dict(linalg_calls)
             phi_s = d.subdictionary(s_set)
             ref = np.linalg.norm(phi_s.conj().T @ phi_s - np.eye(s), 2)
             # Gram eigenvalues are O(1), so rounding is relative to max(ref, 1)
             assert abs(st.gram_deviation - ref) <= 1e-13 * max(ref, 1.0)
             assert st.gram_deviation >= 1.0 or s <= 16
             sigma_min = np.linalg.svd(phi_s, compute_uv=False)[-1]
-            assert st.pinv_norm == 1.0 / sigma_min
+            if s > 16 or sigma_min**2 < GRAM_EIG_FLOOR:  # the SVD fallback
+                assert calls == {"eigvalsh": 1, "svd": 1}
+                assert st.pinv_norm == 1.0 / sigma_min
+            else:
+                assert calls == {"eigvalsh": 1}
+                assert abs(st.pinv_norm * sigma_min - 1.0) <= 1e-13
 
     def test_gram_deviation_counts_zero_eigenvalues(self):
         # all 17 atoms of a tight frame in C^16: every sigma^2 is 17/16, but
@@ -116,6 +124,97 @@ class TestSubsetStatistics:
         assert abs(a.max_cross_correlation - b.max_cross_correlation) < 1e-10
         assert abs(a.gram_deviation - b.gram_deviation) < 1e-10
         assert abs(a.pinv_norm - b.pinv_norm) < 1e-10
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def reference_statistics(d, s_set):
+    """(cross term, Gram deviation, sigma_min) from Phi_S* Phi_rest, the spectral norm and the SVD."""
+    phi_s = d.subdictionary(s_set)
+    rest = d.complement(s_set)
+    cross = phi_s.conj().T @ d.subdictionary(rest)
+    max_cross = float(np.sqrt(np.max(np.sum(np.abs(cross) ** 2, axis=0)))) if len(rest) else 0.0
+    gram_dev = float(np.linalg.norm(phi_s.conj().T @ phi_s - np.eye(len(s_set)), 2))
+    return max_cross, gram_dev, float(np.linalg.svd(phi_s, compute_uv=False)[-1])
+
+
+def assert_matches_reference(d, s_set):
+    """subset_statistics against the definitions; returns it and whether the SVD gave pinv_norm."""
+    st_ = subset_statistics(d, s_set)
+    max_cross, gram_dev, sigma_min = reference_statistics(d, s_set)
+    assert abs(st_.max_cross_correlation - max_cross) <= 1e-13 * max(max_cross, 1.0)
+    assert abs(st_.gram_deviation - gram_dev) <= 1e-13 * max(gram_dev, 1.0)
+    fallback = len(s_set) > d.m or sigma_min**2 < GRAM_EIG_FLOOR
+    if fallback:
+        assert st_.pinv_norm == (math.inf if sigma_min == 0.0 else 1.0 / sigma_min)
+    else:
+        # 1/sqrt(lambda_min) is accurate to about kappa^2 * eps, and kappa^2 <= s / GRAM_EIG_FLOOR
+        assert abs(st_.pinv_norm * sigma_min - 1.0) <= 1e-13
+    return st_, fallback
+
+
+@st.composite
+def tight_frame_subsets(draw, oversized=False):
+    """(random tight frame, uniform subset): s <= m, or m < s <= N when ``oversized``."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(m + 1, 4 * m))
+    d = build_random_tight_frame(m, n, seed=draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.integers(m + 1, n) if oversized else st.integers(1, m))
+    return d, sample_uniform_subset(n, s, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def near_duplicate_subsets(draw):
+    """(unit atoms a + eps e_j around one atom a, eps = 10^k for k in [-16, -2], subset of s >= 2)."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = 10.0 ** draw(st.integers(-16, -2))
+    noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    atoms = rng.standard_normal((m, 1)) + eps * noise
+    d = Dictionary(atoms=atoms / np.linalg.norm(atoms, axis=0), coherence=1.0, redundancy=1.0)
+    return d, sample_uniform_subset(n, draw(st.integers(2, n)), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestGramPath:
+    """The Gram-matrix statistics against Phi_S* Phi_rest, norm(Phi_S* Phi_S - I, 2) and the SVD."""
+
+    @PROPERTY_SETTINGS
+    @given(tight_frame_subsets())
+    def test_tight_frames(self, case):
+        assert_matches_reference(*case)
+
+    @PROPERTY_SETTINGS
+    @given(tight_frame_subsets(oversized=True))
+    def test_more_atoms_than_dimensions(self, case):
+        stats, fallback = assert_matches_reference(*case)
+        assert fallback
+        assert math.isfinite(stats.pinv_norm)  # sigma_m(Phi_S) > 0
+
+    @PROPERTY_SETTINGS
+    @given(near_duplicate_subsets())
+    def test_near_duplicate_atoms(self, case):
+        assert assert_matches_reference(*case)[1]
+
+    def test_sweep_one_eigvalsh_per_subset(self, linalg_calls):
+        d = build_random_tight_frame(32, 128, seed=9)
+        cfg = SweepConfig(s_values=(2, 4, 8), trials_per_s=5, master_seed=4)
+        linalg_calls.clear()
+        statistics_sweep(d, cfg)
+        assert linalg_calls == {"eigvalsh": 15}
+
+    def test_weak_rank_one_eigvalsh_per_trial(self, linalg_calls):
+        d = build_random_tight_frame(32, 128, seed=8)
+        linalg_calls.clear()
+        weak_rank_bound_experiment(d, 8, 16, 5, seed=3)
+        assert linalg_calls == {"eigvalsh": 5, "svd": 5}  # the svd is numerical_rank(Phi_{S u V})
+
+    def test_gram_is_formed_once_on_first_use(self):
+        d = build_random_tight_frame(8, 32, seed=4)
+        assert "gram" not in vars(d)
+        assert d.gram is d.gram
+        assert np.array_equal(d.gram, d.atoms.conj().T @ d.atoms)
+        assert not d.gram.flags.writeable
 
 
 class TestStatisticsSweep:

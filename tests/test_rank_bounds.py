@@ -191,6 +191,7 @@ class TestSchurRankIdentity:
         res = verify_schur_rank_identity(x, 2)
         assert (res.rank_full, res.rank_block, res.rank_complement) == (3, 2, 1)
         assert linalg_calls["svd"] == 3  # one each for X, its leading block and the complement
+        assert linalg_calls["eigvalsh"] == 2  # the psd check of X and the leading block, once
 
     def test_block_diagonal_additivity(self):
         rng = np.random.default_rng(5)
