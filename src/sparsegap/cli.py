@@ -45,7 +45,7 @@ EXPERIMENT_KEYS = {
 DICTIONARY_KEYS = {"spikes-sines": {"m"}, "random-unit": {"m", "n_atoms", "seed"},
                    "random-tight": {"m", "n_atoms", "seed"}}
 LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
-REAL_KEYS = {"beta", "c_sparsity"}           # any number; every other key is an integer
+REAL_KEYS = {"beta", "c_sparsity"}           # any number; every other key a nonnegative integer
 
 
 class ConfigError(ValueError):
@@ -53,15 +53,17 @@ class ConfigError(ValueError):
 
 
 def _check_keys(obj: dict, keys: set, where: str) -> None:
-    """ConfigError unless ``obj`` holds every key, each of the type its name calls for."""
+    """ConfigError unless ``obj`` holds every key, each of the type its name calls for (no bools)."""
     missing = keys - set(obj)
     if missing:
         raise ConfigError(f"{where} missing keys: {sorted(missing)}")
     for key in sorted(keys):
         items = obj[key] if key in LIST_KEYS else [obj[key]]
-        kind = (int, float) if key in REAL_KEYS else int
-        if not isinstance(items, list) or not all(isinstance(v, kind) for v in items):
+        kinds = (int, float) if key in REAL_KEYS else (int,)
+        if not isinstance(items, list) or not all(type(v) in kinds for v in items):
             raise ConfigError(f"{where} key {key!r} has the wrong type: {obj[key]!r}")
+        if key not in REAL_KEYS and any(v < 0 for v in items):
+            raise ConfigError(f"{where} key {key!r} must not be negative: {obj[key]!r}")
 
 
 def _build_dictionary(spec: dict) -> Dictionary:
@@ -192,6 +194,9 @@ def _violated(report: ExperimentReport) -> bool:
 
 def cmd_experiment(args) -> int:
     """Run the configured experiment; ``args.argv`` is recorded as the command line."""
+    if args.format == "both" and not args.out:
+        print("error: --format both needs --out", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = json.loads(Path(args.config).read_text())
         _validate_config(cfg)
@@ -206,11 +211,12 @@ def cmd_experiment(args) -> int:
         provenance=report.params.get("dictionary", {}),
         master_seed=seed,
         tool_version=__version__,
-    ).to_dict()
-    if not args.out or args.format in ("json", "both"):
-        _emit(report.to_json(), args.out and Path(args.out).with_suffix(".json"))
-    if args.out and args.format in ("csv", "both"):
-        _emit(report.to_csv(), Path(args.out).with_suffix(".csv"))
+    )
+    out = args.out and Path(args.out)
+    if args.format in ("json", "both"):
+        _emit(report.to_json(), out and out.with_suffix(".json"))
+    if args.format in ("csv", "both"):
+        _emit(report.to_csv(), out and out.with_suffix(".csv"))
     return EXIT_VIOLATION if _violated(report) else EXIT_OK
 
 

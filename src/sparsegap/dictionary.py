@@ -8,7 +8,8 @@ everything downstream:
 * coherence   mu  = max_{j != k} |<phi_j, phi_k>|
 
 Constructors return immutable :class:`Dictionary` instances with both
-metrics cached and all structural invariants checked.
+metrics and the Gram matrix Phi* Phi, which both are read off, cached and
+all structural invariants checked.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class AtomSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, i) -> bool:
-        return i in self.indices
-
     def union(self, other: "AtomSet") -> "AtomSet":
         return AtomSet.of(set(self.indices) | set(other.indices))
 
@@ -106,22 +104,39 @@ class Dictionary:
         return self.atoms.shape[1]
 
     def subdictionary(self, atom_set: AtomSet) -> np.ndarray:
-        """Column submatrix Phi_S for the given atom set."""
-        if atom_set.indices and atom_set.indices[-1] >= self.n_atoms:
-            raise IndexError("atom index out of range")
+        """Column submatrix Phi_S for the given atom set (IndexError past the last atom)."""
         return self.atoms[:, list(atom_set.indices)]
 
-    def complement(self, atom_set: AtomSet) -> AtomSet:
+    def complement(self, atom_set: AtomSet) -> np.ndarray:
+        """Sorted index array of the atoms not in ``atom_set``."""
         keep = np.ones(self.n_atoms, dtype=bool)
         keep[list(atom_set.indices)] = False
-        return AtomSet(tuple(np.flatnonzero(keep).tolist()))
+        return np.flatnonzero(keep)
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        """Read-only N x N Gram matrix Phi* Phi, formed on first use and kept."""
-        g = self.atoms.conj().T @ self.atoms
-        g.flags.writeable = False
-        return g
+        """Read-only N x N Gram matrix Phi* Phi; set by the constructors, else formed on first use."""
+        return _gram(self.atoms)
+
+    def max_cross_sq(self, atom_set: AtomSet) -> float:
+        """max_{v not in S} ||Phi_S* phi_v||^2 (0 if there is no v), from column sums of |G[S, :]|^2."""
+        idx = list(atom_set.indices)
+        rows = self.gram[idx]
+        col = np.sum(rows.real**2 + rows.imag**2, axis=0)
+        col[idx] = 0.0  # sums are >= 0, so this drops S and gives 0 for an empty complement
+        return float(col.max())
+
+
+def _gram(atoms: np.ndarray) -> np.ndarray:
+    g = atoms.conj().T @ atoms
+    g.flags.writeable = False
+    return g
+
+
+def _max_off_diagonal(gram: np.ndarray) -> float:
+    off = np.abs(gram)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
 
 
 def coherence(atoms_or_dict) -> float:
@@ -132,9 +147,7 @@ def coherence(atoms_or_dict) -> float:
     atoms = atoms_or_dict.atoms if isinstance(atoms_or_dict, Dictionary) else np.asarray(atoms_or_dict)
     if atoms.shape[1] < 2:
         raise DictionaryError("coherence needs at least two atoms")
-    gram = atoms.conj().T @ atoms
-    off = np.abs(gram - np.diag(np.diag(gram)))
-    return float(off.max())
+    return _max_off_diagonal(_gram(atoms))
 
 
 def redundancy(atoms_or_dict) -> float:
@@ -161,7 +174,7 @@ def welch_lower_bound(m: int, n_atoms: int) -> float:
 
 
 def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
-    """Validate structural invariants and cache the metrics."""
+    """Validate structural invariants and cache the metrics and the Gram matrix."""
     atoms = np.ascontiguousarray(atoms, dtype=np.complex128)
     m, n = atoms.shape
     norms = np.linalg.norm(atoms, axis=0)
@@ -174,12 +187,15 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     rho = float(sv[0] ** 2)
     if rho < n / m - 1e-10:
         raise DictionaryError(f"redundancy {rho} below N/m = {n / m}")
-    mu = coherence(atoms) if n >= 2 else 0.0
+    gram = _gram(atoms)
+    mu = _max_off_diagonal(gram)  # 0 for a single atom
     if not (0.0 <= mu <= 1.0 + COHERENCE_TOL):
         raise DictionaryError(f"coherence {mu} outside [0, 1]")
     if n > m and mu < welch_lower_bound(m, n) - 1e-10:
         raise DictionaryError("coherence below the Grassmannian bound")
-    return Dictionary(atoms=atoms, coherence=mu, redundancy=rho, provenance=provenance)
+    d = Dictionary(atoms=atoms, coherence=mu, redundancy=rho, provenance=provenance)
+    vars(d)["gram"] = gram  # the cached property's slot: Phi* Phi is formed once per dictionary
+    return d
 
 
 def build_spikes_sines(m: int) -> Dictionary:

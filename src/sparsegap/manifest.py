@@ -1,7 +1,8 @@
 """Experiment reports, the run provenance embedded in each, and their CSV form.
 
 :class:`ExperimentReport` is what every experiment returns; the CLI
-attaches a :class:`RunManifest` and writes the report as JSON or CSV.
+attaches the run manifest (a plain dict from :func:`build_manifest`) and
+writes the report as JSON or CSV.
 :func:`csv_text` writes the report rows and the ``bounds`` table alike.
 
 The manifest digest covers the resolved inputs that determine the
@@ -19,7 +20,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -45,34 +46,12 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
     manifest: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "master_seed": self.master_seed,
-            "summary": self.summary,
-            "trials": self.trials,
-            "manifest": self.manifest,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        fields = ("kind", "params", "master_seed", "summary", "trials", "manifest")
+        return json.dumps({k: getattr(self, k) for k in fields}, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         return csv_text(self.trials, self.columns)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command_line: str
-    config_digest: str
-    dictionary_provenance: dict
-    master_seed: Optional[int]
-    tool_version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def config_digest(config: dict, provenance: dict, master_seed, tool_version: str) -> str:
@@ -85,12 +64,13 @@ def config_digest(config: dict, provenance: dict, master_seed, tool_version: str
 
 
 def build_manifest(command_line: str, config: dict, provenance: dict,
-                   master_seed, tool_version: str) -> RunManifest:
-    return RunManifest(
-        command_line=command_line,
-        config_digest=config_digest(config, provenance, master_seed, tool_version),
-        dictionary_provenance=provenance,
-        master_seed=master_seed,
-        tool_version=tool_version,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
+                   master_seed, tool_version: str) -> dict:
+    """The run manifest embedded in a report, as a JSON-ready dict."""
+    return {
+        "command_line": command_line,
+        "config_digest": config_digest(config, provenance, master_seed, tool_version),
+        "dictionary_provenance": provenance,
+        "master_seed": master_seed,
+        "tool_version": tool_version,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }

@@ -34,12 +34,13 @@ GRAM_EIG_FLOOR = 1e-2   # smallest lambda_min(G[S, S]) trusted for the pseudoinv
 
 
 def sample_uniform_subset(n_atoms: int, s: int, seed) -> AtomSet:
-    """Uniformly random s-subset of {0, ..., N-1}, deterministic in seed."""
+    """Uniformly random s-subset of {0, ..., N-1}, deterministic in seed.
+
+    ``seed`` may be a Generator, which is drawn from (and advanced) in place.
+    """
     if not (1 <= s <= n_atoms):
         raise ValueError("need 1 <= s <= n_atoms")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n_atoms, size=s, replace=False)
-    return AtomSet(tuple(sorted(int(i) for i in idx)))
+    return AtomSet.of(np.random.default_rng(seed).choice(n_atoms, size=s, replace=False))
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,8 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     if len(s_set) == 0:
         raise ValueError("S must be nonempty")
     idx = list(s_set.indices)
-    rows = d.gram[idx]
-    col = np.sum(rows.real**2 + rows.imag**2, axis=0)
-    col[idx] = 0.0  # sums are >= 0, so this drops S and gives 0 for an empty complement
-    max_cross = math.sqrt(col.max())
-    w = np.linalg.eigvalsh(rows[:, idx])
+    max_cross = math.sqrt(d.max_cross_sq(s_set))
+    w = np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])
     gram_dev = float(np.abs(w - 1.0).max())
     if w[0] >= GRAM_EIG_FLOOR:  # s > m never passes: G[S, S] is then singular
         pinv_norm = 1.0 / math.sqrt(w[0])
@@ -168,10 +166,9 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        s_set = AtomSet(tuple(sorted(int(i) for i in rng.choice(n, size=s, replace=False))))
-        comp = np.array(d.complement(s_set).indices)
-        v_idx = rng.choice(comp, size=v_size, replace=False) if v_size else np.empty(0, int)
-        v_set = AtomSet(tuple(sorted(int(i) for i in v_idx)))
+        s_set = sample_uniform_subset(n, s, rng)
+        v_idx = rng.choice(d.complement(s_set), size=v_size, replace=False) if v_size else ()
+        v_set = AtomSet.of(v_idx)
         st = subset_statistics(d, s_set)
         rank = numerical_rank(d.subdictionary(s_set.union(v_set)))
         rows.append({

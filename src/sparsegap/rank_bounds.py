@@ -315,8 +315,7 @@ def rank_lb_weak(d: Dictionary, s_set: AtomSet, v_set: AtomSet) -> float:
     _, sv = _check_disjoint_independent(d, s_set, v_set)
     if len(v_set) == 0:
         return 0.0
-    cross = d.subdictionary(s_set).conj().T @ d.subdictionary(d.complement(s_set))
-    max_cross_sq = float(np.max(np.sum(np.abs(cross) ** 2, axis=0)))  # 0 for empty S
+    max_cross_sq = d.max_cross_sq(s_set)  # 0 for empty S
     pinv_norm_sq = 1.0 / float(sv[-1]) ** 2 if len(s_set) else 0.0
     bound = len(v_set) / d.redundancy * (1.0 - pinv_norm_sq * max_cross_sq)
     return max(bound, 0.0)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dictionary import AtomSet, Dictionary
 from .manifest import ExperimentReport
+from .random_subsets import sample_uniform_subset
 from .rank_bounds import (
     DependentSetError,
     RankReport,
@@ -130,7 +131,7 @@ test_representability.__test__ = False  # not a pytest case despite the name
 
 def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
     for _ in range(INDEPENDENCE_REDRAW_CAP):
-        cand = AtomSet(tuple(sorted(rng.choice(d.n_atoms, size=s, replace=False).tolist())))
+        cand = sample_uniform_subset(d.n_atoms, s, rng)
         if numerical_rank(d.subdictionary(cand)) == s:
             return cand
     raise RedrawCapExceededError(
@@ -146,12 +147,11 @@ def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
     Redraws T while cond(Phi_T) exceeds the cap; returns T, a basis of
     range(Phi_T) from the conditioning check's SVD, and the redraw count.
     """
-    s_idx = np.array(s_set.indices)
-    comp = np.array(d.complement(s_set).indices)
+    comp = d.complement(s_set)
     for redraws in range(INDEPENDENCE_REDRAW_CAP):
-        inside = rng.choice(s_idx, size=delta, replace=False) if delta else np.empty(0, int)
+        inside = rng.choice(s_set.indices, size=delta, replace=False) if delta else np.empty(0, int)
         outside = rng.choice(comp, size=t - delta, replace=False) if t - delta else np.empty(0, int)
-        t_set = AtomSet(tuple(sorted(int(i) for i in np.concatenate([inside, outside]))))
+        t_set = AtomSet.of(np.concatenate([inside, outside]))
         basis, sv = range_basis(d.subdictionary(t_set))
         if sv[-1] > 0 and sv[0] / sv[-1] <= CONDITION_CAP:
             return t_set, basis, redraws

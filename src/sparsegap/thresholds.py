@@ -8,7 +8,6 @@ the underlying statement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -134,9 +133,6 @@ class GapThresholds:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: int) -> GapThresholds:

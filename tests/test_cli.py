@@ -246,6 +246,53 @@ class TestExperimentCommand:
         assert code == 2
         assert stdout == "" and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("changes", [
+        {"s": True}, {"delta": False}, {"seed": True},
+        {"dictionary": {"kind": "spikes-sines", "m": True}},
+        {"pairs": -3}, {"trials_per_pair": -1}, {"seed": -1}, {"delta": -1},
+    ], ids=["bool-s", "bool-delta", "bool-seed", "bool-m", "negative-pairs",
+            "negative-trials", "negative-seed", "negative-delta"])
+    def test_boolean_or_negative_integer_rejected(self, gap_config, capsys, changes):
+        cfg = json.loads(gap_config.read_text())
+        gap_config.write_text(json.dumps({**cfg, **changes}))
+        code, stdout, err = run(["experiment", "--config", str(gap_config)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and "error: " in err
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "equivalence", "s_set": [0, True], "t_set": [3], "trials": 2},
+        {"experiment": "equivalence", "s_set": [0], "t_set": [3], "trials": -5},
+        {"experiment": "weak-rank", "s": 1, "v_size": 2, "trials": -1},
+        {"experiment": "stats-sweep", "s_values": [1], "trials_per_s": 2, "beta": True},
+    ], ids=["bool-in-list", "negative-trials", "weak-rank-negative-trials", "bool-beta"])
+    def test_other_experiments_reject_boolean_or_negative(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "dictionary": {"kind": "spikes-sines", "m": 8}}))
+        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+    def test_zero_t_is_accepted(self, gap_config, capsys):
+        cfg = json.loads(gap_config.read_text())
+        gap_config.write_text(json.dumps({**cfg, "t": 0}))
+        code, stdout, _ = run(["experiment", "--config", str(gap_config)], capsys)
+        assert code == 0
+        assert json.loads(stdout)["summary"]["n_trials"] == 0
+
+    def test_csv_without_out_goes_to_stdout(self, gap_config, tmp_path, capsys):
+        code, stdout, _ = run(["experiment", "--config", str(gap_config), "--format", "csv"], capsys)
+        assert code == 0
+        run(["experiment", "--config", str(gap_config), "--format", "csv",
+             "--out", str(tmp_path / "run")], capsys)
+        assert stdout == (tmp_path / "run.csv").read_text()
+        assert stdout.startswith("pair,trial,residual,")
+
+    def test_both_formats_without_out_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"  # the flag check comes before the config is read
+        code, stdout, err = run(["experiment", "--config", str(missing), "--format", "both"], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and "--out" in err
+
     def test_stats_sweep_config(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({

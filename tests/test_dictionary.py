@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsegap.dictionary import (
     TIGHTNESS_TOL,
@@ -17,6 +20,7 @@ from sparsegap.dictionary import (
     is_weakly_incoherent,
     load_dictionary,
     redundancy,
+    _finalize,
     save_dictionary,
     welch_lower_bound,
 )
@@ -198,13 +202,66 @@ class TestMetrics:
         d = build_spikes_sines(8)
         for indices in [(), (0,), (3, 7, 15), tuple(range(1, 16)), tuple(range(16))]:
             comp = d.complement(AtomSet(indices))
-            assert comp == AtomSet(tuple(i for i in range(16) if i not in indices))
-            assert all(type(i) is int for i in comp)
+            assert np.array_equal(comp, [i for i in range(16) if i not in indices])
+            assert comp.dtype.kind == "i"
 
     def test_two_basis_union_coherence_is_cross_term(self):
         d = build_spikes_sines(8)
         cross = np.abs(d.atoms[:, :8].conj().T @ d.atoms[:, 8:]).max()
         assert abs(d.coherence - cross) < 1e-14
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def gram_coherence(atoms):
+    """max |G - diag(diag(G))|, the coherence formula the one-Gram helper replaced."""
+    gram = atoms.conj().T @ atoms
+    return float(np.abs(gram - np.diag(np.diag(gram))).max())
+
+
+@st.composite
+def finalized_dictionaries(draw):
+    """Spikes-sines, random unit-norm, random tight frame, or m atoms plus near duplicates of one."""
+    kind = draw(st.sampled_from(["spikes-sines", "random-unit", "random-tight", "near-duplicate"]))
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(m + 1, 4 * m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "spikes-sines":
+        return build_spikes_sines(m)
+    if kind == "random-unit":
+        return build_random_unit_norm(m, n, seed)
+    if kind == "random-tight":
+        return build_random_tight_frame(m, n, seed)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    noise = rng.standard_normal((m, n - m)) + 1j * rng.standard_normal((m, n - m))
+    atoms = np.hstack([base, base[:, :1] + 10.0 ** draw(st.integers(-16, -2)) * noise])
+    return _finalize(atoms / np.linalg.norm(atoms, axis=0), {"kind": "near-duplicate"})
+
+
+class TestOneGram:
+    """_finalize forms Phi* Phi once, reads the coherence off it and caches it."""
+
+    @PROPERTY_SETTINGS
+    @given(finalized_dictionaries())
+    def test_coherence_matches_the_gram_formula(self, d):
+        assert d.coherence == gram_coherence(d.atoms)
+        assert coherence(d.atoms) == d.coherence
+        assert "gram" in vars(d)
+        assert np.array_equal(d.gram, d.atoms.conj().T @ d.atoms)
+
+    def test_finalize_peak_memory_is_one_gram_and_its_magnitudes(self):
+        atoms = build_random_unit_norm(8, 256, seed=1).atoms
+        assert atoms.flags.c_contiguous and atoms.dtype == np.complex128  # _finalize copies nothing
+        tracemalloc.start()
+        try:
+            d = _finalize(atoms, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # G (16 B an entry) plus |G| (8 B); the old G - diag(diag(G)) path held three G-sized arrays
+        assert peak <= 1.75 * d.gram.nbytes
 
 
 class TestWeakIncoherence:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsegap.dictionary import AtomSet, Dictionary, build_random_unit_norm, build_spikes_sines, coherence
+from sparsegap.dictionary import (
+    AtomSet,
+    Dictionary,
+    build_random_tight_frame,
+    build_random_unit_norm,
+    build_spikes_sines,
+    coherence,
+)
 from sparsegap.rank_bounds import (
     DependentSetError,
     NotPsdError,
@@ -479,3 +486,43 @@ class TestSchurRankIdentityProperties:
             assume(False)  # a leading block the solve cannot trust
         assert res.holds
         assert res.rank_full == r
+
+
+def old_rank_lb_weak(d, s_set, v_set):
+    """rank_lb_weak with the cross term from Phi_S* Phi_rest, the formula before the Gram path."""
+    phi_s = d.subdictionary(s_set)
+    cross = phi_s.conj().T @ d.atoms[:, d.complement(s_set)]
+    max_cross_sq = float(np.max(np.sum(np.abs(cross) ** 2, axis=0)))
+    pinv_norm_sq = 1.0 / float(np.linalg.svd(phi_s, compute_uv=False)[-1]) ** 2 if len(s_set) else 0.0
+    return len(v_set) / d.redundancy * (1.0 - pinv_norm_sq * max_cross_sq), pinv_norm_sq * max_cross_sq
+
+
+@st.composite
+def weak_bound_cases(draw):
+    """(dictionary, S, V): a random tight frame or unit-norm dictionary, S of s <= m, V disjoint."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(m + 1, 4 * m))
+    build = draw(st.sampled_from([build_random_tight_frame, build_random_unit_norm]))
+    d = build(m, n, draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    s = draw(st.integers(0, m))
+    v = draw(st.integers(0, n - s))
+    return d, AtomSet.of(order[:s]), AtomSet.of(order[s:s + v])
+
+
+class TestWeakRankBoundProperties:
+    @PROPERTY_SETTINGS
+    @given(weak_bound_cases())
+    def test_matches_the_cross_product_formula(self, case):
+        d, s_set, v_set = case
+        try:
+            bound = rank_lb_weak(d, s_set, v_set)
+        except DependentSetError:
+            assume(False)
+        if not len(v_set):
+            assert bound == 0.0
+            return
+        unclamped, penalty = old_rank_lb_weak(d, s_set, v_set)
+        # 1e-13 relative to the larger of the bound's two terms, |V|/rho and its penalty
+        assert abs(bound - max(unclamped, 0.0)) <= 1e-13 * len(v_set) / d.redundancy * max(1.0, penalty)
