@@ -166,8 +166,10 @@ def _run_experiment(cfg: dict, seed: int) -> ExperimentReport:
         return gap_experiment(d, int(cfg["s"]), int(cfg["t"]), int(cfg["delta"]),
                               int(cfg["pairs"]), int(cfg["trials_per_pair"]), seed)
     if name == "equivalence":
-        return equivalence_experiment(d, AtomSet.of(cfg["s_set"]), AtomSet.of(cfg["t_set"]),
-                                      int(cfg["trials"]), seed)
+        s_set, t_set = AtomSet.of(cfg["s_set"]), AtomSet.of(cfg["t_set"])
+        if max(s_set.indices + t_set.indices, default=-1) >= d.n_atoms:
+            raise ConfigError(f"atom indices must be below the {d.n_atoms} atoms of the dictionary")
+        return equivalence_experiment(d, s_set, t_set, int(cfg["trials"]), seed)
     if name == "stats-sweep":
         config = SweepConfig(
             s_values=tuple(int(s) for s in cfg["s_values"]),

@@ -27,6 +27,7 @@ COLUMN_NORM_TOL = 1e-12
 TIGHTNESS_TOL = 1e-8
 COHERENCE_TOL = 1e-12   # rounding slack above 1 for the coherence of unit-norm atoms
 METADATA_TOL = 1e-9    # stored vs recomputed coherence/redundancy in sgdict-1 files
+GRAM_EIG_FLOOR = 1e-2  # lambda_min of a Gram block that certifies its atoms without an SVD
 
 FORMAT_VERSION = "sgdict-1"
 
@@ -117,6 +118,12 @@ class Dictionary:
     def gram(self) -> np.ndarray:
         """Read-only N x N Gram matrix Phi* Phi; set by the constructors, else formed on first use."""
         return _gram(self.atoms)
+
+    def gram_eigvalsh(self, atom_set: AtomSet) -> tuple[np.ndarray, bool]:
+        """Ascending eigenvalues of G[S, S]; True if lambda_min >= GRAM_EIG_FLOOR (sigma_min(Phi_S) >= 0.1)."""
+        idx = list(atom_set.indices)
+        w = np.linalg.eigvalsh(self.gram[np.ix_(idx, idx)])
+        return w, bool(w[0] >= GRAM_EIG_FLOOR)
 
     def max_cross_sq(self, atom_set: AtomSet) -> float:
         """max_{v not in S} ||Phi_S* phi_v||^2 (0 if there is no v), from column sums of |G[S, :]|^2."""

@@ -7,7 +7,7 @@ All three are read off the dictionary's Gram matrix G = Phi* Phi, formed
 once per dictionary: the cross term from column sums of |G[S, :]|^2, the
 other two from one eigvalsh of the s x s block G[S, S].  The pseudoinverse
 norm 1/sqrt(lambda_min) loses relative accuracy as kappa(Phi_S)^2 * eps, so
-when lambda_min < GRAM_EIG_FLOOR it comes from the SVD of Phi_S instead.
+when lambda_min < dictionary.GRAM_EIG_FLOOR it comes from the SVD of Phi_S instead.
 That includes every s > m: G[S, S] is then singular, while sigma_min(Phi_S),
 the m-th singular value, is not.
 
@@ -30,7 +30,6 @@ from .thresholds import HypothesisViolatedError
 
 CROSS_GATE = 0.5
 PINV_GATE = math.sqrt(2.0)
-GRAM_EIG_FLOOR = 1e-2   # smallest lambda_min(G[S, S]) trusted for the pseudoinverse norm
 
 
 def sample_uniform_subset(n_atoms: int, s: int, seed) -> AtomSet:
@@ -58,11 +57,10 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     """The three subset statistics from the cached Gram matrix of ``d``."""
     if len(s_set) == 0:
         raise ValueError("S must be nonempty")
-    idx = list(s_set.indices)
     max_cross = math.sqrt(d.max_cross_sq(s_set))
-    w = np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])
+    w, trusted = d.gram_eigvalsh(s_set)
     gram_dev = float(np.abs(w - 1.0).max())
-    if w[0] >= GRAM_EIG_FLOOR:  # s > m never passes: G[S, S] is then singular
+    if trusted:  # never when s > m: G[S, S] is then singular
         pinv_norm = 1.0 / math.sqrt(w[0])
     else:
         sigma_min = float(np.linalg.svd(d.subdictionary(s_set), compute_uv=False)[-1])

@@ -6,7 +6,9 @@ decided numerically through the relative least-squares residual of u
 against range(Phi_T), with a two-threshold verdict policy: residuals at
 or below the ceiling count as representable, residuals above the floor
 as not representable, anything in between as inconclusive.  Experiments
-take range(Phi_T) from ``rank_bounds.range_basis`` and return a ``manifest.ExperimentReport``.
+return a ``manifest.ExperimentReport``; ``equivalence`` takes range(Phi_T) from
+``rank_bounds.range_basis``, ``gap`` from a QR factor once Gram-block eigenvalues
+certify the pair (SVDs below ``dictionary.GRAM_EIG_FLOOR``; see ``_sample_overlapping``).
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ test_representability.__test__ = False  # not a pytest case despite the name
 def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
     for _ in range(INDEPENDENCE_REDRAW_CAP):
         cand = sample_uniform_subset(d.n_atoms, s, rng)
-        if numerical_rank(d.subdictionary(cand)) == s:
+        if d.gram_eigvalsh(cand)[1] or numerical_rank(d.subdictionary(cand)) == s:
             return cand
     raise RedrawCapExceededError(
         f"no linearly independent support of size {s} found in "
@@ -141,20 +143,25 @@ def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
 
 
 def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
-                        rng: np.random.Generator) -> tuple[AtomSet, np.ndarray, int]:
+                        rng: np.random.Generator) -> tuple[AtomSet, np.ndarray, int, int]:
     """T = delta atoms of S plus t - delta atoms of the complement.
 
-    Redraws T while cond(Phi_T) exceeds the cap; returns T, a basis of
-    range(Phi_T) from the conditioning check's SVD, and the redraw count.
+    Redraws T while cond(Phi_T) exceeds the cap; returns T, an orthonormal basis of
+    range(Phi_T), the redraw count and rank(Phi_R), R = S u T.  A G[R, R] above the
+    floor gives all three without an SVD: a QR basis, cond(Phi_T) <= sqrt(t / floor)
+    by interlacing, and rank |R|; otherwise they come from SVDs of Phi_T and Phi_R.
     """
     comp = d.complement(s_set)
     for redraws in range(INDEPENDENCE_REDRAW_CAP):
         inside = rng.choice(s_set.indices, size=delta, replace=False) if delta else np.empty(0, int)
         outside = rng.choice(comp, size=t - delta, replace=False) if t - delta else np.empty(0, int)
         t_set = AtomSet.of(np.concatenate([inside, outside]))
+        union = s_set.union(t_set)
+        if d.gram_eigvalsh(union)[1]:
+            return t_set, np.linalg.qr(d.subdictionary(t_set))[0], redraws, len(union)
         basis, sv = range_basis(d.subdictionary(t_set))
         if sv[-1] > 0 and sv[0] / sv[-1] <= CONDITION_CAP:
-            return t_set, basis, redraws
+            return t_set, basis, redraws, numerical_rank(d.subdictionary(union))
     raise RedrawCapExceededError(
         f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g} found in "
         f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})"
@@ -235,9 +242,9 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     for p in range(pairs if t and trials_per_pair else 0):
         rng = np.random.default_rng([seed, p])
         s_set = _sample_support(d, s, rng)
-        t_set, basis, redraws = _sample_overlapping(d, s_set, t, delta, rng)
         # rank_condition without re-certifying S, which _sample_support just did
-        holds = t < numerical_rank(d.subdictionary(s_set.union(t_set)))
+        t_set, basis, redraws, rank_union = _sample_overlapping(d, s_set, t, delta, rng)
+        holds = t < rank_union
         rank_condition_failures += not holds
         t_redraws_total += redraws
         residuals = _trial_residuals(d, s_set, basis, [[seed, p, i] for i in range(trials_per_pair)])

@@ -272,6 +272,14 @@ class TestExperimentCommand:
         assert code == 2
         assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("config error: ")
 
+    def test_equivalence_index_past_last_atom_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "equivalence", "dictionary": {"kind": "spikes-sines", "m": 4},
+                                    "s_set": [0, 99], "t_set": [1], "trials": 2}))
+        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_zero_t_is_accepted(self, gap_config, capsys):
         cfg = json.loads(gap_config.read_text())
         gap_config.write_text(json.dumps({**cfg, "t": 0}))

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsegap.dictionary import (
+    GRAM_EIG_FLOOR,
     AtomSet,
     Dictionary,
     build_random_tight_frame,
     build_spikes_sines,
 )
 from sparsegap.random_subsets import (
-    GRAM_EIG_FLOOR,
     SweepConfig,
     sample_uniform_subset,
     statistics_sweep,

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from sparsegap.dictionary import AtomSet, Dictionary, build_random_tight_frame, build_spikes_sines
+from sparsegap.dictionary import (
+    GRAM_EIG_FLOOR,
+    AtomSet,
+    Dictionary,
+    build_random_tight_frame,
+    build_spikes_sines,
+)
 from sparsegap.rank_bounds import DependentSetError, numerical_rank
 from sparsegap.signals import (
     INDEPENDENCE_REDRAW_CAP,
@@ -199,6 +205,16 @@ def tight_24_64():
     return build_random_tight_frame(24, 64, seed=3)
 
 
+@pytest.fixture(scope="module")
+def near_duplicates_6_16():
+    # the 8 atoms of a tight frame in C^6, each next to a copy moved by about
+    # 1e-15: a set holding a copy and its original is numerically dependent
+    base = build_random_tight_frame(6, 8, seed=5).atoms
+    twins = base + 1e-15 * np.random.default_rng(0).standard_normal(base.shape)
+    atoms = np.hstack([base, twins / np.linalg.norm(twins, axis=0)])
+    return Dictionary(atoms=atoms, coherence=1.0, redundancy=float(np.linalg.norm(atoms, 2) ** 2))
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("kind", ["spikes-sines", "tight"])
     @pytest.mark.parametrize("s,t,delta", [(4, 5, 0), (4, 6, 2), (4, 6, 4)])
@@ -234,18 +250,35 @@ class TestEngineMatchesReference:
             linalg_calls.clear()
             gap_experiment(d, 4, 4, 1, pairs=3, trials_per_pair=trials, seed=10)
             counts.append(sum(linalg_calls.values()))
-        # per pair: S certified once, T's conditioning SVD, the union's rank
+        # per pair: eigvalsh of the Gram blocks of S and of S u T, QR of Phi_T
         assert counts == [3 * 3, 3 * 3]
 
-    def test_gap_rank_condition_matches_reference(self, tight_24_64):
-        d = tight_24_64
-        for s, t, delta in [(4, 5, 0), (4, 6, 2), (6, 4, 4), (4, 24, 0), (6, 24, 3)]:
-            rep = gap_experiment(d, s, t, delta, pairs=5, trials_per_pair=2, seed=23)
+    def test_gap_rank_condition_matches_reference(self, tight_24_64, near_duplicates_6_16):
+        cases = [(tight_24_64, s, t, delta) for s, t, delta in [
+            (4, 5, 0), (4, 6, 2), (6, 4, 4), (4, 24, 0), (6, 24, 3),
+            (4, 6, 4), (6, 6, 6),  # delta = s: T holds S, so the condition fails
+            (5, 24, 1),  # s + t - delta > m: G[S u T, S u T] is singular
+        ]] + [(near_duplicates_6_16, s, t, delta) for s, t, delta in [(3, 3, 2), (2, 3, 1), (4, 4, 3)]]
+        for d, s, t, delta in cases:
+            rep = gap_experiment(d, s, t, delta, pairs=8, trials_per_pair=2, seed=23)
+            below_floor = []
             for r in rep.trials:
                 rng = np.random.default_rng([23, r["pair"]])
                 s_set = _sample_support(d, s, rng)
                 t_set = _sample_overlapping(d, s_set, t, delta, rng)[0]
                 assert r["rank_condition"] == rank_condition(d, s_set, t_set)[0]
+                idx = list(s_set.union(t_set).indices)
+                below_floor.append(np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])[0] < GRAM_EIG_FLOOR)
+            if d is near_duplicates_6_16 or s + t - delta > d.m:  # the SVD path ran and mattered
+                assert any(below_floor)
+                assert not all(r["rank_condition"] for r in rep.trials)
+            if delta == s:
+                assert not any(r["rank_condition"] for r in rep.trials)
+
+    def test_factorisation_budget_per_pair(self, tight_24_64, linalg_calls):
+        # every Gram block passes the floor here, so no pair needs an SVD
+        gap_experiment(tight_24_64, 4, 6, 2, pairs=7, trials_per_pair=3, seed=31)
+        assert linalg_calls == {"eigvalsh": 2 * 7, "qr": 7}
 
 
 class TestRedrawCap:
@@ -258,6 +291,7 @@ class TestRedrawCap:
         d = Dictionary(atoms=atoms, coherence=1.0, redundancy=4.0)
         with pytest.raises(RedrawCapExceededError):
             _sample_overlapping(d, AtomSet.of([0, 1]), 2, 0, np.random.default_rng(0))
-        assert linalg_calls == {"svd": INDEPENDENCE_REDRAW_CAP}  # one SVD per T draw
+        # per T draw: the Gram block of S u T is singular, so T's SVD follows
+        assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": INDEPENDENCE_REDRAW_CAP}
         with pytest.raises(RedrawCapExceededError):
             gap_experiment(d, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
