@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class AtomSet:
 
     def union(self, other: "AtomSet") -> "AtomSet":
         return AtomSet.of(set(self.indices) | set(other.indices))
-
-    def difference(self, other: "AtomSet") -> "AtomSet":
-        return AtomSet(tuple(sorted(set(self.indices) - set(other.indices))))
 
     def overlap(self, other: "AtomSet") -> int:
         """Cardinality of the intersection (the overlap delta)."""
@@ -171,6 +168,19 @@ def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:
     return float(singular_values[0]) * max(shape) * np.finfo(float).eps
 
 
+def rank_of_singular_values(singular_values: np.ndarray, shape, tol: Optional[float] = None) -> int:
+    """Count of descending singular values above tol (default: default_rank_tolerance)."""
+    if tol is None:
+        tol = default_rank_tolerance(singular_values, shape)
+    return int(np.count_nonzero(singular_values > tol))
+
+
+def check_coherence(mu: float) -> None:
+    """DictionaryError (a ValueError) unless 0 <= mu <= 1 + COHERENCE_TOL, as unit-norm atoms give."""
+    if not (0.0 <= mu <= 1.0 + COHERENCE_TOL):  # the slack is rounding, e.g. of a repeated atom
+        raise DictionaryError(f"coherence mu = {mu!r} outside [0, 1 + {COHERENCE_TOL:g}]")
+
+
 def welch_lower_bound(m: int, n_atoms: int) -> float:
     """Grassmannian lower bound on coherence; 0 when N <= m."""
     if m < 1:
@@ -189,15 +199,14 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     if worst > max(COLUMN_NORM_TOL, TIGHTNESS_TOL):
         raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
     sv = np.linalg.svd(atoms, compute_uv=False)
-    if int(np.sum(sv > default_rank_tolerance(sv, atoms.shape))) < m:
+    if rank_of_singular_values(sv, atoms.shape) < m:
         raise DictionaryError("atoms do not span the ambient space")
     rho = float(sv[0] ** 2)
     if rho < n / m - 1e-10:
         raise DictionaryError(f"redundancy {rho} below N/m = {n / m}")
     gram = _gram(atoms)
     mu = _max_off_diagonal(gram)  # 0 for a single atom
-    if not (0.0 <= mu <= 1.0 + COHERENCE_TOL):
-        raise DictionaryError(f"coherence {mu} outside [0, 1]")
+    check_coherence(mu)
     if n > m and mu < welch_lower_bound(m, n) - 1e-10:
         raise DictionaryError("coherence below the Grassmannian bound")
     d = Dictionary(atoms=atoms, coherence=mu, redundancy=rho, provenance=provenance)
@@ -246,8 +255,8 @@ def build_random_tight_frame(
     Phi.  Raises TightFrameConvergenceError when the cap is hit or an
     iterate is rank-deficient.
     """
-    if n_atoms <= m:
-        raise DictionaryError("a redundant tight frame needs n_atoms > m")
+    if m < 1 or n_atoms <= m:
+        raise DictionaryError("a redundant tight frame needs n_atoms > m >= 1")
     rng = np.random.default_rng(seed)
     atoms = rng.standard_normal((m, n_atoms)) + 1j * rng.standard_normal((m, n_atoms))
     atoms /= np.linalg.norm(atoms, axis=0)

@@ -8,14 +8,13 @@ subdictionaries of unit-norm atoms.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dictionary import COHERENCE_TOL, AtomSet, Dictionary, default_rank_tolerance
+from .dictionary import AtomSet, Dictionary, check_coherence, default_rank_tolerance, rank_of_singular_values
 
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
@@ -40,22 +39,47 @@ class DependentSetError(ValueError):
     """An atom set required to be linearly independent is not."""
 
 
-def _schatten(a: np.ndarray, sv: Optional[np.ndarray], p) -> float:
-    """Schatten p-norm of A given its singular values (unused for p = 2)."""
-    if p == 2:
-        # entrywise Frobenius formula, exact for S2
-        return float(np.linalg.norm(a))
+def _schatten(sv: np.ndarray, p) -> float:
+    """Schatten p-norm from descending singular values; p in [1, inf]."""
+    if p != math.inf and p < 1:
+        raise ValueError("Schatten norm requires p >= 1")
     if p == math.inf:
         return float(sv[0]) if sv.size else 0.0
     return float(np.sum(sv**p) ** (1.0 / p))
 
 
+def _norm_ratio_bound(sv: np.ndarray, p, q) -> float:
+    """(||A||_Sp / ||A||_Sq)^(pq/(q-p)) from A's descending singular values."""
+    if not (p < q):
+        raise ValueError("requires p < q")
+    if not np.any(sv):
+        raise ValueError("zero matrix")
+    sv = sv / sv[0]  # each bound is scale-free; scaled, no power of sv under- or overflows
+    exponent = p if q == math.inf else p * q / (q - p)
+    return float((_schatten(sv, p) / _schatten(sv, q)) ** exponent)
+
+
+def _trace_frobenius_bound(w: np.ndarray) -> float:
+    """trace(A)^2 / ||A||_F^2 from the eigenvalues of a Hermitian psd A."""
+    if not np.any(w):
+        raise ValueError("zero matrix")
+    w = w / np.abs(w).max()
+    return float(np.sum(w)) ** 2 / float(np.sum(w**2))
+
+
+def _frobenius_spectral_bound(sv: np.ndarray) -> float:
+    """||A||_F^2 / ||A||^2 from A's descending singular values."""
+    if not np.any(sv):
+        raise ValueError("zero matrix")
+    return float(np.sum((sv / sv[0]) ** 2))
+
+
 def schatten_norm(a: np.ndarray, p) -> float:
     """lp norm of the singular value vector; p in [1, inf]."""
     a = np.asarray(a)
-    if p != math.inf and p < 1:
-        raise ValueError("Schatten norm requires p >= 1")
-    return _schatten(a, None if p == 2 else np.linalg.svd(a, compute_uv=False), p)
+    if p == 2:
+        return float(np.linalg.norm(a))  # entrywise Frobenius formula, exact for S2, no SVD
+    return _schatten(np.linalg.svd(a, compute_uv=False), p)
 
 
 def numerical_rank(a: np.ndarray, tol: Optional[float] = None) -> int:
@@ -63,24 +87,7 @@ def numerical_rank(a: np.ndarray, tol: Optional[float] = None) -> int:
     a = np.asarray(a)
     if a.size == 0:
         raise ValueError("empty matrix has no rank")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = default_rank_tolerance(sv, a.shape)
-    return int(np.sum(sv > tol))
-
-
-def _norm_ratio_bound(a: np.ndarray, sv: np.ndarray, p, q) -> float:
-    """rank_lb_norm_ratio(a, p, q) given the singular values of A."""
-    if p != math.inf and p < 1:
-        raise ValueError("requires p >= 1")
-    if not (p < q):
-        raise ValueError("requires p < q")
-    np_norm = _schatten(a, sv, p)
-    nq_norm = _schatten(a, sv, q)
-    if nq_norm == 0.0:
-        raise ValueError("zero matrix")
-    exponent = p if q == math.inf else p * q / (q - p)
-    return float((np_norm / nq_norm) ** exponent)
+    return rank_of_singular_values(np.linalg.svd(a, compute_uv=False), a.shape, tol)
 
 
 def rank_lb_norm_ratio(a: np.ndarray, p, q) -> float:
@@ -88,8 +95,7 @@ def rank_lb_norm_ratio(a: np.ndarray, p, q) -> float:
 
     For q = inf the exponent is the analytic limit p.
     """
-    a = np.asarray(a)
-    return _norm_ratio_bound(a, np.linalg.svd(a, compute_uv=False), p, q)
+    return _norm_ratio_bound(np.linalg.svd(np.asarray(a), compute_uv=False), p, q)
 
 
 def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
@@ -110,20 +116,12 @@ def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
 
 def rank_lb_trace_frobenius(a: np.ndarray) -> float:
     """rank(A) >= trace(A)^2 / ||A||_F^2 for Hermitian psd A."""
-    _eigvalsh_checked(a)
-    fro_sq = float(np.linalg.norm(a)) ** 2
-    if fro_sq == 0.0:
-        raise ValueError("zero matrix")
-    return float(np.real(np.trace(a))) ** 2 / fro_sq
+    return _trace_frobenius_bound(_eigvalsh_checked(a))
 
 
 def rank_lb_frobenius_spectral(a: np.ndarray) -> float:
     """rank(A) >= ||A||_F^2 / ||A||^2 for any nonzero matrix."""
-    a = np.asarray(a)
-    spec = schatten_norm(a, math.inf)
-    if spec == 0.0:
-        raise ValueError("zero matrix")
-    return float(np.linalg.norm(a)) ** 2 / spec**2
+    return _frobenius_spectral_bound(np.linalg.svd(np.asarray(a), compute_uv=False))
 
 
 def rank_lb_coherence(r: int, mu: float) -> float:
@@ -134,8 +132,7 @@ def rank_lb_coherence(r: int, mu: float) -> float:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if not (0.0 <= mu <= 1.0 + COHERENCE_TOL):
-        raise ValueError("mu must lie in [0, 1]")
+    check_coherence(mu)
     return r / (1.0 + (r - 1) * mu**2)
 
 
@@ -152,12 +149,6 @@ class RankReport:
     norm_ratio_pq: Optional[tuple[float, float]] = None
     lb_coherence: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def rank_report(a: np.ndarray, mu: Optional[float] = None) -> RankReport:
     """Assemble a RankReport for an arbitrary matrix A.
@@ -171,19 +162,17 @@ def rank_report(a: np.ndarray, mu: Optional[float] = None) -> RankReport:
     a = np.asarray(a)
     sv = np.linalg.svd(a, compute_uv=False)
     tol = default_rank_tolerance(sv, a.shape)
-    exact = int(np.sum(sv > tol))
-    sq = sv**2
-    fro4 = float(np.sum(sq**2))
-    lb_tf = float(np.sum(sq)) ** 2 / fro4 if fro4 > 0 else 0.0
-    lb_fs = float(np.sum(sq)) / float(sq[0]) if sq.size and sq[0] > 0 else 0.0
+    lb_tf = lb_fs = 0.0
     lb_nr = pq = None
     if sv.size and sv[0] > 0:
-        lb_nr, pq = _norm_ratio_bound(a, sv, 1, 2), (1.0, 2.0)
+        # A*A has eigenvalues sv**2; scaled first, so that they cannot underflow
+        lb_tf, lb_fs = _trace_frobenius_bound((sv / sv[0]) ** 2), _frobenius_spectral_bound(sv)
+        lb_nr, pq = _norm_ratio_bound(sv, 1, 2), (1.0, 2.0)
     lb_co = None
     if mu is not None:
         lb_co = rank_lb_coherence(a.shape[1], mu)
     return RankReport(
-        exact_rank=exact,
+        exact_rank=rank_of_singular_values(sv, a.shape, tol),
         tolerance_used=float(tol),
         lb_trace_frobenius=lb_tf,
         lb_frobenius_spectral=lb_fs,
@@ -204,8 +193,8 @@ def schur_complement(x: np.ndarray, split: int) -> np.ndarray:
     return _schur_complement(x, split)[0]
 
 
-def _schur_complement(x: np.ndarray, split: int) -> tuple[np.ndarray, float]:
-    """schur_complement(x, split) and the leading block's smallest eigenvalue."""
+def _schur_complement(x: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """schur_complement(x, split) and the ascending eigenvalues of X and of its leading block."""
     w = _eigvalsh_checked(x)
     if not (0 < split < x.shape[0]):
         raise ValueError("split must satisfy 0 < k < n")
@@ -213,11 +202,11 @@ def _schur_complement(x: np.ndarray, split: int) -> tuple[np.ndarray, float]:
     a = x[:split, :split]
     b = x[:split, split:]
     c = x[split:, split:]
-    amin = float(np.linalg.eigvalsh((a + a.conj().T) / 2).min())
-    if amin <= BLOCK_SINGULARITY_REL_TOL * smax:
-        raise SingularBlockError(amin)
+    w_a = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    if w_a[0] <= BLOCK_SINGULARITY_REL_TOL * smax:
+        raise SingularBlockError(float(w_a[0]))
     comp = c - b.conj().T @ np.linalg.solve(a, b)
-    return (comp + comp.conj().T) / 2, amin
+    return (comp + comp.conj().T) / 2, w, w_a
 
 
 @dataclass(frozen=True)
@@ -237,16 +226,16 @@ def verify_schur_rank_identity(x: np.ndarray, split: int) -> SchurRankIdentity:
     The complement's rank cutoff is anchored to the scale of X and the
     conditioning of the leading block: a complement that is exactly zero
     in exact arithmetic carries roundoff of order eps * ||X||^2 / sigma_min(A),
-    which its own norm-relative cutoff would miscount as rank.
+    which its own norm-relative cutoff would miscount as rank.  X and A are
+    Hermitian psd, so their eigenvalue magnitudes are their singular values.
     """
     x = np.asarray(x)
-    comp, amin = _schur_complement(x, split)
-    a = x[:split, :split]
-    sv = np.linalg.svd(x, compute_uv=False)
-    tol_comp = max(sv[0], sv[0]**2 / amin) * x.shape[0] * np.finfo(float).eps * 10
+    comp, w_x, w_a = _schur_complement(x, split)
+    sv_x, sv_a = (np.sort(np.abs(w))[::-1] for w in (w_x, w_a))
+    tol_comp = max(sv_x[0], sv_x[0]**2 / w_a[0]) * x.shape[0] * np.finfo(float).eps * 10
     return SchurRankIdentity(
-        rank_full=int(np.sum(sv > default_rank_tolerance(sv, x.shape))),
-        rank_block=numerical_rank(a),
+        rank_full=rank_of_singular_values(sv_x, x.shape),
+        rank_block=rank_of_singular_values(sv_a, (split, split)),
         rank_complement=numerical_rank(comp, tol=tol_comp),
     )
 
@@ -258,7 +247,7 @@ class OverlappingSetError(ValueError):
 def range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of range(A), with numerical_rank(A) columns, and A's singular values."""
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, sv > default_rank_tolerance(sv, a.shape)], sv
+    return u[:, :rank_of_singular_values(sv, a.shape)], sv
 
 
 def projector_onto_range(a: np.ndarray) -> np.ndarray:
@@ -303,7 +292,7 @@ def rank_decompose_projected(d: Dictionary, s_set: AtomSet, v_set: AtomSet) -> P
     sv_union = np.linalg.svd(union, compute_uv=False)
     tol = default_rank_tolerance(sv_union, union.shape)
     return ProjectedRankDecomposition(len(s_set), numerical_rank(projected, tol=tol),
-                                      int(np.sum(sv_union > tol)))
+                                      rank_of_singular_values(sv_union, union.shape, tol))
 
 
 def rank_lb_weak(d: Dictionary, s_set: AtomSet, v_set: AtomSet) -> float:

@@ -79,11 +79,17 @@ def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex]
     )
 
 
+def _independent_subdictionary(d: Dictionary, s_set: AtomSet) -> np.ndarray:
+    """Phi_S; DependentSetError unless S is nonempty and linearly independent."""
+    phi_s = d.subdictionary(s_set)
+    if len(s_set) == 0 or numerical_rank(phi_s) < len(s_set):
+        raise DependentSetError("S must be a nonempty linearly independent set")
+    return phi_s
+
+
 def draw_generic_signal(d: Dictionary, support: AtomSet, seed) -> GenericSignal:
     """u = Phi_S x with x i.i.d. standard complex Gaussian, deterministic in seed."""
-    phi_s = d.subdictionary(support)
-    if len(support) == 0 or numerical_rank(phi_s) < len(support):
-        raise DependentSetError("support must be a nonempty linearly independent set")
+    phi_s = _independent_subdictionary(d, support)
     rng = np.random.default_rng(seed)
     coeff = _complex_gaussian(rng, len(support))
     return GenericSignal(support=support, coefficients=coeff,
@@ -92,9 +98,7 @@ def draw_generic_signal(d: Dictionary, support: AtomSet, seed) -> GenericSignal:
 
 def rank_condition(d: Dictionary, s_set: AtomSet, t_set: AtomSet) -> tuple[bool, RankReport]:
     """|T| < rank(Phi_{S u T}), with the full rank report for the union."""
-    phi_s = d.subdictionary(s_set)
-    if len(s_set) == 0 or numerical_rank(phi_s) < len(s_set):
-        raise DependentSetError("S must be a nonempty linearly independent set")
+    _independent_subdictionary(d, s_set)
     union = s_set.union(t_set)
     report = rank_report(d.subdictionary(union), mu=d.coherence)
     return len(t_set) < report.exact_rank, report

@@ -12,6 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from .dictionary import check_coherence
+
 
 class HypothesisViolatedError(ValueError):
     """The formula's standing hypothesis (e.g. N > 2m) does not hold."""
@@ -23,19 +25,14 @@ class FormulaInapplicableError(ValueError):
 
 def donoho_elad_threshold(mu: float) -> float:
     """1/mu; infinite (no finite threshold) for an orthonormal dictionary."""
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError("mu must lie in [0, 1]")
-    if mu == 0.0:
-        return math.inf
-    return 1.0 / mu
+    return strong_gap_threshold(1, mu)
 
 
 def strong_gap_threshold(s: int, mu: float) -> float:
     """sqrt(s)/mu: any disjoint second representation needs |S|+|T| above this."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError("mu must lie in [0, 1]")
+    check_coherence(mu)
     if mu == 0.0:
         return math.inf
     return math.sqrt(s) / mu
@@ -60,8 +57,7 @@ def overlap_condition(s: int, t: int, delta: int, mu: float) -> OverlapDecision:
     """
     if not (0 <= delta <= min(s, t)) or s < 1 or t < 1:
         raise ValueError("need 1 <= s, 1 <= t, 0 <= delta <= min(s, t)")
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError("mu must lie in [0, 1]")
+    check_coherence(mu)
     tm2 = t * mu**2
     if tm2 >= 1.0:
         return OverlapDecision(rhs=None, delta=delta, holds=False, vacuous=True)
@@ -71,8 +67,9 @@ def overlap_condition(s: int, t: int, delta: int, mu: float) -> OverlapDecision:
 
 def t_threshold_given_overlap(s: int, delta: int, mu: float) -> float:
     """Reverted quadratic: a t strictly below this satisfies the overlap bound."""
-    if mu <= 0.0 or mu > 1.0:
-        raise ValueError("mu must lie in (0, 1]")
+    check_coherence(mu)
+    if mu == 0.0:
+        raise ValueError("the t threshold needs mu > 0")
     k = s - delta - 1
     if k < 1:
         raise FormulaInapplicableError("requires s - delta >= 2")
@@ -83,8 +80,7 @@ def generic_up_threshold(s: int, delta: int, mu: float) -> float:
     """delta + sqrt(s - delta)/mu: the generic-signal uncertainty principle."""
     if not (0 <= delta <= s) or s < 1:
         raise ValueError("need 1 <= s and 0 <= delta <= s")
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError("mu must lie in [0, 1]")
+    check_coherence(mu)
     if delta == s:
         return float(s)
     if mu == 0.0:

@@ -29,6 +29,17 @@ class TestDictCommand:
         assert code == 2
         assert "error" in err
 
+    def test_random_tight_without_rows_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "gap", "s": 1, "t": 1, "delta": 0, "pairs": 1,
+                                   "trials_per_pair": 1, "dictionary": {
+                                       "kind": "random-tight", "m": 0, "n_atoms": 3, "seed": 0}}))
+        for argv in (["dict", "--kind", "random-tight", "--m", "0", "--n-atoms", "3"],
+                     ["experiment", "--config", str(cfg)]):
+            code, stdout, err = run(argv, capsys)
+            assert code == 2, argv
+            assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_inspect_round_trips_metrics(self, tmp_path, capsys):
         out = tmp_path / "d.sgdict"
         _, built, _ = run(["dict", "--kind", "random-tight", "--m", "8",
@@ -129,6 +140,17 @@ class TestBoundsCommand:
         for jr, cr in zip(json_rows, csv_rows):
             assert float(cr["strong_gap_rhs"]) == jr["strong_gap_rhs"]
             assert float(cr["generic_up_rhs"]) == jr["generic_up_rhs"]
+
+    def test_coherence_rounded_above_one(self, near_duplicates_6_16, tmp_path, capsys):
+        out = tmp_path / "d.sgdict"
+        save_dictionary(near_duplicates_6_16, out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "gap", "dictionary": {"path": str(out)},
+                                   "s": 2, "t": 2, "delta": 0, "pairs": 1, "trials_per_pair": 1}))
+        for argv in (["bounds", "--dict", str(out), "--s-max", "3"],
+                     ["experiment", "--config", str(cfg)]):
+            code, _, err = run(argv, capsys)
+            assert code == 0, err
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(["bounds", "--s-max", "4"], capsys)

@@ -40,7 +40,6 @@ class TestAtomSet:
         b = AtomSet.of([2, 3, 4])
         assert a.overlap(b) == 2
         assert a.union(b).indices == (0, 1, 2, 3, 4)
-        assert a.difference(b).indices == (0, 1)
 
 
 class TestSpikesSines:

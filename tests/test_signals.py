@@ -160,6 +160,12 @@ class TestGapExperiment:
         rep = gap_experiment(d, s=8, t=8, delta=0, pairs=5, trials_per_pair=4, seed=9)
         assert all(r["verdict"] == "NOT_REPRESENTABLE" for r in rep.trials)
 
+    def test_coherence_rounded_above_one(self, near_duplicates_6_16):
+        # the constructors accept mu = 1 + rounding, so the overlap condition must too
+        assert 1.0 < near_duplicates_6_16.coherence
+        rep = gap_experiment(near_duplicates_6_16, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
+        assert rep.summary["n_trials"] == 1 and rep.summary["overlap_vacuous"]
+
     def test_zero_t_vacuous(self):
         d = build_spikes_sines(8)
         rep = gap_experiment(d, s=2, t=0, delta=0, pairs=3, trials_per_pair=3, seed=1)
@@ -203,16 +209,6 @@ def assert_rows_match_reference(d, rows, sets_of_row, stream_of_row):
 @pytest.fixture(scope="module")
 def tight_24_64():
     return build_random_tight_frame(24, 64, seed=3)
-
-
-@pytest.fixture(scope="module")
-def near_duplicates_6_16():
-    # the 8 atoms of a tight frame in C^6, each next to a copy moved by about
-    # 1e-15: a set holding a copy and its original is numerically dependent
-    base = build_random_tight_frame(6, 8, seed=5).atoms
-    twins = base + 1e-15 * np.random.default_rng(0).standard_normal(base.shape)
-    atoms = np.hstack([base, twins / np.linalg.norm(twins, axis=0)])
-    return Dictionary(atoms=atoms, coherence=1.0, redundancy=float(np.linalg.norm(atoms, 2) ** 2))
 
 
 class TestEngineMatchesReference:

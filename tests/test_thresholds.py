@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsegap.rank_bounds import rank_lb_coherence
 from sparsegap.thresholds import (
     FormulaInapplicableError,
     HypothesisViolatedError,
@@ -172,3 +173,28 @@ class TestEvaluateThresholds:
         assert gt.weak_gap_rhs is None
         assert gt.t_threshold is None
         assert gt.overlap_vacuous  # t mu^2 = 1.62
+
+
+MU_FUNCTIONS = {
+    "donoho_elad": donoho_elad_threshold,
+    "strong_gap": lambda mu: strong_gap_threshold(4, mu),
+    "overlap": lambda mu: overlap_condition(4, 4, 1, mu),
+    "t_threshold": lambda mu: t_threshold_given_overlap(6, 1, mu),
+    "generic_up": lambda mu: generic_up_threshold(4, 1, mu),
+    "evaluate": lambda mu: evaluate_thresholds(6, 4, 1, mu, 8, 32),
+    "rank_lb_coherence": lambda mu: rank_lb_coherence(4, mu),
+}
+
+
+class TestCoherenceRange:
+    """Every function of mu accepts the rounding above 1 that the dictionary constructors accept."""
+
+    @pytest.mark.parametrize("fn", MU_FUNCTIONS.values(), ids=MU_FUNCTIONS.keys())
+    def test_rounding_above_one_accepted(self, fn):
+        fn(1.0 + 1e-13)
+
+    @pytest.mark.parametrize("fn", MU_FUNCTIONS.values(), ids=MU_FUNCTIONS.keys())
+    @pytest.mark.parametrize("mu", [1.0 + 1e-11, -1e-13, math.nan])
+    def test_outside_range_rejected(self, fn, mu):
+        with pytest.raises(ValueError):
+            fn(mu)
