@@ -45,7 +45,7 @@ EXPERIMENT_KEYS = {
 DICTIONARY_KEYS = {"spikes-sines": {"m"}, "random-unit": {"m", "n_atoms", "seed"},
                    "random-tight": {"m", "n_atoms", "seed"}}
 LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
-REAL_KEYS = {"beta", "c_sparsity"}           # any number; every other key a nonnegative integer
+REAL_KEYS = {"beta", "c_sparsity"}           # any finite number; every other key a nonnegative integer
 
 
 class ConfigError(ValueError):
@@ -64,6 +64,8 @@ def _check_keys(obj: dict, keys: set, where: str) -> None:
             raise ConfigError(f"{where} key {key!r} has the wrong type: {obj[key]!r}")
         if key not in REAL_KEYS and any(v < 0 for v in items):
             raise ConfigError(f"{where} key {key!r} must not be negative: {obj[key]!r}")
+        if key in REAL_KEYS and not all(abs(v) <= sys.float_info.max for v in items):  # NaN fails too
+            raise ConfigError(f"{where} key {key!r} must be a finite float: {obj[key]!r}")
 
 
 def _build_dictionary(spec: dict) -> Dictionary:

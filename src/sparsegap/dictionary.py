@@ -73,9 +73,6 @@ class AtomSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __iter__(self):
-        return iter(self.indices)
-
     def union(self, other: "AtomSet") -> "AtomSet":
         return AtomSet.of(set(self.indices) | set(other.indices))
 
@@ -288,7 +285,6 @@ class WeakIncoherenceCheck:
     tight_margin: float          # tolerance - |rho - N/m|; >= 0 iff tight
     coherent: bool
     coherence_margin: float      # c/log N - mu; >= 0 iff coherent enough
-    c: float
 
     @property
     def passed(self) -> bool:
@@ -308,7 +304,6 @@ def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:
         tight_margin=TIGHTNESS_TOL - tight_residual,
         coherent=d.coherence <= bound,
         coherence_margin=bound - d.coherence,
-        c=c,
     )
 
 
@@ -343,7 +338,8 @@ def load_dictionary(path) -> Dictionary:
     The payload must be a plain file name in the metadata's directory, and
     the stored coherence and redundancy must match the recomputed ones
     within METADATA_TOL.  Unreadable files and missing or mistyped metadata
-    raise DictionaryError too.
+    (m and n_atoms must be positive integers, provenance an object) raise
+    DictionaryError too.
     """
     try:
         path = Path(path)
@@ -354,7 +350,12 @@ def load_dictionary(path) -> Dictionary:
         if (not isinstance(payload, str) or payload in ("", ".", "..")
                 or any(sep in payload for sep in "/\\")):
             raise DictionaryError(f"payload {payload!r} is not a file name beside the metadata")
-        m, n, provenance = int(meta["m"]), int(meta["n_atoms"]), dict(meta["provenance"])
+        m, n, provenance = meta["m"], meta["n_atoms"], meta["provenance"]
+        for name, value in (("m", m), ("n_atoms", n)):
+            if type(value) is not int or value < 1:
+                raise DictionaryError(f"metadata field {name!r} must be a positive integer, not {value!r}")
+        if not isinstance(provenance, dict):
+            raise DictionaryError(f"metadata field 'provenance' must be an object, not {provenance!r}")
         buf = np.frombuffer((path.parent / payload).read_bytes(), dtype="<f8")
     except (OSError, KeyError, TypeError, AttributeError) as exc:
         raise DictionaryError(f"cannot read dictionary {path}: {type(exc).__name__}: {exc}") from exc

@@ -47,7 +47,6 @@ class SubsetStatistics:
     max_cross_correlation: float
     gram_deviation: float
     pinv_norm: float
-    s: int
 
     def passes_gates(self) -> bool:
         return self.max_cross_correlation <= CROSS_GATE and self.pinv_norm <= PINV_GATE
@@ -66,7 +65,7 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
         sigma_min = float(np.linalg.svd(d.subdictionary(s_set), compute_uv=False)[-1])
         pinv_norm = math.inf if sigma_min == 0.0 else 1.0 / sigma_min
     return SubsetStatistics(max_cross_correlation=max_cross, gram_deviation=gram_dev,
-                            pinv_norm=pinv_norm, s=len(s_set))
+                            pinv_norm=pinv_norm)
 
 
 @dataclass(frozen=True)

@@ -48,32 +48,6 @@ def _schatten(sv: np.ndarray, p) -> float:
     return float(np.sum(sv**p) ** (1.0 / p))
 
 
-def _norm_ratio_bound(sv: np.ndarray, p, q) -> float:
-    """(||A||_Sp / ||A||_Sq)^(pq/(q-p)) from A's descending singular values."""
-    if not (p < q):
-        raise ValueError("requires p < q")
-    if not np.any(sv):
-        raise ValueError("zero matrix")
-    sv = sv / sv[0]  # each bound is scale-free; scaled, no power of sv under- or overflows
-    exponent = p if q == math.inf else p * q / (q - p)
-    return float((_schatten(sv, p) / _schatten(sv, q)) ** exponent)
-
-
-def _trace_frobenius_bound(w: np.ndarray) -> float:
-    """trace(A)^2 / ||A||_F^2 from the eigenvalues of a Hermitian psd A."""
-    if not np.any(w):
-        raise ValueError("zero matrix")
-    w = w / np.abs(w).max()
-    return float(np.sum(w)) ** 2 / float(np.sum(w**2))
-
-
-def _frobenius_spectral_bound(sv: np.ndarray) -> float:
-    """||A||_F^2 / ||A||^2 from A's descending singular values."""
-    if not np.any(sv):
-        raise ValueError("zero matrix")
-    return float(np.sum((sv / sv[0]) ** 2))
-
-
 def schatten_norm(a: np.ndarray, p) -> float:
     """lp norm of the singular value vector; p in [1, inf]."""
     a = np.asarray(a)
@@ -95,7 +69,14 @@ def rank_lb_norm_ratio(a: np.ndarray, p, q) -> float:
 
     For q = inf the exponent is the analytic limit p.
     """
-    return _norm_ratio_bound(np.linalg.svd(np.asarray(a), compute_uv=False), p, q)
+    if not (p < q):
+        raise ValueError("requires p < q")
+    sv = np.linalg.svd(np.asarray(a), compute_uv=False)
+    if not np.any(sv):
+        raise ValueError("zero matrix")
+    sv = sv / sv[0]  # the bound is scale-free; scaled, no power of sv under- or overflows
+    exponent = p if q == math.inf else p * q / (q - p)
+    return float((_schatten(sv, p) / _schatten(sv, q)) ** exponent)
 
 
 def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
@@ -116,12 +97,19 @@ def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
 
 def rank_lb_trace_frobenius(a: np.ndarray) -> float:
     """rank(A) >= trace(A)^2 / ||A||_F^2 for Hermitian psd A."""
-    return _trace_frobenius_bound(_eigvalsh_checked(a))
+    w = _eigvalsh_checked(a)
+    if not np.any(w):
+        raise ValueError("zero matrix")
+    w = w / np.abs(w).max()
+    return float(np.sum(w)) ** 2 / float(np.sum(w**2))
 
 
 def rank_lb_frobenius_spectral(a: np.ndarray) -> float:
     """rank(A) >= ||A||_F^2 / ||A||^2 for any nonzero matrix."""
-    return _frobenius_spectral_bound(np.linalg.svd(np.asarray(a), compute_uv=False))
+    sv = np.linalg.svd(np.asarray(a), compute_uv=False)
+    if not np.any(sv):
+        raise ValueError("zero matrix")
+    return float(np.sum((sv / sv[0]) ** 2))
 
 
 def rank_lb_coherence(r: int, mu: float) -> float:
@@ -134,53 +122,6 @@ def rank_lb_coherence(r: int, mu: float) -> float:
         raise ValueError("r must be >= 1")
     check_coherence(mu)
     return r / (1.0 + (r - 1) * mu**2)
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Exact rank of one matrix next to every applicable analytic bound."""
-
-    exact_rank: int
-    tolerance_used: float
-    lb_trace_frobenius: float
-    lb_frobenius_spectral: float
-    singular_values: tuple[float, ...]
-    lb_norm_ratio: Optional[float] = None
-    norm_ratio_pq: Optional[tuple[float, float]] = None
-    lb_coherence: Optional[float] = None
-
-
-def rank_report(a: np.ndarray, mu: Optional[float] = None) -> RankReport:
-    """Assemble a RankReport for an arbitrary matrix A.
-
-    The rank takes the default cutoff and the norm-ratio bound takes
-    (p, q) = (1, 2).  The trace/Frobenius bound is evaluated on the Gram
-    matrix A*A (same rank as A, always psd).  When ``mu`` is given, A is
-    interpreted as a subdictionary of unit-norm atoms and the coherence
-    bound is added.
-    """
-    a = np.asarray(a)
-    sv = np.linalg.svd(a, compute_uv=False)
-    tol = default_rank_tolerance(sv, a.shape)
-    lb_tf = lb_fs = 0.0
-    lb_nr = pq = None
-    if sv.size and sv[0] > 0:
-        # A*A has eigenvalues sv**2; scaled first, so that they cannot underflow
-        lb_tf, lb_fs = _trace_frobenius_bound((sv / sv[0]) ** 2), _frobenius_spectral_bound(sv)
-        lb_nr, pq = _norm_ratio_bound(sv, 1, 2), (1.0, 2.0)
-    lb_co = None
-    if mu is not None:
-        lb_co = rank_lb_coherence(a.shape[1], mu)
-    return RankReport(
-        exact_rank=rank_of_singular_values(sv, a.shape, tol),
-        tolerance_used=float(tol),
-        lb_trace_frobenius=lb_tf,
-        lb_frobenius_spectral=lb_fs,
-        singular_values=tuple(float(s) for s in sv),
-        lb_norm_ratio=lb_nr,
-        norm_ratio_pq=pq,
-        lb_coherence=lb_co,
-    )
 
 
 def schur_complement(x: np.ndarray, split: int) -> np.ndarray:
@@ -248,12 +189,6 @@ def range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of range(A), with numerical_rank(A) columns, and A's singular values."""
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, :rank_of_singular_values(sv, a.shape)], sv
-
-
-def projector_onto_range(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto range(A), via an SVD basis."""
-    basis, _ = range_basis(a)
-    return basis @ basis.conj().T
 
 
 def _check_disjoint_independent(d: Dictionary, s_set: AtomSet, v_set: AtomSet):

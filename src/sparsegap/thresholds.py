@@ -1,9 +1,9 @@
 """Closed-form uncertainty-principle thresholds.
 
 Pure formula objects in the parameters (s, t, delta, mu, m, N); nothing
-here touches a concrete dictionary.  Each decision record states whether
-the comparison it encodes is strict or weak, matching the inequality in
-the underlying statement.
+here touches a concrete dictionary.  Each docstring states whether the
+comparison it encodes is strict or weak, matching the inequality in the
+underlying statement.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ class OverlapDecision:
     """Outcome of the quadratic overlap condition (strict in delta)."""
 
     rhs: Optional[float]
-    delta: int
     holds: bool
     vacuous: bool
-    comparison: str = "delta < rhs (strict)"
 
 
 def overlap_condition(s: int, t: int, delta: int, mu: float) -> OverlapDecision:
@@ -60,9 +58,9 @@ def overlap_condition(s: int, t: int, delta: int, mu: float) -> OverlapDecision:
     check_coherence(mu)
     tm2 = t * mu**2
     if tm2 >= 1.0:
-        return OverlapDecision(rhs=None, delta=delta, holds=False, vacuous=True)
+        return OverlapDecision(rhs=None, holds=False, vacuous=True)
     rhs = s * (1.0 - ((t - 1) / s) * (tm2 / (1.0 - tm2)))
-    return OverlapDecision(rhs=rhs, delta=delta, holds=delta < rhs, vacuous=False)
+    return OverlapDecision(rhs=rhs, holds=delta < rhs, vacuous=False)
 
 
 def t_threshold_given_overlap(s: int, delta: int, mu: float) -> float:

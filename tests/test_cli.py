@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from sparsegap.cli import main
-from sparsegap.dictionary import Dictionary, save_dictionary
+from sparsegap.dictionary import Dictionary, _finalize, save_dictionary
 
 
 def run(argv, capsys):
@@ -48,6 +49,18 @@ class TestDictCommand:
         assert code == 0
         built_metrics = [l for l in built.splitlines() if not l.startswith("wrote")]
         assert inspected.splitlines() == built_metrics
+
+    @pytest.mark.parametrize("atoms,message", [
+        (np.eye(3) * (1 - 1e-6), "atom norms"),
+        (np.ones((2, 4)) * [[1], [0]], "span"),
+        (np.eye(3) * (1 - 5e-9), "redundancy"),  # norms within 1e-8, but rho < N/m - 1e-10
+    ], ids=["norm", "span", "redundancy"])
+    def test_inspect_rejects_invalid_atoms(self, tmp_path, capsys, atoms, message):
+        out = tmp_path / "d.sgdict"
+        save_dictionary(Dictionary(atoms=atoms.astype(complex), coherence=0.0, redundancy=1.0), out)
+        code, stdout, err = run(["dict", "--inspect", str(out)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and message in err
 
     @pytest.mark.parametrize("changes", [{"coherence": 0.9}, {"redundancy": 4.5},
                                          {"payload": "../d.sgdict.bin"}])
@@ -301,6 +314,36 @@ class TestExperimentCommand:
         code, stdout, err = run(["experiment", "--config", str(path)], capsys)
         assert code == 2
         assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("changes", [{"c_sparsity": math.nan}, {"beta": math.inf}, {"beta": math.nan},
+                                         {"beta": 10**400}],
+                             ids=["nan-c-sparsity", "infinite-beta", "nan-beta", "beta-past-float-range"])
+    def test_non_finite_real_rejected(self, tmp_path, capsys, changes):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"kind": "spikes-sines", "m": 8},
+                                    "s_values": [1], "trials_per_s": 2, **changes}))  # NaN, Infinity tokens
+        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+    def test_gap_support_larger_than_m_is_usage_error(self, gap_config, capsys):
+        cfg = json.loads(gap_config.read_text())
+        gap_config.write_text(json.dumps({**cfg, "s": 17}))  # m = 16
+        code, stdout, err = run(["experiment", "--config", str(gap_config)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_inconclusive_equivalence_exits_one(self, tmp_path, capsys):
+        # e1 ... e4 and e1 + 1e-8 e2 normalised: e1 lies 1e-8 off the span of the last atom
+        near_e1 = np.array([1, 1e-8, 0, 0]) / np.hypot(1, 1e-8)
+        save_dictionary(_finalize(np.column_stack([np.eye(4), near_e1]), {"kind": "near-e1"}),
+                        tmp_path / "d.sgdict")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "equivalence", "dictionary": {"path": str(tmp_path / "d.sgdict")},
+                                    "s_set": [0], "t_set": [4], "trials": 5}))
+        code, stdout, _ = run(["experiment", "--config", str(path)], capsys)
+        assert code == 1
+        assert json.loads(stdout)["summary"]["n_inconclusive"] == 5
 
     def test_zero_t_is_accepted(self, gap_config, capsys):
         cfg = json.loads(gap_config.read_text())

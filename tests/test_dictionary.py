@@ -374,3 +374,27 @@ class TestLoadValidation:
         tamper(path, coherence=d.coherence + 1e-12, redundancy=d.redundancy - 1e-12)
         loaded = load_dictionary(path)
         assert loaded.coherence == d.coherence and loaded.redundancy == d.redundancy
+
+    @pytest.mark.parametrize("changes,field", [
+        ({"m": "8"}, "m"), ({"m": 8.7}, "m"), ({"n_atoms": True}, "n_atoms"),
+        ({"m": -8, "n_atoms": -32}, "m"),  # 2 m N still matches the payload size
+        ({"provenance": [["kind", "random-tight"], ["m", 8]]}, "provenance"),
+    ], ids=["string-m", "fractional-m", "bool-n-atoms", "negative-shape", "provenance-pairs"])
+    def test_rejects_mistyped_shape_or_provenance(self, saved_frame, changes, field):
+        _, path = saved_frame
+        tamper(path, **changes)
+        with pytest.raises(DictionaryError, match=f"metadata field '{field}'"):
+            load_dictionary(path)
+
+    def test_rejects_other_format_version(self, saved_frame):
+        _, path = saved_frame
+        tamper(path, format="sgdict-2")
+        with pytest.raises(DictionaryError, match="unsupported dictionary format 'sgdict-2'"):
+            load_dictionary(path)
+
+    def test_rejects_truncated_payload(self, saved_frame):
+        _, path = saved_frame
+        payload = path.parent / "d.sgdict.bin"
+        payload.write_bytes(payload.read_bytes()[:-16])  # one complex entry short
+        with pytest.raises(DictionaryError, match="payload size"):
+            load_dictionary(path)

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level helper goes unreferenced (stdlib ast, no linter)."""
+"""No module of the package imports a name it never uses, no private
+module-level helper goes unreferenced, and no dataclass field goes unread
+(stdlib ast, no linter)."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import sparsegap
 
+REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in Path(sparsegap.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
@@ -66,3 +68,52 @@ def test_finds_an_unreferenced_private():
 def test_no_unreferenced_privates():
     sources = [p.read_text() for p in Path(sparsegap.__file__).parent.glob("*.py")]
     assert unreferenced_privates(sources) == []
+
+
+def _calls(tree, names):
+    """The calls in ``tree`` to a function named in ``names``, however it was imported."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names]
+
+
+def unread_dataclass_fields(package_sources: list[str], reader_sources: list[str]) -> list[str]:
+    """Class.field for each dataclass field in the package that no source loads as an attribute.
+
+    A class whose fields are enumerated by fields() or asdict(), or read
+    with getattr(self, ...), is exempt.
+    """
+    fields_of, exempt, read = {}, set(), set()
+    for source in package_sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef) or not any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list):
+                continue
+            fields_of[node.name] = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+            if any(getattr(call.args[0], "id", None) == "self"
+                   for call in _calls(node, {"fields", "asdict", "getattr"}) if call.args):
+                exempt.add(node.name)
+    for source in package_sources + reader_sources:
+        tree = ast.parse(source)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        exempt |= {call.args[0].id for call in _calls(tree, {"fields", "asdict"})
+                   if call.args and isinstance(call.args[0], ast.Name)}
+    return sorted(f"{cls}.{name}" for cls, names in fields_of.items() if cls not in exempt
+                  for name in names if name not in read)
+
+
+def test_finds_an_unread_field():
+    package = (
+        "from dataclasses import dataclass, fields\n"
+        "@dataclass(frozen=True)\nclass Point:\n    x: float\n    y: float\n    label: str = ''\n"
+        "@dataclass\nclass Row:\n    a: int\n    def to_dict(self):\n        return asdict(self)\n"
+        "@dataclass\nclass Table:\n    b: int\nCOLUMNS = [f.name for f in fields(Table)]\n"
+        "def norm(p):\n    return p.x\n"
+    )
+    assert unread_dataclass_fields([package], ["def test(p):\n    p.label = p.y\n"]) == ["Point.label"]
+
+
+def test_no_unread_dataclass_fields():
+    package = [p.read_text() for p in Path(sparsegap.__file__).parent.glob("*.py")]
+    readers = [p.read_text() for d in ("tests", "bench") for p in (REPO / d).glob("*.py")]
+    assert unread_dataclass_fields(package, readers) == []

@@ -26,7 +26,6 @@ from sparsegap.rank_bounds import (
     rank_lb_norm_ratio,
     rank_lb_trace_frobenius,
     rank_lb_weak,
-    rank_report,
     schatten_norm,
     schur_complement,
     verify_schur_rank_identity,
@@ -306,38 +305,37 @@ class TestWeakRankBound:
 
 
 class TestRankReport:
+    """The spectral rank bounds, each from its public rank_lb_* function."""
+
     def test_bounds_dominated_by_rank(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             a = random_matrix(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)))
-            rep = rank_report(a)
-            assert rep.lb_trace_frobenius <= rep.exact_rank + 1e-9
-            assert rep.lb_frobenius_spectral <= rep.exact_rank + 1e-9
-            assert rep.lb_norm_ratio <= rep.exact_rank + 1e-9
-            # computed from the report's own singular values, bit for bit
-            assert rep.lb_norm_ratio == rank_lb_norm_ratio(a, 1, 2)
+            rank = numerical_rank(a)
+            assert rank_lb_trace_frobenius(a.conj().T @ a) <= rank + 1e-9
+            assert rank_lb_frobenius_spectral(a) <= rank + 1e-9
+            assert rank_lb_norm_ratio(a, 1, 2) <= rank + 1e-9
 
     def test_one_svd(self, linalg_calls):
-        rank_report(np.arange(12.0).reshape(3, 4), mu=0.5)
-        assert linalg_calls == {"svd": 1}
+        a = np.arange(12.0).reshape(3, 4)
+        for bound in (lambda: rank_lb_norm_ratio(a, 1, 2), lambda: rank_lb_frobenius_spectral(a),
+                      lambda: rank_lb_trace_frobenius(a.T @ a)):
+            linalg_calls.clear()
+            bound()
+            assert sum(linalg_calls.values()) == 1  # one svd, or the psd gate's one eigvalsh
+        linalg_calls.clear()
+        rank_lb_coherence(4, 0.5)
         schatten_norm(np.eye(3), 2)  # entrywise Frobenius, no SVD
-        assert linalg_calls == {"svd": 1}
+        assert linalg_calls == {}
 
     def test_extreme_scales(self):
         # the bounds are scale-free; squares and fourth powers of these values would overflow or vanish
         for scale in (1e-200, 1e-90, 1e80, 1e200):
             a = np.eye(3) * scale
-            rep = rank_report(a)
-            bounds = [rep.lb_trace_frobenius, rep.lb_frobenius_spectral, rep.lb_norm_ratio,
-                      rank_lb_trace_frobenius(a), rank_lb_frobenius_spectral(a), rank_lb_norm_ratio(a, 2, 4)]
-            assert rep.exact_rank == 3
+            bounds = [rank_lb_trace_frobenius(a), rank_lb_frobenius_spectral(a),
+                      rank_lb_norm_ratio(a, 1, 2), rank_lb_norm_ratio(a, 2, 4)]
+            assert numerical_rank(a) == 3
             assert all(abs(b - 3) < 1e-12 for b in bounds), (scale, bounds)
-
-    def test_singular_values_sorted(self):
-        rng = np.random.default_rng(10)
-        rep = rank_report(random_matrix(rng, 5, 8))
-        sv = np.array(rep.singular_values)
-        assert np.all(np.diff(sv) <= 0) and np.all(sv >= 0)
 
 
 @st.composite
@@ -373,10 +371,10 @@ def near_duplicate_atoms(draw):
 
 def assert_bounds_below_numerical_rank(a, mu=None):
     rank = numerical_rank(a)
-    rep = rank_report(a, mu=mu)
-    assert rep.exact_rank == rank
-    bounds = [rep.lb_trace_frobenius, rep.lb_frobenius_spectral, rep.lb_norm_ratio]
-    bounds += [rep.lb_coherence] if mu is not None else []
+    # trace/Frobenius on the Gram matrix A*A: psd, with the rank of A
+    bounds = [rank_lb_trace_frobenius(a.conj().T @ a), rank_lb_frobenius_spectral(a),
+              rank_lb_norm_ratio(a, 1, 2)]
+    bounds += [rank_lb_coherence(a.shape[1], mu)] if mu is not None else []
     for bound in bounds:
         # the bounds are ratios of rounded sums over every singular value,
         # including those below the rank cutoff; both add well under 1e-9
@@ -387,7 +385,7 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 
 class TestRankReportProperties:
-    """Inputs where the scale-aware rank tolerance decides the answer."""
+    """Inputs where the scale-aware rank tolerance decides the answer, for every rank_lb_* bound."""
 
     @PROPERTY_SETTINGS
     @given(low_rank_products())

@@ -65,13 +65,13 @@ class TestRankCondition:
     def test_t_equals_s_fails(self):
         d = build_spikes_sines(8)
         s_set = AtomSet.of([0, 1, 2])
-        holds, report = rank_condition(d, s_set, s_set)
-        assert not holds and report.exact_rank == 3
+        holds, rank = rank_condition(d, s_set, s_set)
+        assert not holds and rank == 3
 
     def test_disjoint_orthonormal_holds(self):
         d = build_spikes_sines(8)
-        holds, report = rank_condition(d, AtomSet.of([0, 1]), AtomSet.of([2, 3]))
-        assert holds and report.exact_rank == 4
+        holds, rank = rank_condition(d, AtomSet.of([0, 1]), AtomSet.of([2, 3]))
+        assert holds and rank == 4
 
     def test_dirac_comb_union_rank(self):
         # comb spikes vs comb sines: the two 4-dim spans meet only on the
@@ -80,9 +80,19 @@ class TestRankCondition:
         d = build_spikes_sines(16)
         spikes = AtomSet.of([0, 4, 8, 12])
         sines = AtomSet.of([16, 20, 24, 28])
-        holds, report = rank_condition(d, spikes, sines)
-        assert report.exact_rank == 7
+        holds, rank = rank_condition(d, spikes, sines)
+        assert rank == 7
         assert holds
+
+    def test_factorisations(self, linalg_calls):
+        d = build_spikes_sines(8)
+        sig = draw_generic_signal(d, AtomSet.of([0, 9]), seed=4)
+        linalg_calls.clear()
+        assert rank_condition(d, AtomSet.of([0, 9]), AtomSet.of([1, 2, 10])) == (True, 5)
+        assert linalg_calls == {"svd": 2}  # Phi_S, to certify S, and the union
+        linalg_calls.clear()
+        residual_over(d, AtomSet.of([1, 2, 10]), sig.signal)
+        assert linalg_calls == {"svd": 1}  # the range basis of Phi_T
 
 
 class TestRepresentability:
@@ -119,6 +129,14 @@ class TestRepresentability:
         sig = make_signal(d, AtomSet.of([0]), [0.0])
         with pytest.raises(ValueError):
             test_representability(d, AtomSet.of([1]), sig)
+
+    @pytest.mark.parametrize("residual,verdict", [
+        (1e-10, Verdict.REPRESENTABLE),  # the ceiling is inclusive
+        (1e-6, Verdict.INCONCLUSIVE),  # and so is the floor
+        (np.nextafter(1e-6, 1), Verdict.NOT_REPRESENTABLE),
+    ])
+    def test_classify_residual_band(self, residual, verdict):
+        assert classify_residual(residual) is verdict
 
 
 class TestEquivalenceExperiment:
@@ -165,6 +183,14 @@ class TestGapExperiment:
         assert 1.0 < near_duplicates_6_16.coherence
         rep = gap_experiment(near_duplicates_6_16, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
         assert rep.summary["n_trials"] == 1 and rep.summary["overlap_vacuous"]
+
+    def test_support_larger_than_m_rejected(self, linalg_calls):
+        d = build_spikes_sines(4)
+        linalg_calls.clear()
+        # no 5 vectors in C^4 are independent, so no S can be drawn
+        with pytest.raises(ValueError, match="exceeds m"):
+            gap_experiment(d, 5, 1, 0, pairs=1, trials_per_pair=1, seed=0)
+        assert linalg_calls == {}
 
     def test_zero_t_vacuous(self):
         d = build_spikes_sines(8)
@@ -291,3 +317,11 @@ class TestRedrawCap:
         assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": INDEPENDENCE_REDRAW_CAP}
         with pytest.raises(RedrawCapExceededError):
             gap_experiment(d, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
+
+    def test_rank_one_dictionary_raises_at_support_cap(self, linalg_calls):
+        # every atom is e1, so no S of two atoms is independent although s <= m
+        d = Dictionary(atoms=np.outer([1.0, 0.0], np.ones(5)).astype(complex), coherence=1.0, redundancy=5.0)
+        with pytest.raises(RedrawCapExceededError, match="support"):
+            _sample_support(d, 2, np.random.default_rng(0))
+        # per S draw: G[S, S] is singular, so the SVD of Phi_S follows
+        assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": INDEPENDENCE_REDRAW_CAP}
