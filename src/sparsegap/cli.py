@@ -2,7 +2,8 @@
 
 Exit status contract: 0 = all invariants held, 1 = a soundness violation
 or an INCONCLUSIVE verdict occurred, or a sampler hit its redraw cap (one
-line on stderr, no report), 2 = usage or config error.
+line on stderr, no report), 2 = usage or config error, or an output file
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from . import __version__
 from .dictionary import (
     AtomSet,
     Dictionary,
-    DictionaryError,
     build_random_tight_frame,
     build_random_unit_norm,
     build_spikes_sines,
@@ -165,24 +165,22 @@ def _run_experiment(cfg: dict, seed: int) -> ExperimentReport:
     d = _build_dictionary(cfg["dictionary"])
     name = cfg["experiment"]
     if name == "gap":
-        return gap_experiment(d, int(cfg["s"]), int(cfg["t"]), int(cfg["delta"]),
-                              int(cfg["pairs"]), int(cfg["trials_per_pair"]), seed)
+        return gap_experiment(d, cfg["s"], cfg["t"], cfg["delta"], cfg["pairs"], cfg["trials_per_pair"], seed)
     if name == "equivalence":
         s_set, t_set = AtomSet.of(cfg["s_set"]), AtomSet.of(cfg["t_set"])
         if max(s_set.indices + t_set.indices, default=-1) >= d.n_atoms:
             raise ConfigError(f"atom indices must be below the {d.n_atoms} atoms of the dictionary")
-        return equivalence_experiment(d, s_set, t_set, int(cfg["trials"]), seed)
+        return equivalence_experiment(d, s_set, t_set, cfg["trials"], seed)
     if name == "stats-sweep":
         config = SweepConfig(
-            s_values=tuple(int(s) for s in cfg["s_values"]),
-            trials_per_s=int(cfg["trials_per_s"]),
+            s_values=tuple(cfg["s_values"]),
+            trials_per_s=cfg["trials_per_s"],
             master_seed=seed,
             beta=float(cfg.get("beta", 1.0)),
             c_sparsity=float(cfg.get("c_sparsity", 1.0)),
         )
         return statistics_sweep(d, config)
-    return weak_rank_bound_experiment(d, int(cfg["s"]), int(cfg["v_size"]),
-                                      int(cfg["trials"]), seed)
+    return weak_rank_bound_experiment(d, cfg["s"], cfg["v_size"], cfg["trials"], seed)
 
 
 def _violated(report: ExperimentReport) -> bool:
@@ -212,7 +210,7 @@ def cmd_experiment(args) -> int:
     report.manifest = build_manifest(
         command_line=" ".join(args.argv),
         config={**cfg, "seed": seed},
-        provenance=report.params.get("dictionary", {}),
+        provenance=report.params["dictionary"],
         master_seed=seed,
         tool_version=__version__,
     )
@@ -267,7 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv, namespace=argparse.Namespace(argv=argv))
     try:
         return args.func(args)
-    except (DictionaryError, ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # DictionaryError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RedrawCapExceededError as exc:

@@ -117,7 +117,7 @@ class Dictionary:
         """Ascending eigenvalues of G[S, S]; True if lambda_min >= GRAM_EIG_FLOOR (sigma_min(Phi_S) >= 0.1)."""
         idx = list(atom_set.indices)
         w = np.linalg.eigvalsh(self.gram[np.ix_(idx, idx)])
-        return w, bool(w[0] >= GRAM_EIG_FLOOR)
+        return w, bool(not w.size or w[0] >= GRAM_EIG_FLOOR)  # vacuously True for an empty S
 
     def max_cross_sq(self, atom_set: AtomSet) -> float:
         """max_{v not in S} ||Phi_S* phi_v||^2 (0 if there is no v), from column sums of |G[S, :]|^2."""
@@ -138,24 +138,6 @@ def _max_off_diagonal(gram: np.ndarray) -> float:
     off = np.abs(gram)
     np.fill_diagonal(off, 0.0)
     return float(off.max())
-
-
-def coherence(atoms_or_dict) -> float:
-    """Maximum off-diagonal Gram magnitude, computed exactly.
-
-    Accepts a Dictionary or a raw (m, N) array with N >= 2 unit-norm columns.
-    """
-    atoms = atoms_or_dict.atoms if isinstance(atoms_or_dict, Dictionary) else np.asarray(atoms_or_dict)
-    if atoms.shape[1] < 2:
-        raise DictionaryError("coherence needs at least two atoms")
-    return _max_off_diagonal(_gram(atoms))
-
-
-def redundancy(atoms_or_dict) -> float:
-    """Squared spectral norm of the dictionary matrix."""
-    atoms = atoms_or_dict.atoms if isinstance(atoms_or_dict, Dictionary) else np.asarray(atoms_or_dict)
-    smax = np.linalg.svd(atoms, compute_uv=False)[0]
-    return float(smax**2)
 
 
 def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:

@@ -20,7 +20,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -42,8 +42,8 @@ class ExperimentReport:
     params: dict
     master_seed: int
     columns: tuple[str, ...]
-    trials: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    trials: list
+    summary: dict
     manifest: Optional[dict] = None
 
     def to_json(self) -> str:

@@ -122,7 +122,7 @@ def statistics_sweep(d: Dictionary, config: SweepConfig) -> ExperimentReport:
         )
         per_s[str(s)] = stats
     weak = is_weakly_incoherent(d, config.c_sparsity)
-    rep = ExperimentReport(
+    return ExperimentReport(
         kind="stats-sweep",
         params={"s_values": list(config.s_values), "trials_per_s": config.trials_per_s,
                 "beta": config.beta, "c_sparsity": config.c_sparsity,
@@ -131,15 +131,14 @@ def statistics_sweep(d: Dictionary, config: SweepConfig) -> ExperimentReport:
         columns=("s", "trial", "max_cross_correlation", "gram_deviation",
                  "pinv_norm", "cross_gate_ok", "pinv_gate_ok"),
         trials=rows,
+        summary={
+            "per_s": per_s,
+            "in_regime_s_values": list(config.in_regime(d.m, n)),
+            "weakly_incoherent": weak.passed,
+            "cross_gate": CROSS_GATE,
+            "pinv_gate": PINV_GATE,
+        },
     )
-    rep.summary = {
-        "per_s": per_s,
-        "in_regime_s_values": list(config.in_regime(d.m, n)),
-        "weakly_incoherent": weak.passed,
-        "cross_gate": CROSS_GATE,
-        "pinv_gate": PINV_GATE,
-    }
-    return rep
 
 
 def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
@@ -180,7 +179,7 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
             "violates_gate_derived": rank < bound_gate_derived - 1e-9,
         })
     gated = [r for r in rows if r["gated"]]
-    rep = ExperimentReport(
+    return ExperimentReport(
         kind="weak-rank",
         params={"s": s, "v_size": v_size, "trials": trials, "dictionary": d.provenance},
         master_seed=seed,
@@ -188,14 +187,13 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
                  "max_cross_correlation", "pinv_norm", "violates_stated",
                  "violates_gate_derived"),
         trials=rows,
+        summary={
+            "bound_stated": bound_stated,
+            "bound_gate_derived": bound_gate_derived,
+            "n_gated": len(gated),
+            "gated_violations_stated": sum(r["violates_stated"] for r in gated),
+            "gated_violations_gate_derived": sum(r["violates_gate_derived"] for r in gated),
+            "all_violations_stated": sum(r["violates_stated"] for r in rows),
+            "all_violations_gate_derived": sum(r["violates_gate_derived"] for r in rows),
+        },
     )
-    rep.summary = {
-        "bound_stated": bound_stated,
-        "bound_gate_derived": bound_gate_derived,
-        "n_gated": len(gated),
-        "gated_violations_stated": sum(r["violates_stated"] for r in gated),
-        "gated_violations_gate_derived": sum(r["violates_gate_derived"] for r in gated),
-        "all_violations_stated": sum(r["violates_stated"] for r in rows),
-        "all_violations_gate_derived": sum(r["violates_gate_derived"] for r in rows),
-    }
-    return rep

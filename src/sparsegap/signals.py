@@ -6,9 +6,9 @@ decided numerically through the relative least-squares residual of u
 against range(Phi_T), with a two-threshold verdict policy: residuals at
 or below the ceiling count as representable, residuals above the floor
 as not representable, anything in between as inconclusive.  Experiments
-return a ``manifest.ExperimentReport``; ``equivalence`` takes range(Phi_T) from
-``rank_bounds.range_basis``, ``gap`` from a QR factor once Gram-block eigenvalues
-certify the pair (SVDs below ``dictionary.GRAM_EIG_FLOOR``; see ``_sample_overlapping``).
+return a ``manifest.ExperimentReport``; both decide a pair (S, T) with ``_pair_range``:
+a QR factor of Phi_T once Gram-block eigenvalues certify S u T, SVDs below
+``dictionary.GRAM_EIG_FLOOR``.  The SVD functions here are reference code for the tests.
 """
 
 from __future__ import annotations
@@ -138,26 +138,36 @@ def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
     )
 
 
+def _pair_range(d: Dictionary, s_set: AtomSet,
+                t_set: AtomSet) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """An orthonormal basis of range(Phi_T), rank(Phi_R) for R = S u T, and Phi_T's singular values.
+
+    A G[R, R] above the floor gives a QR basis and rank |R| without an SVD (and None for the
+    values: cond(Phi_T) <= sqrt(|T| / floor) by interlacing); else range_basis and numerical_rank.
+    """
+    union = s_set.union(t_set)
+    phi_t = d.subdictionary(t_set)
+    if d.gram_eigvalsh(union)[1]:
+        return np.linalg.qr(phi_t)[0], len(union), None
+    basis, sv_t = range_basis(phi_t)
+    return basis, numerical_rank(d.subdictionary(union)), sv_t
+
+
 def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
                         rng: np.random.Generator) -> tuple[AtomSet, np.ndarray, int, int]:
     """T = delta atoms of S plus t - delta atoms of the complement.
 
-    Redraws T while cond(Phi_T) exceeds the cap; returns T, an orthonormal basis of
-    range(Phi_T), the redraw count and rank(Phi_R), R = S u T.  A G[R, R] above the
-    floor gives all three without an SVD: a QR basis, cond(Phi_T) <= sqrt(t / floor)
-    by interlacing, and rank |R|; otherwise they come from SVDs of Phi_T and Phi_R.
+    Redraws T while cond(Phi_T) exceeds the cap; returns T, the basis of
+    range(Phi_T), the redraw count and rank(Phi_{S u T}) from _pair_range.
     """
     comp = d.complement(s_set)
     for redraws in range(INDEPENDENCE_REDRAW_CAP):
         inside = rng.choice(s_set.indices, size=delta, replace=False) if delta else np.empty(0, int)
         outside = rng.choice(comp, size=t - delta, replace=False) if t - delta else np.empty(0, int)
         t_set = AtomSet.of(np.concatenate([inside, outside]))
-        union = s_set.union(t_set)
-        if d.gram_eigvalsh(union)[1]:
-            return t_set, np.linalg.qr(d.subdictionary(t_set))[0], redraws, len(union)
-        basis, sv = range_basis(d.subdictionary(t_set))
-        if sv[-1] > 0 and sv[0] / sv[-1] <= CONDITION_CAP:
-            return t_set, basis, redraws, numerical_rank(d.subdictionary(union))
+        basis, rank_union, sv_t = _pair_range(d, s_set, t_set)
+        if sv_t is None or (sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP):
+            return t_set, basis, redraws, rank_union
     raise RedrawCapExceededError(
         f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g} found in "
         f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})"
@@ -186,9 +196,10 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
     means every residual stays at or below the ceiling.  Trial i draws
     from the stream [seed, i].
     """
-    holds, rank_union = rank_condition(d, s_set, t_set)
-    basis, _ = range_basis(d.subdictionary(t_set))
-    rank_t = basis.shape[1]
+    basis, rank_union, sv_t = _pair_range(d, s_set, t_set)
+    if sv_t is not None or not len(s_set):  # no Gram block certified S, or S is empty
+        _independent_subdictionary(d, s_set)
+    holds, rank_t = len(t_set) < rank_union, basis.shape[1]
     containment = rank_union == rank_t
     residuals = _trial_residuals(d, s_set, basis, [[seed, i] for i in range(trials)])
     rows = [{"trial": i, "residual": res, "verdict": classify_residual(res).value}
@@ -196,7 +207,7 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
     verdicts = [r["verdict"] for r in rows]
     sound = (not holds) or all(v == Verdict.NOT_REPRESENTABLE.value for v in verdicts)
     complete = (not containment) or all(v == Verdict.REPRESENTABLE.value for v in verdicts)
-    rep = ExperimentReport(
+    return ExperimentReport(
         kind="equivalence",
         params={"s_set": list(s_set.indices), "t_set": list(t_set.indices),
                 "trials": trials, "ceiling": RESIDUAL_CEILING, "floor": RESIDUAL_FLOOR,
@@ -204,18 +215,17 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
         master_seed=seed,
         columns=("trial", "residual", "verdict"),
         trials=rows,
+        summary={
+            "rank_condition_holds": holds,
+            "rank_union": rank_union,
+            "rank_t": rank_t,
+            "range_containment": containment,
+            "sound": sound,
+            "complete": complete,
+            "consistent": sound and complete,
+            "n_inconclusive": verdicts.count(Verdict.INCONCLUSIVE.value),
+        },
     )
-    rep.summary = {
-        "rank_condition_holds": holds,
-        "rank_union": rank_union,
-        "rank_t": rank_t,
-        "range_containment": containment,
-        "sound": sound,
-        "complete": complete,
-        "consistent": sound and complete,
-        "n_inconclusive": verdicts.count(Verdict.INCONCLUSIVE.value),
-    }
-    return rep
 
 
 def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
@@ -259,7 +269,7 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     violations = sum(1 for r in rows
                      if r["predicted_blocked"] and r["verdict"] == Verdict.REPRESENTABLE.value)
     inconclusive = sum(1 for r in rows if r["verdict"] == Verdict.INCONCLUSIVE.value)
-    rep = ExperimentReport(
+    return ExperimentReport(
         kind="gap",
         params={"s": s, "t": t, "delta": delta, "pairs": pairs,
                 "trials_per_pair": trials_per_pair, "ceiling": RESIDUAL_CEILING, "floor": RESIDUAL_FLOOR,
@@ -268,15 +278,14 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
         columns=("pair", "trial", "residual", "verdict", "rank_condition",
                  "predicted_blocked", "t_redraws"),
         trials=rows,
+        summary={
+            "overlap_rhs": decision.rhs if decision else None,
+            "overlap_vacuous": decision.vacuous if decision else None,
+            "predicted_blocked": predicted_blocked,
+            "violations": violations,
+            "n_inconclusive": inconclusive,
+            "n_trials": len(rows),
+            "rank_condition_failures": rank_condition_failures,
+            "t_redraws_total": t_redraws_total,
+        },
     )
-    rep.summary = {
-        "overlap_rhs": decision.rhs if decision else None,
-        "overlap_vacuous": decision.vacuous if decision else None,
-        "predicted_blocked": predicted_blocked,
-        "violations": violations,
-        "n_inconclusive": inconclusive,
-        "n_trials": len(rows),
-        "rank_condition_failures": rank_condition_failures,
-        "t_redraws_total": t_redraws_total,
-    }
-    return rep

@@ -12,6 +12,12 @@ from sparsegap.dictionary import _finalize, build_random_tight_frame
 FACTORIZATIONS = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "cholesky")
 
 
+def gram_coherence(atoms):
+    """max |G - diag(diag(G))|: the reference coherence of any atom array, valid dictionary or not."""
+    gram = atoms.conj().T @ atoms
+    return float(np.abs(gram - np.diag(np.diag(gram))).max())
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Counter of numpy.linalg factorisation calls by name, from here on."""

@@ -345,6 +345,14 @@ class TestExperimentCommand:
         assert code == 1
         assert json.loads(stdout)["summary"]["n_inconclusive"] == 5
 
+    def test_empty_support_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "equivalence", "dictionary": {"kind": "spikes-sines", "m": 8},
+                                    "s_set": [], "t_set": [2, 3], "trials": 2}))
+        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_zero_t_is_accepted(self, gap_config, capsys):
         cfg = json.loads(gap_config.read_text())
         gap_config.write_text(json.dumps({**cfg, "t": 0}))
@@ -378,3 +386,17 @@ class TestExperimentCommand:
         assert code == 0
         report = json.loads(stdout)
         assert set(report["summary"]["per_s"]) == {"1", "2"}
+
+
+@pytest.mark.parametrize("command", ["experiment", "bounds", "dict"])
+def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "gap", "dictionary": {"kind": "spikes-sines", "m": 8},
+                               "s": 2, "t": 2, "delta": 0, "pairs": 1, "trials_per_pair": 1}))
+    out = str(tmp_path / "missing" / "out")  # its directory does not exist
+    argv = {"experiment": ["experiment", "--config", str(cfg), "--out", out],
+            "bounds": ["bounds", "--mu", "0.25", "--m", "16", "--n-atoms", "32", "--s-max", "4", "--out", out],
+            "dict": ["dict", "--kind", "spikes-sines", "--m", "4", "--out", out]}[command]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gram_coherence
 from sparsegap.dictionary import (
     TIGHTNESS_TOL,
     AtomSet,
@@ -16,10 +17,8 @@ from sparsegap.dictionary import (
     build_random_tight_frame,
     build_random_unit_norm,
     build_spikes_sines,
-    coherence,
     is_weakly_incoherent,
     load_dictionary,
-    redundancy,
     _finalize,
     save_dictionary,
     welch_lower_bound,
@@ -163,8 +162,7 @@ class TestRandomTightFrame:
 
 class TestMetrics:
     def test_orthonormal_coherence_zero(self):
-        atoms = np.eye(6, dtype=complex)
-        assert coherence(atoms) == 0.0
+        assert _finalize(np.eye(6, dtype=complex), {}).coherence == 0.0
 
     def test_spikes_sines_m9(self):
         assert abs(build_spikes_sines(9).coherence - 1 / 3) < 1e-12
@@ -172,13 +170,13 @@ class TestMetrics:
     def test_duplicate_atom_coherence_one(self):
         v = np.ones(4, dtype=complex) / 2
         atoms = np.stack([v, v], axis=1)
-        assert abs(coherence(atoms) - 1.0) < 1e-14
+        assert abs(gram_coherence(atoms) - 1.0) < 1e-14
 
     def test_orthonormal_redundancy_one(self):
-        assert abs(redundancy(np.eye(5, dtype=complex)) - 1.0) < 1e-12
+        assert abs(_finalize(np.eye(5, dtype=complex), {}).redundancy - 1.0) < 1e-12
 
     def test_spikes_sines_redundancy(self):
-        assert abs(redundancy(build_spikes_sines(8)) - 2.0) < 1e-10
+        assert abs(build_spikes_sines(8).redundancy - 2.0) < 1e-10
 
     def test_random_redundancy_at_least_ratio(self):
         d = build_random_unit_norm(8, 16, seed=3)
@@ -193,9 +191,9 @@ class TestMetrics:
         d = build_random_unit_norm(8, 16, seed=4)
         rng = np.random.default_rng(0)
         phases = np.exp(2j * np.pi * rng.random(16))
-        scaled = d.atoms * phases
-        assert abs(coherence(scaled) - d.coherence) < 1e-12
-        assert abs(redundancy(scaled) - d.redundancy) < 1e-10
+        scaled = _finalize(d.atoms * phases, {})
+        assert abs(scaled.coherence - d.coherence) < 1e-12
+        assert abs(scaled.redundancy - d.redundancy) < 1e-10
 
     def test_complement_lists_the_other_atoms(self):
         d = build_spikes_sines(8)
@@ -211,12 +209,6 @@ class TestMetrics:
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
-def gram_coherence(atoms):
-    """max |G - diag(diag(G))|, the coherence formula the one-Gram helper replaced."""
-    gram = atoms.conj().T @ atoms
-    return float(np.abs(gram - np.diag(np.diag(gram))).max())
 
 
 @st.composite
@@ -246,7 +238,6 @@ class TestOneGram:
     @given(finalized_dictionaries())
     def test_coherence_matches_the_gram_formula(self, d):
         assert d.coherence == gram_coherence(d.atoms)
-        assert coherence(d.atoms) == d.coherence
         assert "gram" in vars(d)
         assert np.array_equal(d.gram, d.atoms.conj().T @ d.atoms)
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import gram_coherence
 from sparsegap.dictionary import (
     AtomSet,
     Dictionary,
     build_random_tight_frame,
     build_random_unit_norm,
     build_spikes_sines,
-    coherence,
 )
 from sparsegap.rank_bounds import (
     DependentSetError,
@@ -141,7 +141,7 @@ class TestCoherenceBound:
     def test_repeated_atom_coherence_rounding_above_one(self):
         v = np.array([0.1 + 0.1j, 0.1 - 0.7j])
         atoms = np.stack([v, v], axis=1) / np.linalg.norm(v)
-        mu = coherence(atoms)
+        mu = gram_coherence(atoms)
         assert mu > 1.0  # rounding: 1 + 2.2e-16
         assert rank_lb_coherence(2, mu) <= numerical_rank(atoms) == 1
         with pytest.raises(ValueError):
@@ -404,7 +404,7 @@ class TestRankReportProperties:
     @PROPERTY_SETTINGS
     @given(near_duplicate_atoms())
     def test_near_duplicate_atoms(self, atoms):
-        assert_bounds_below_numerical_rank(atoms, mu=coherence(atoms))
+        assert_bounds_below_numerical_rank(atoms, mu=gram_coherence(atoms))
 
 
 def as_dictionary(atoms):

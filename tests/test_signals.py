@@ -8,8 +8,10 @@ from sparsegap.dictionary import (
     AtomSet,
     Dictionary,
     build_random_tight_frame,
+    build_random_unit_norm,
     build_spikes_sines,
 )
+from sparsegap import signals
 from sparsegap.rank_bounds import DependentSetError, numerical_rank
 from sparsegap.signals import (
     INDEPENDENCE_REDRAW_CAP,
@@ -255,13 +257,20 @@ class TestEngineMatchesReference:
         if delta == s:
             assert all(r["verdict"] == "REPRESENTABLE" for r in rep.trials)
 
-    @pytest.mark.parametrize("kind", ["spikes-sines", "tight"])
+    @pytest.mark.parametrize("kind", ["spikes-sines", "tight", "near-duplicates"])
     @pytest.mark.parametrize("t_indices", [[5, 6, 7], [1, 2, 9], [0, 1, 2, 3]])
-    def test_equivalence_rows(self, kind, t_indices, tight_24_64):
-        d = build_spikes_sines(16) if kind == "spikes-sines" else tight_24_64
+    def test_equivalence_rows(self, kind, t_indices, tight_24_64, near_duplicates_6_16):
+        d = {"spikes-sines": build_spikes_sines(16), "tight": tight_24_64,
+             "near-duplicates": near_duplicates_6_16}[kind]
         s_set, t_set = AtomSet.of([0, 1, 2]), AtomSet.of(t_indices)
         rep = equivalence_experiment(d, s_set, t_set, trials=8, seed=19)
         assert rep.summary["rank_t"] == numerical_rank(d.subdictionary(t_set))
+        holds, rank_union = rank_condition(d, s_set, t_set)
+        assert (rep.summary["rank_condition_holds"], rep.summary["rank_union"]) == (holds, rank_union)
+        idx = list(s_set.union(t_set).indices)
+        below_floor = np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])[0] < GRAM_EIG_FLOOR
+        # the SVD path runs only where T holds atom 9 of the near duplicates, atom 1's twin
+        assert below_floor == (kind == "near-duplicates" and 9 in t_indices)
         assert_rows_match_reference(d, rep.trials, lambda r: (s_set, t_set),
                                     lambda r: [19, r["trial"]])
 
@@ -303,6 +312,51 @@ class TestEngineMatchesReference:
         assert linalg_calls == {"eigvalsh": 2 * 7, "qr": 7}
 
 
+@pytest.fixture(params=["spikes-sines", "random-unit", "near-duplicates"])
+def engine_pair(request, near_duplicates_6_16):
+    """(d, S, T, whether G[S u T, S u T] passes the floor): the two equivalence golden
+    pairs and a near-duplicate pair whose T holds atom 0's twin."""
+    if request.param == "spikes-sines":
+        return build_spikes_sines(16), AtomSet.of([0, 5, 9]), AtomSet.of([16, 20, 27]), True
+    if request.param == "random-unit":  # lambda_min of the union's Gram block is 6.2e-3
+        return build_random_unit_norm(6, 12, seed=4), AtomSet.of([1, 2, 3]), AtomSet.of([3, 7, 10, 11]), False
+    return near_duplicates_6_16, AtomSet.of([0, 1]), AtomSet.of([2, 8]), False
+
+
+class TestSingleEngine:
+    """gap and equivalence decide a pair with _pair_range, never with the reference functions."""
+
+    def test_experiments_skip_reference_functions(self, engine_pair, monkeypatch):
+        d, s_set, t_set, _ = engine_pair
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an experiment called a reference function")
+
+        for name in ("rank_condition", "residual_over", "draw_generic_signal", "test_representability"):
+            monkeypatch.setattr(signals, name, forbidden)
+        rep = equivalence_experiment(d, s_set, t_set, trials=3, seed=0)
+        assert rep.summary["consistent"]
+        rep = gap_experiment(d, len(s_set), len(t_set), s_set.overlap(t_set), pairs=3, trials_per_pair=2, seed=0)
+        assert rep.summary["n_trials"] == 6
+
+    def test_equivalence_factorisations(self, engine_pair, linalg_calls):
+        d, s_set, t_set, certified = engine_pair
+        idx = list(s_set.union(t_set).indices)
+        assert (np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])[0] >= GRAM_EIG_FLOOR) == certified
+        linalg_calls.clear()
+        equivalence_experiment(d, s_set, t_set, trials=4, seed=0)
+        # certified: eigvalsh of G[S u T, S u T] and the QR of Phi_T; otherwise the SVDs
+        # of Phi_T, Phi_{S u T} and Phi_S (to certify S) follow the eigvalsh
+        assert linalg_calls == ({"eigvalsh": 1, "qr": 1} if certified else {"eigvalsh": 1, "svd": 3})
+
+    @pytest.mark.parametrize("t_indices", [[2, 3], []])
+    def test_empty_support_rejected(self, t_indices):
+        d = build_spikes_sines(8)
+        assert d.gram_eigvalsh(AtomSet.of(t_indices))[1]  # G[T, T] passes the floor
+        with pytest.raises(DependentSetError):
+            equivalence_experiment(d, AtomSet.of([]), AtomSet.of(t_indices), trials=1, seed=0)
+
+
 class TestRedrawCap:
     def test_parallel_complement_raises_at_cap(self, linalg_calls):
         # S = {e1, e2}; the complement holds three copies of e2, so every T
@@ -313,8 +367,8 @@ class TestRedrawCap:
         d = Dictionary(atoms=atoms, coherence=1.0, redundancy=4.0)
         with pytest.raises(RedrawCapExceededError):
             _sample_overlapping(d, AtomSet.of([0, 1]), 2, 0, np.random.default_rng(0))
-        # per T draw: the Gram block of S u T is singular, so T's SVD follows
-        assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": INDEPENDENCE_REDRAW_CAP}
+        # per T draw: the Gram block of S u T is singular, so the SVDs of Phi_T and Phi_{S u T} follow
+        assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": 2 * INDEPENDENCE_REDRAW_CAP}
         with pytest.raises(RedrawCapExceededError):
             gap_experiment(d, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
 
