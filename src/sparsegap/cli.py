@@ -103,9 +103,10 @@ def cmd_dict(args) -> int:
     d = _build_dictionary({
         "kind": args.kind, "m": args.m, "n_atoms": args.n_atoms, "seed": args.seed,
     })
+    if args.out:  # saved first, so a failed save prints no metrics
+        save_dictionary(d, args.out)
     _print_metrics(d, args.c)
     if args.out:
-        save_dictionary(d, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 

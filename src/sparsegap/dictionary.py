@@ -293,15 +293,16 @@ def save_dictionary(d: Dictionary, path) -> None:
     """Write metadata JSON at ``path`` and the matrix payload at ``path + '.bin'``.
 
     Payload layout: for each column, for each row, the real then the
-    imaginary part as little-endian float64 (column-major, interleaved).
+    imaginary part as little-endian float64 (column-major, interleaved).  A
+    failed metadata write removes the payload again.
     """
     path = Path(path)
-    payload_name = path.name + ".bin"
+    payload = path.parent / (path.name + ".bin")
     flat = d.atoms.flatten(order="F")
     buf = np.empty(2 * flat.size, dtype="<f8")
     buf[0::2] = flat.real
     buf[1::2] = flat.imag
-    (path.parent / payload_name).write_bytes(buf.tobytes())
+    payload.write_bytes(buf.tobytes())
     meta = {
         "format": FORMAT_VERSION,
         "m": d.m,
@@ -309,9 +310,13 @@ def save_dictionary(d: Dictionary, path) -> None:
         "provenance": d.provenance,
         "coherence": d.coherence,
         "redundancy": d.redundancy,
-        "payload": payload_name,
+        "payload": payload.name,
     }
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    try:
+        path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    except OSError:
+        payload.unlink()
+        raise
 
 
 def load_dictionary(path) -> Dictionary:

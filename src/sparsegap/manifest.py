@@ -27,10 +27,9 @@ from typing import Optional
 def csv_text(rows: list[dict], columns) -> str:
     """CSV with a header of ``columns`` and one line per row (missing keys empty)."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k) for k in columns})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row.get(k) for k in columns] for row in rows)
     return buf.getvalue()
 
 

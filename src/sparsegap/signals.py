@@ -6,9 +6,9 @@ decided numerically through the relative least-squares residual of u
 against range(Phi_T), with a two-threshold verdict policy: residuals at
 or below the ceiling count as representable, residuals above the floor
 as not representable, anything in between as inconclusive.  Experiments
-return a ``manifest.ExperimentReport``; both decide a pair (S, T) with ``_pair_range``:
-a QR factor of Phi_T once Gram-block eigenvalues certify S u T, SVDs below
-``dictionary.GRAM_EIG_FLOOR``.  The SVD functions here are reference code for the tests.
+return a ``manifest.ExperimentReport``; both decide a pair (S, T) with ``_pair_range``: a Cholesky
+factor of G[S u T, S u T] once its eigenvalues pass ``dictionary.GRAM_EIG_FLOOR``, SVDs
+below it.  The SVD functions here are reference code for the tests.
 """
 
 from __future__ import annotations
@@ -139,52 +139,57 @@ def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
 
 
 def _pair_range(d: Dictionary, s_set: AtomSet,
-                t_set: AtomSet) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
-    """An orthonormal basis of range(Phi_T), rank(Phi_R) for R = S u T, and Phi_T's singular values.
+                t_set: AtomSet) -> tuple[np.ndarray, int, int, Optional[np.ndarray]]:
+    """W with ||W x|| = ||(I - P_T) Phi_S x||, rank(Phi_R) for R = S u T, rank(Phi_T), Phi_T's singular values.
 
-    A G[R, R] above the floor gives a QR basis and rank |R| without an SVD (and None for the
-    values: cond(Phi_T) <= sqrt(|T| / floor) by interlacing); else range_basis and numerical_rank.
+    A G[R, R] above the floor is Cholesky-factored in the order (T, X), X = S minus T: its trailing
+    block has L22 L22* = G_XX - G_XT G_TT^-1 G_TX, so W is L22* on X's entries of x (no rows if S is
+    in T), the ranks are |R| and |T|, and the values None (cond(Phi_T) <= sqrt(|T| / floor) by
+    interlacing).  Else W = Phi_S - Q (Q* Phi_S), Q the range_basis of Phi_T, and numerical_rank.
     """
     union = s_set.union(t_set)
-    phi_t = d.subdictionary(t_set)
     if d.gram_eigvalsh(union)[1]:
-        return np.linalg.qr(phi_t)[0], len(union), None
-    basis, sv_t = range_basis(phi_t)
-    return basis, numerical_rank(d.subdictionary(union)), sv_t
+        x_pos = [k for k, i in enumerate(s_set.indices) if i not in t_set.indices]
+        idx = list(t_set.indices) + [s_set.indices[k] for k in x_pos]
+        w = np.zeros((len(x_pos), len(s_set)), dtype=np.complex128)
+        w[:, x_pos] = np.linalg.cholesky(d.gram[np.ix_(idx, idx)])[len(t_set):, len(t_set):].conj().T
+        return w, len(union), len(t_set), None
+    phi_s, (q, sv_t) = d.subdictionary(s_set), range_basis(d.subdictionary(t_set))
+    return phi_s - q @ (q.conj().T @ phi_s), numerical_rank(d.subdictionary(union)), q.shape[1], sv_t
 
 
 def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
                         rng: np.random.Generator) -> tuple[AtomSet, np.ndarray, int, int]:
     """T = delta atoms of S plus t - delta atoms of the complement.
 
-    Redraws T while cond(Phi_T) exceeds the cap; returns T, the basis of
-    range(Phi_T), the redraw count and rank(Phi_{S u T}) from _pair_range.
+    Redraws T while cond(Phi_T) exceeds the cap; returns T, the residual
+    operator W, the redraw count and rank(Phi_{S u T}) from _pair_range.
     """
     comp = d.complement(s_set)
     for redraws in range(INDEPENDENCE_REDRAW_CAP):
         inside = rng.choice(s_set.indices, size=delta, replace=False) if delta else np.empty(0, int)
         outside = rng.choice(comp, size=t - delta, replace=False) if t - delta else np.empty(0, int)
         t_set = AtomSet.of(np.concatenate([inside, outside]))
-        basis, rank_union, sv_t = _pair_range(d, s_set, t_set)
+        w, rank_union, _, sv_t = _pair_range(d, s_set, t_set)
         if sv_t is None or (sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP):
-            return t_set, basis, redraws, rank_union
+            return t_set, w, redraws, rank_union
     raise RedrawCapExceededError(
         f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g} found in "
         f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})"
     )
 
 
-def _trial_residuals(d: Dictionary, s_set: AtomSet, basis: np.ndarray, streams: list) -> list[float]:
-    """residual_over of draw_generic_signal(d, s_set, st) for each stream st, batched.
+def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams: list) -> list[float]:
+    """||W x|| / ||Phi_S x|| with W from _pair_range and x drawn as draw_generic_signal(d, s_set, st) does.
 
-    Equal up to rounding; S must already be known to be linearly independent.
+    residual_over up to rounding (0.0 if W has no rows); S must already be known to be independent.
     """
     x = np.array([_complex_gaussian(np.random.default_rng(st), len(s_set)) for st in streams])
-    u = d.subdictionary(s_set) @ x.reshape(len(streams), len(s_set)).T
-    norm_u = np.linalg.norm(u, axis=0)
+    x = x.reshape(len(streams), len(s_set)).T
+    norm_u = np.linalg.norm(d.subdictionary(s_set) @ x, axis=0)
     if not norm_u.all():
         raise ValueError("zero signal has no meaningful residual")
-    return (np.linalg.norm(u - basis @ (basis.conj().T @ u), axis=0) / norm_u).tolist()
+    return (np.linalg.norm(w @ x, axis=0) / norm_u).tolist()
 
 
 def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
@@ -196,12 +201,12 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
     means every residual stays at or below the ceiling.  Trial i draws
     from the stream [seed, i].
     """
-    basis, rank_union, sv_t = _pair_range(d, s_set, t_set)
+    w, rank_union, rank_t, sv_t = _pair_range(d, s_set, t_set)
     if sv_t is not None or not len(s_set):  # no Gram block certified S, or S is empty
         _independent_subdictionary(d, s_set)
-    holds, rank_t = len(t_set) < rank_union, basis.shape[1]
+    holds = len(t_set) < rank_union
     containment = rank_union == rank_t
-    residuals = _trial_residuals(d, s_set, basis, [[seed, i] for i in range(trials)])
+    residuals = _trial_residuals(d, s_set, w, [[seed, i] for i in range(trials)])
     rows = [{"trial": i, "residual": res, "verdict": classify_residual(res).value}
             for i, res in enumerate(residuals)]
     verdicts = [r["verdict"] for r in rows]
@@ -251,11 +256,11 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
         rng = np.random.default_rng([seed, p])
         s_set = _sample_support(d, s, rng)
         # rank_condition without re-certifying S, which _sample_support just did
-        t_set, basis, redraws, rank_union = _sample_overlapping(d, s_set, t, delta, rng)
+        t_set, w, redraws, rank_union = _sample_overlapping(d, s_set, t, delta, rng)
         holds = t < rank_union
         rank_condition_failures += not holds
         t_redraws_total += redraws
-        residuals = _trial_residuals(d, s_set, basis, [[seed, p, i] for i in range(trials_per_pair)])
+        residuals = _trial_residuals(d, s_set, w, [[seed, p, i] for i in range(trials_per_pair)])
         rows += [{
             "pair": p,
             "trial": i,

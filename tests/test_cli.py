@@ -400,3 +400,12 @@ def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_failed_dict_save_leaves_nothing(tmp_path, capsys):
+    out = tmp_path / "dd"
+    out.mkdir()  # the metadata path is a directory, so only the payload could be written
+    code, stdout, err = run(["dict", "--kind", "spikes-sines", "--m", "4", "--out", str(out)], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dd"]

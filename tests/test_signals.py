@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ class TestEngineMatchesReference:
             linalg_calls.clear()
             gap_experiment(d, 4, 4, 1, pairs=3, trials_per_pair=trials, seed=10)
             counts.append(sum(linalg_calls.values()))
-        # per pair: eigvalsh of the Gram blocks of S and of S u T, QR of Phi_T
+        # per pair: eigvalsh of the Gram blocks of S and of S u T, Cholesky of the latter
         assert counts == [3 * 3, 3 * 3]
 
     def test_gap_rank_condition_matches_reference(self, tight_24_64, near_duplicates_6_16):
@@ -309,7 +310,38 @@ class TestEngineMatchesReference:
     def test_factorisation_budget_per_pair(self, tight_24_64, linalg_calls):
         # every Gram block passes the floor here, so no pair needs an SVD
         gap_experiment(tight_24_64, 4, 6, 2, pairs=7, trials_per_pair=3, seed=31)
-        assert linalg_calls == {"eigvalsh": 2 * 7, "qr": 7}
+        assert linalg_calls == {"eigvalsh": 2 * 7, "cholesky": 7}
+
+
+class TestCertifiedResidual:
+    """A certified pair's residual ||L22* x_X|| / ||u||, X = S minus T, from the Cholesky factor of
+    G[R, R] (R = S u T), against residual_over and the interval its Schur complement block allows."""
+
+    @pytest.mark.parametrize("kind", ["spikes-sines", "tight-24-64", "tight-12-40"])
+    @pytest.mark.parametrize("s,t,delta", [(4, 6, 0), (3, 3, 0), (5, 6, 3), (6, 3, 2), (4, 6, 4), (3, 3, 3)])
+    def test_residual_matches_reference_inside_schur_interval(self, kind, s, t, delta, tight_24_64):
+        d = {"spikes-sines": build_spikes_sines(16), "tight-24-64": tight_24_64,
+             "tight-12-40": build_random_tight_frame(12, 40, seed=5)}[kind]
+        rep = gap_experiment(d, s, t, delta, pairs=4, trials_per_pair=3, seed=41)
+        for row in rep.trials:
+            rng = np.random.default_rng([41, row["pair"]])
+            s_set = _sample_support(d, s, rng)
+            t_set = _sample_overlapping(d, s_set, t, delta, rng)[0]
+            idx = list(s_set.union(t_set).indices)
+            lam = np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])
+            assert lam[0] >= GRAM_EIG_FLOOR  # the Cholesky path decided this pair
+            sig = draw_generic_signal(d, s_set, [41, row["pair"], row["trial"]])
+            res = row["residual"]
+            if delta == s:  # X is empty: no rows to project, so no rounding either
+                assert res == 0.0
+                continue
+            ref = residual_over(d, t_set, sig.signal)
+            assert abs(res - ref) <= 1e-13 * ref
+            # ||u||^2 r^2 = x_X* C x_X with C the Schur complement of G[T, T] in G[R, R],
+            # whose eigenvalues lie in [lambda_min, lambda_max] of G[R, R]
+            in_x = [i not in t_set.indices for i in s_set.indices]
+            ratio = np.linalg.norm(sig.coefficients[in_x]) / np.linalg.norm(sig.signal)
+            assert math.sqrt(lam[0]) * ratio * (1 - 1e-12) <= res <= math.sqrt(lam[-1]) * ratio * (1 + 1e-12)
 
 
 @pytest.fixture(params=["spikes-sines", "random-unit", "near-duplicates"])
@@ -345,9 +377,9 @@ class TestSingleEngine:
         assert (np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])[0] >= GRAM_EIG_FLOOR) == certified
         linalg_calls.clear()
         equivalence_experiment(d, s_set, t_set, trials=4, seed=0)
-        # certified: eigvalsh of G[S u T, S u T] and the QR of Phi_T; otherwise the SVDs
+        # certified: eigvalsh and Cholesky of G[S u T, S u T]; otherwise the SVDs
         # of Phi_T, Phi_{S u T} and Phi_S (to certify S) follow the eigvalsh
-        assert linalg_calls == ({"eigvalsh": 1, "qr": 1} if certified else {"eigvalsh": 1, "svd": 3})
+        assert linalg_calls == ({"eigvalsh": 1, "cholesky": 1} if certified else {"eigvalsh": 1, "svd": 3})
 
     @pytest.mark.parametrize("t_indices", [[2, 3], []])
     def test_empty_support_rejected(self, t_indices):
