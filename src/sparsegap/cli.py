@@ -203,6 +203,8 @@ def cmd_experiment(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
         _validate_config(cfg)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must not be negative: {args.seed}")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

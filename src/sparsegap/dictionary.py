@@ -114,10 +114,10 @@ class Dictionary:
         return _gram(self.atoms)
 
     def gram_eigvalsh(self, atom_set: AtomSet) -> tuple[np.ndarray, bool]:
-        """Ascending eigenvalues of G[S, S]; True if lambda_min >= GRAM_EIG_FLOOR (sigma_min(Phi_S) >= 0.1)."""
+        """Ascending eigenvalues of G[S, S] and whether they pass the floor (``passes_gram_floor``)."""
         idx = list(atom_set.indices)
         w = np.linalg.eigvalsh(self.gram[np.ix_(idx, idx)])
-        return w, bool(not w.size or w[0] >= GRAM_EIG_FLOOR)  # vacuously True for an empty S
+        return w, passes_gram_floor(w)
 
     def max_cross_sq(self, atom_set: AtomSet) -> float:
         """max_{v not in S} ||Phi_S* phi_v||^2 (0 if there is no v), from column sums of |G[S, :]|^2."""
@@ -126,6 +126,11 @@ class Dictionary:
         col = np.sum(rows.real**2 + rows.imag**2, axis=0)
         col[idx] = 0.0  # sums are >= 0, so this drops S and gives 0 for an empty complement
         return float(col.max())
+
+
+def passes_gram_floor(w: np.ndarray) -> bool:
+    """True if ascending Gram eigenvalues w have lambda_min >= GRAM_EIG_FLOOR (sigma_min >= 0.1), or there are none."""
+    return bool(not w.size or w[0] >= GRAM_EIG_FLOOR)
 
 
 def _gram(atoms: np.ndarray) -> np.ndarray:

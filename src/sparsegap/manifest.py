@@ -2,7 +2,7 @@
 
 :class:`ExperimentReport` is what every experiment returns; the CLI
 attaches the run manifest (a plain dict from :func:`build_manifest`) and
-writes the report as JSON or CSV.
+writes the report as JSON (``indent=2`` bytes, the rows C-encoded) or CSV.
 :func:`csv_text` writes the report rows and the ``bounds`` table alike.
 
 The manifest digest covers the resolved inputs that determine the
@@ -46,8 +46,16 @@ class ExperimentReport:
     manifest: Optional[dict] = None
 
     def to_json(self) -> str:
-        fields = ("kind", "params", "master_seed", "summary", "trials", "manifest")
-        return json.dumps({k: getattr(self, k) for k in fields}, sort_keys=True, indent=2) + "\n"
+        """The bytes of json.dumps(sort_keys=True, indent=2), with the rows in one C-encoder call.
+
+        Its item separator is a row key's newline and indent; row boundaries are then indented.
+        Exact as "trials" sorts last, rows are flat dicts of scalars and strings hold no raw newline.
+        """
+        fields = ("kind", "params", "master_seed", "summary", "manifest")
+        head = json.dumps({**{k: getattr(self, k) for k in fields}, "trials": []}, sort_keys=True, indent=2)
+        rows = json.dumps(self.trials, sort_keys=True, separators=(",\n      ", ": "))[2:-2]
+        rows = "[\n    {\n      " + rows.replace("},\n      {", "\n    },\n    {\n      ") + "\n    }\n  ]"
+        return head[:-len("[]\n}")] + (rows if self.trials else "[]") + "\n}\n"
 
     def to_csv(self) -> str:
         return csv_text(self.trials, self.columns)

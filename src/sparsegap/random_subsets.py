@@ -19,6 +19,7 @@ measured rank of a random S u V against the weak-incoherence bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,21 @@ def sample_uniform_subset(n_atoms: int, s: int, seed) -> AtomSet:
     if not (1 <= s <= n_atoms):
         raise ValueError("need 1 <= s <= n_atoms")
     return AtomSet.of(np.random.default_rng(seed).choice(n_atoms, size=s, replace=False))
+
+
+def rng_streams(prefix, count: int):
+    """default_rng([*prefix, i]) for i < count <= 2^32, lazily; ValueError at once on a negative key.
+
+    Each stream's SeedSequence gets the uint32 words it would make of that list (each key little-endian,
+    0 as one word) and so skips its per-call list coercion: the same streams, cheaper.
+    """
+    keys = list(map(operator.index, prefix))
+    if min(keys, default=0) < 0 or count > 2**32:
+        raise ValueError(f"stream keys must be nonnegative, at most 2^32 per prefix: {keys}, {count}")
+    head = [k >> b & 0xFFFFFFFF for k in keys for b in range(0, max(k.bit_length(), 1), 32)]
+    words = np.empty((max(count, 0), len(head) + 1), dtype=np.uint32)
+    words[:, :-1], words[:, -1] = head, np.arange(len(words))
+    return map(np.random.default_rng, words)
 
 
 @dataclass(frozen=True)
@@ -92,9 +108,8 @@ def statistics_sweep(d: Dictionary, config: SweepConfig) -> ExperimentReport:
     n = d.n_atoms
     rows = []
     for s in config.s_values:
-        for trial in range(config.trials_per_s):
-            s_set = sample_uniform_subset(n, s, [config.master_seed, s, trial])
-            st = subset_statistics(d, s_set)
+        for trial, rng in enumerate(rng_streams([config.master_seed, s], config.trials_per_s)):
+            st = subset_statistics(d, sample_uniform_subset(n, s, rng))
             rows.append({
                 "s": s,
                 "trial": trial,
@@ -160,11 +175,9 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
     bound_stated = s + 2.0 * m * v_size / n
     bound_gate_derived = s + m * v_size / (2.0 * n)
     rows = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+    for trial, rng in enumerate(rng_streams([seed], trials)):
         s_set = sample_uniform_subset(n, s, rng)
-        v_idx = rng.choice(d.complement(s_set), size=v_size, replace=False) if v_size else ()
-        v_set = AtomSet.of(v_idx)
+        v_set = AtomSet.of(rng.choice(d.complement(s_set), size=v_size, replace=False) if v_size else ())
         st = subset_statistics(d, s_set)
         rank = numerical_rank(d.subdictionary(s_set.union(v_set)))
         rows.append({

@@ -8,7 +8,8 @@ or below the ceiling count as representable, residuals above the floor
 as not representable, anything in between as inconclusive.  Experiments
 return a ``manifest.ExperimentReport``; both decide a pair (S, T) with ``_pair_range``: a Cholesky
 factor of G[S u T, S u T] once its eigenvalues pass ``dictionary.GRAM_EIG_FLOOR``, SVDs
-below it.  The SVD functions here are reference code for the tests.
+below it.  The SVD functions here are reference code for the tests.  Every row draws from
+its own stream, ``random_subsets.rng_streams``; a trial's x takes one standard_normal call.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dictionary import AtomSet, Dictionary
+from .dictionary import AtomSet, Dictionary, passes_gram_floor
 from .manifest import ExperimentReport
-from .random_subsets import sample_uniform_subset
+from .random_subsets import rng_streams, sample_uniform_subset
 from .rank_bounds import DependentSetError, numerical_rank, range_basis
 from .thresholds import overlap_condition
 
@@ -57,7 +58,8 @@ class RedrawCapExceededError(RuntimeError):
 
 
 def _complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
+    z = rng.standard_normal(2 * size)  # the numbers two calls of size each would give
+    return (z[:size] + 1j * z[size:]) / math.sqrt(2)
 
 
 def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex]) -> GenericSignal:
@@ -83,10 +85,8 @@ def _independent_subdictionary(d: Dictionary, s_set: AtomSet) -> np.ndarray:
 def draw_generic_signal(d: Dictionary, support: AtomSet, seed) -> GenericSignal:
     """u = Phi_S x with x i.i.d. standard complex Gaussian, deterministic in seed."""
     phi_s = _independent_subdictionary(d, support)
-    rng = np.random.default_rng(seed)
-    coeff = _complex_gaussian(rng, len(support))
-    return GenericSignal(support=support, coefficients=coeff,
-                         signal=phi_s @ coeff)
+    coeff = _complex_gaussian(np.random.default_rng(seed), len(support))
+    return GenericSignal(support=support, coefficients=coeff, signal=phi_s @ coeff)
 
 
 def rank_condition(d: Dictionary, s_set: AtomSet, t_set: AtomSet) -> tuple[bool, int]:
@@ -142,20 +142,20 @@ def _pair_range(d: Dictionary, s_set: AtomSet,
                 t_set: AtomSet) -> tuple[np.ndarray, int, int, Optional[np.ndarray]]:
     """W with ||W x|| = ||(I - P_T) Phi_S x||, rank(Phi_R) for R = S u T, rank(Phi_T), Phi_T's singular values.
 
-    A G[R, R] above the floor is Cholesky-factored in the order (T, X), X = S minus T: its trailing
-    block has L22 L22* = G_XX - G_XT G_TT^-1 G_TX, so W is L22* on X's entries of x (no rows if S is
-    in T), the ranks are |R| and |T|, and the values None (cond(Phi_T) <= sqrt(|T| / floor) by
+    G[R, R] is gathered once, in the order (T, X), X = S minus T.  Past the floor its Cholesky factor's
+    trailing block has L22 L22* = G_XX - G_XT G_TT^-1 G_TX, so W is L22* on X's entries of x (no rows if
+    S is in T), the ranks are |R| and |T|, and the values None (cond(Phi_T) <= sqrt(|T| / floor) by
     interlacing).  Else W = Phi_S - Q (Q* Phi_S), Q the range_basis of Phi_T, and numerical_rank.
     """
-    union = s_set.union(t_set)
-    if d.gram_eigvalsh(union)[1]:
-        x_pos = [k for k, i in enumerate(s_set.indices) if i not in t_set.indices]
-        idx = list(t_set.indices) + [s_set.indices[k] for k in x_pos]
+    x_pos = [k for k, i in enumerate(s_set.indices) if i not in t_set.indices]
+    idx = list(t_set.indices) + [s_set.indices[k] for k in x_pos]
+    g_rr = d.gram[np.ix_(idx, idx)]
+    if passes_gram_floor(np.linalg.eigvalsh(g_rr)):
         w = np.zeros((len(x_pos), len(s_set)), dtype=np.complex128)
-        w[:, x_pos] = np.linalg.cholesky(d.gram[np.ix_(idx, idx)])[len(t_set):, len(t_set):].conj().T
-        return w, len(union), len(t_set), None
+        w[:, x_pos] = np.linalg.cholesky(g_rr)[len(t_set):, len(t_set):].conj().T
+        return w, len(idx), len(t_set), None
     phi_s, (q, sv_t) = d.subdictionary(s_set), range_basis(d.subdictionary(t_set))
-    return phi_s - q @ (q.conj().T @ phi_s), numerical_rank(d.subdictionary(union)), q.shape[1], sv_t
+    return phi_s - q @ (q.conj().T @ phi_s), numerical_rank(d.subdictionary(s_set.union(t_set))), q.shape[1], sv_t
 
 
 def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
@@ -179,13 +179,12 @@ def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
     )
 
 
-def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams: list) -> list[float]:
-    """||W x|| / ||Phi_S x|| with W from _pair_range and x drawn as draw_generic_signal(d, s_set, st) does.
+def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> list[float]:
+    """||W x|| / ||Phi_S x|| with W from _pair_range and x drawn from each Generator as draw_generic_signal does.
 
     residual_over up to rounding (0.0 if W has no rows); S must already be known to be independent.
     """
-    x = np.array([_complex_gaussian(np.random.default_rng(st), len(s_set)) for st in streams])
-    x = x.reshape(len(streams), len(s_set)).T
+    x = np.array([_complex_gaussian(rng, len(s_set)) for rng in streams]).reshape(-1, len(s_set)).T
     norm_u = np.linalg.norm(d.subdictionary(s_set) @ x, axis=0)
     if not norm_u.all():
         raise ValueError("zero signal has no meaningful residual")
@@ -206,7 +205,7 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
         _independent_subdictionary(d, s_set)
     holds = len(t_set) < rank_union
     containment = rank_union == rank_t
-    residuals = _trial_residuals(d, s_set, w, [[seed, i] for i in range(trials)])
+    residuals = _trial_residuals(d, s_set, w, rng_streams([seed], trials))
     rows = [{"trial": i, "residual": res, "verdict": classify_residual(res).value}
             for i, res in enumerate(residuals)]
     verdicts = [r["verdict"] for r in rows]
@@ -252,15 +251,14 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     predicted_blocked = bool(decision.holds) if decision else False
     rows = []
     rank_condition_failures = t_redraws_total = 0
-    for p in range(pairs if t and trials_per_pair else 0):
-        rng = np.random.default_rng([seed, p])
+    for p, rng in enumerate(rng_streams([seed], pairs if t and trials_per_pair else 0)):
         s_set = _sample_support(d, s, rng)
         # rank_condition without re-certifying S, which _sample_support just did
         t_set, w, redraws, rank_union = _sample_overlapping(d, s_set, t, delta, rng)
         holds = t < rank_union
         rank_condition_failures += not holds
         t_redraws_total += redraws
-        residuals = _trial_residuals(d, s_set, w, [[seed, p, i] for i in range(trials_per_pair)])
+        residuals = _trial_residuals(d, s_set, w, rng_streams([seed, p], trials_per_pair))
         rows += [{
             "pair": p,
             "trial": i,
@@ -271,8 +269,7 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
             "t_redraws": redraws,
         } for i, res in enumerate(residuals)]
 
-    violations = sum(1 for r in rows
-                     if r["predicted_blocked"] and r["verdict"] == Verdict.REPRESENTABLE.value)
+    violations = sum(r["verdict"] == Verdict.REPRESENTABLE.value for r in rows) if predicted_blocked else 0
     inconclusive = sum(1 for r in rows if r["verdict"] == Verdict.INCONCLUSIVE.value)
     return ExperimentReport(
         kind="gap",

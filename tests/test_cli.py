@@ -224,6 +224,13 @@ class TestExperimentCommand:
             digests.append(json.loads(stdout)["manifest"]["config_digest"])
         assert digests[0] == digests[1]
 
+    def test_negative_seed_flag_is_config_error(self, gap_config, capsys):
+        code, stdout, stderr = run(["experiment", "--config", str(gap_config), "--seed", "-1"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("config error:") and "--seed" in stderr
+        assert len(stderr.splitlines()) == 1
+
     def test_threads_flag_rejected(self, gap_config, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--threads", "2", "--config", str(gap_config)])

@@ -1,0 +1,52 @@
+import json
+import math
+
+import pytest
+
+from sparsegap.cli import _run_experiment
+from sparsegap.manifest import ExperimentReport, build_manifest
+from test_golden import CASES
+
+FIELDS = ("kind", "params", "master_seed", "summary", "trials", "manifest")
+
+
+def indent2(report: ExperimentReport) -> str:
+    """The reference encoding: json's Python encoder with indent=2."""
+    return json.dumps({k: getattr(report, k) for k in FIELDS}, sort_keys=True, indent=2) + "\n"
+
+
+def report_with(trials, summary=None) -> ExperimentReport:
+    return ExperimentReport(kind="gap", params={"s": 3, "dictionary": {"kind": "x", "m": 4}},
+                            master_seed=7, columns=("pair",), trials=trials,
+                            summary=summary or {"n": len(trials)},
+                            manifest={"tool_version": "0", "timestamp": "now"})
+
+
+class TestToJson:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_golden_configs(self, name):
+        cfg = CASES[name]
+        report = _run_experiment(cfg, cfg["seed"])
+        report.manifest = build_manifest("sparsegap experiment", cfg, report.params["dictionary"],
+                                         cfg["seed"], "0")
+        assert report.trials
+        assert report.to_json() == indent2(report)
+
+    def test_no_rows(self):
+        report = report_with([])
+        assert report.to_json() == indent2(report)
+        assert '"trials": []\n}\n' in report.to_json()
+
+    def test_one_row(self):
+        report = report_with([{"pair": 0}])
+        assert report.to_json() == indent2(report)
+
+    def test_awkward_strings_and_values(self):
+        awkward = ['"},\n      {"', "}, {", "{", "}", "\\", '"', "x\\n      y", "ünïcödé ∑ 𝔘",
+                   "},\n    {\n      ", "\t\r\x00"]
+        rows = [{"pair": i, "text": text, "b": None, "a": [math.nan, math.inf, -math.inf][i % 3],
+                 "flag": i % 2 == 0, "z": -0.0}
+                for i, text in enumerate(awkward)]
+        rows += [{"only": None}, {'"},\n      {"': 1, "pair": 99, "{": "}"}]
+        report = report_with(rows, summary={'"},\n      {"': math.nan, "keys": awkward})
+        assert report.to_json() == indent2(report)

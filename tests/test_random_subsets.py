@@ -14,6 +14,7 @@ from sparsegap.dictionary import (
 )
 from sparsegap.random_subsets import (
     SweepConfig,
+    rng_streams,
     sample_uniform_subset,
     statistics_sweep,
     subset_statistics,
@@ -42,6 +43,27 @@ class TestSampleUniformSubset:
         freq = counts / draws
         se = math.sqrt((1 / n) * (1 - 1 / n) / draws)
         assert np.all(np.abs(freq - 1 / n) < 5 * se)
+
+
+class TestRngStreams:
+    @pytest.mark.parametrize("key", [0, 2**32 - 1, 2**32, 2**40 + 12345, 2**64 + 3])
+    @pytest.mark.parametrize("prefix", [[], [7], [3, 0], [2**33, 5, 2**64 + 1]])
+    def test_same_streams_as_list_seeds(self, key, prefix):
+        keys = prefix + [key]
+        streams = list(rng_streams(keys, 3))
+        assert len(streams) == 3
+        for i, rng in enumerate(streams):
+            ref = np.random.default_rng(keys + [i])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+    def test_zero_count(self):
+        assert list(rng_streams([1, 2], 0)) == []
+
+    def test_negative_key_raises_at_once(self):
+        for prefix in ([-1], [3, -2**40]):
+            with pytest.raises(ValueError):
+                rng_streams(prefix, 0)
 
 
 class TestSubsetStatistics:

@@ -40,6 +40,14 @@ class TestDrawGenericSignal:
         assert np.array_equal(a.signal, b.signal)
         assert np.array_equal(a.coefficients, b.coefficients)
 
+    def test_coefficients_are_two_normal_draws(self):
+        # real parts, then imaginary parts: what two standard_normal(s) calls give
+        d = build_spikes_sines(8)
+        sig = draw_generic_signal(d, AtomSet.of([0, 3, 9]), seed=[42, 2**40])
+        rng = np.random.default_rng([42, 2**40])
+        re, im = rng.standard_normal(3), rng.standard_normal(3)
+        assert np.array_equal(sig.coefficients, (re + 1j * im) / math.sqrt(2))
+
     def test_single_spike_is_scaled_basis_vector(self):
         d = build_spikes_sines(4)
         sig = draw_generic_signal(d, AtomSet.of([2]), seed=0)
