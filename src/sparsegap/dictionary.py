@@ -113,11 +113,11 @@ class Dictionary:
         """Read-only N x N Gram matrix Phi* Phi; set by the constructors, else formed on first use."""
         return _gram(self.atoms)
 
-    def gram_eigvalsh(self, atom_set: AtomSet) -> tuple[np.ndarray, bool]:
-        """Ascending eigenvalues of G[S, S] and whether they pass the floor (``passes_gram_floor``)."""
-        idx = list(atom_set.indices)
-        w = np.linalg.eigvalsh(self.gram[np.ix_(idx, idx)])
-        return w, passes_gram_floor(w)
+    def gram_blocks(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Stack of the principal blocks G[i, i] for index rows i of one length, and their ascending eigenvalues."""
+        idx = np.array(rows, dtype=np.intp)
+        g = self.gram[idx[:, :, None], idx[:, None, :]]
+        return g, np.linalg.eigvalsh(g)  # one call for the stack, bit for bit the per-block values
 
     def max_cross_sq(self, atom_set: AtomSet) -> float:
         """max_{v not in S} ||Phi_S* phi_v||^2 (0 if there is no v), from column sums of |G[S, :]|^2."""
@@ -231,13 +231,14 @@ def build_random_tight_frame(
     """Random unit-norm tight frame via alternating projections.
 
     Iterates two steps: project onto scaled co-isometries (Phi Phi* =
-    (N/m) I) and renormalize columns, until both the tightness residual
-    |rho - N/m| and the worst column-norm deviation fall below TIGHTNESS_TOL.
+    (N/m) I) and renormalize columns, until the tightness residual
+    |rho - N/m| of the renormalized frame falls below TIGHTNESS_TOL.
     One Hermitian eigendecomposition Phi Phi* = V diag(w) V* per iterate
     serves both steps: its largest eigenvalue is rho, and it gives the
     projection sqrt(N/m) (Phi Phi*)^(-1/2) Phi, the scaled polar factor of
-    Phi.  Raises TightFrameConvergenceError when the cap is hit or an
-    iterate is rank-deficient.
+    Phi.  Raises TightFrameConvergenceError, with the projection's worst
+    column-norm deviation |norm - 1| before renormalization, when the cap
+    is hit or an iterate is rank-deficient.
     """
     if m < 1 or n_atoms <= m:
         raise DictionaryError("a redundant tight frame needs n_atoms > m >= 1")
@@ -252,11 +253,12 @@ def build_random_tight_frame(
         if not w[0] > 0:  # (Phi Phi*)^(-1/2) does not exist; NaN also lands here
             raise TightFrameConvergenceError(iteration, rho_res, norm_res)
         atoms = (v * np.sqrt(target / w)) @ (v.conj().T @ atoms)
-        atoms /= np.linalg.norm(atoms, axis=0)
+        norms = np.linalg.norm(atoms, axis=0)
+        norm_res = float(np.abs(norms - 1.0).max())
+        atoms /= norms
         w, v = np.linalg.eigh(atoms @ atoms.conj().T)
         rho_res = abs(float(w[-1]) - target)
-        norm_res = float(np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max())
-        if rho_res <= TIGHTNESS_TOL and norm_res <= TIGHTNESS_TOL:
+        if rho_res <= TIGHTNESS_TOL:
             return _finalize(
                 atoms,
                 {"kind": "random-tight", "m": m, "n_atoms": n_atoms, "seed": seed},

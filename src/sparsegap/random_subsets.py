@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import TIGHTNESS_TOL, AtomSet, Dictionary, is_weakly_incoherent
+from .dictionary import TIGHTNESS_TOL, AtomSet, Dictionary, is_weakly_incoherent, passes_gram_floor
 from .manifest import ExperimentReport
 from .rank_bounds import numerical_rank
 from .thresholds import HypothesisViolatedError
@@ -73,9 +73,9 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     if len(s_set) == 0:
         raise ValueError("S must be nonempty")
     max_cross = math.sqrt(d.max_cross_sq(s_set))
-    w, trusted = d.gram_eigvalsh(s_set)
+    w = d.gram_blocks([s_set.indices])[1][0]
     gram_dev = float(np.abs(w - 1.0).max())
-    if trusted:  # never when s > m: G[S, S] is then singular
+    if passes_gram_floor(w):  # never when s > m: G[S, S] is then singular
         pinv_norm = 1.0 / math.sqrt(w[0])
     else:
         sigma_min = float(np.linalg.svd(d.subdictionary(s_set), compute_uv=False)[-1])
@@ -97,6 +97,8 @@ class SweepConfig:
             raise ValueError("beta must be >= 1")
         if self.trials_per_s < 1:
             raise ValueError("trials_per_s must be positive")
+        if len(set(self.s_values)) < len(self.s_values):  # a repeat would reuse its streams and count twice
+            raise ValueError(f"s_values must not repeat: {list(self.s_values)}")
 
     def in_regime(self, m: int, n_atoms: int) -> tuple[int, ...]:
         cut = self.c_sparsity * m / math.log(n_atoms)

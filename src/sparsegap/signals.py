@@ -1,23 +1,23 @@
 """Generic signals and Monte Carlo representability experiments.
 
-A generic signal is u = Phi_S x with x drawn i.i.d. standard complex
-Gaussian.  Whether u can be expressed over an alternative atom set T is
-decided numerically through the relative least-squares residual of u
-against range(Phi_T), with a two-threshold verdict policy: residuals at
-or below the ceiling count as representable, residuals above the floor
-as not representable, anything in between as inconclusive.  Experiments
-return a ``manifest.ExperimentReport``; both decide a pair (S, T) with ``_pair_range``: a Cholesky
-factor of G[S u T, S u T] once its eigenvalues pass ``dictionary.GRAM_EIG_FLOOR``, SVDs
-below it.  The SVD functions here are reference code for the tests.  Every row draws from
-its own stream, ``random_subsets.rng_streams``; a trial's x takes one standard_normal call.
+A generic signal is u = Phi_S x with x drawn i.i.d. standard complex Gaussian.  Whether u can be expressed
+over an alternative atom set T is decided through the relative least-squares residual of u against range(Phi_T),
+with a two-threshold verdict policy: at or below the ceiling representable, above the floor not representable,
+in between inconclusive.  Experiments return a ``manifest.ExperimentReport``; both decide pairs (S, T) with
+``_pair_range``.  ``gap`` samples and decides its pairs PAIR_CHUNK at a time: a chunk's Gram blocks share one
+stacked eigvalsh and, past ``dictionary.GRAM_EIG_FLOOR``, one stacked Cholesky, so a certified pair still
+costs 2 eigvalsh and 1 Cholesky of its own blocks; blocks below the floor take SVDs one by one.  The SVD
+functions here are reference code for the tests.  Chunks change no stream: pair p samples from [seed, p] and
+its trial i from [seed, p, i] (``random_subsets.rng_streams``); a trial's x takes one standard_normal call.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ RESIDUAL_CEILING = 1e-10
 RESIDUAL_FLOOR = 1e-6
 CONDITION_CAP = 1e6
 INDEPENDENCE_REDRAW_CAP = 100
+PAIR_CHUNK = 32  # gap pairs whose Gram blocks share one stacked eigvalsh and Cholesky; bounds the stacks' memory
 
 
 class Verdict(enum.Enum):
@@ -127,56 +128,68 @@ def test_representability(d: Dictionary, t_set: AtomSet,
 test_representability.__test__ = False  # not a pytest case despite the name
 
 
-def _sample_support(d: Dictionary, s: int, rng: np.random.Generator) -> AtomSet:
-    for _ in range(INDEPENDENCE_REDRAW_CAP):
-        cand = sample_uniform_subset(d.n_atoms, s, rng)
-        if d.gram_eigvalsh(cand)[1] or numerical_rank(d.subdictionary(cand)) == s:
-            return cand
-    raise RedrawCapExceededError(
-        f"no linearly independent support of size {s} found in "
-        f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})"
-    )
-
-
-def _pair_range(d: Dictionary, s_set: AtomSet,
-                t_set: AtomSet) -> tuple[np.ndarray, int, int, Optional[np.ndarray]]:
-    """W with ||W x|| = ||(I - P_T) Phi_S x||, rank(Phi_R) for R = S u T, rank(Phi_T), Phi_T's singular values.
-
-    G[R, R] is gathered once, in the order (T, X), X = S minus T.  Past the floor its Cholesky factor's
-    trailing block has L22 L22* = G_XX - G_XT G_TT^-1 G_TX, so W is L22* on X's entries of x (no rows if
-    S is in T), the ranks are |R| and |T|, and the values None (cond(Phi_T) <= sqrt(|T| / floor) by
-    interlacing).  Else W = Phi_S - Q (Q* Phi_S), Q the range_basis of Phi_T, and numerical_rank.
-    """
-    x_pos = [k for k, i in enumerate(s_set.indices) if i not in t_set.indices]
-    idx = list(t_set.indices) + [s_set.indices[k] for k in x_pos]
-    g_rr = d.gram[np.ix_(idx, idx)]
-    if passes_gram_floor(np.linalg.eigvalsh(g_rr)):
-        w = np.zeros((len(x_pos), len(s_set)), dtype=np.complex128)
-        w[:, x_pos] = np.linalg.cholesky(g_rr)[len(t_set):, len(t_set):].conj().T
-        return w, len(idx), len(t_set), None
-    phi_s, (q, sv_t) = d.subdictionary(s_set), range_basis(d.subdictionary(t_set))
-    return phi_s - q @ (q.conj().T @ phi_s), numerical_rank(d.subdictionary(s_set.union(t_set))), q.shape[1], sv_t
-
-
-def _sample_overlapping(d: Dictionary, s_set: AtomSet, t: int, delta: int,
-                        rng: np.random.Generator) -> tuple[AtomSet, np.ndarray, int, int]:
-    """T = delta atoms of S plus t - delta atoms of the complement.
-
-    Redraws T while cond(Phi_T) exceeds the cap; returns T, the residual
-    operator W, the redraw count and rank(Phi_{S u T}) from _pair_range.
-    """
-    comp = d.complement(s_set)
+def _redraw_rounds(count: int, step, error: str) -> list:
+    """The accepted result per stream j < count.  Round r calls step(js, r), which draws one candidate for each
+    open stream j and returns a result for it, None to redraw; RedrawCapExceededError(error) past the cap."""
+    found, open_ = [None] * count, range(count)
     for redraws in range(INDEPENDENCE_REDRAW_CAP):
-        inside = rng.choice(s_set.indices, size=delta, replace=False) if delta else np.empty(0, int)
-        outside = rng.choice(comp, size=t - delta, replace=False) if t - delta else np.empty(0, int)
-        t_set = AtomSet.of(np.concatenate([inside, outside]))
-        w, rank_union, _, sv_t = _pair_range(d, s_set, t_set)
-        if sv_t is None or (sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP):
-            return t_set, w, redraws, rank_union
-    raise RedrawCapExceededError(
-        f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g} found in "
-        f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})"
-    )
+        for j, res in zip(open_, step(open_, redraws)):
+            found[j] = res
+        if not (open_ := [j for j in open_ if found[j] is None]):
+            return found
+    raise RedrawCapExceededError(error)
+
+
+def _sample_support(d: Dictionary, s: int, rngs: Sequence[np.random.Generator]) -> list[AtomSet]:
+    """One linearly independent s-subset per Generator: G[S, S] passes the floor, else numerical_rank(Phi_S) == s."""
+    def step(js, _):
+        cands = [sample_uniform_subset(d.n_atoms, s, rngs[j]) for j in js]
+        return [c if passes_gram_floor(w) or numerical_rank(d.subdictionary(c)) == s else None
+                for c, w in zip(cands, d.gram_blocks([c.indices for c in cands])[1])]
+
+    return _redraw_rounds(len(rngs), step, f"no linearly independent support of size {s} found in "
+                                           f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})")
+
+
+def _pair_range(d: Dictionary, s_sets: Sequence[AtomSet],
+                t_sets: Sequence[AtomSet]) -> Iterator[tuple[np.ndarray, int, int, Optional[np.ndarray]]]:
+    """Per pair (all of one |S u T| and |T|): W with ||W x|| = ||(I - P_T) Phi_S x||, rank(Phi_R) for R = S u T,
+    rank(Phi_T) and Phi_T's singular values.  Each G[R, R] is gathered in the order (T, X), X = S minus T, into one
+    stack for one eigvalsh; the blocks past the floor take one Cholesky, whose trailing block has L22 L22* = G_XX -
+    G_XT G_TT^-1 G_TX.  There W is L22* on X's entries of x (no rows if S is in T), the ranks are |R| and |T|, the
+    values None (cond(Phi_T) <= sqrt(|T| / floor) by interlacing).  Else W = Phi_S - Q (Q* Phi_S), Q the range_basis
+    of Phi_T, and numerical_rank.
+    """
+    x_pos = [[k for k, i in enumerate(s.indices) if i not in t.indices] for s, t in zip(s_sets, t_sets)]
+    g, eigs = d.gram_blocks([t.indices + tuple(s.indices[k] for k in xp)
+                             for s, t, xp in zip(s_sets, t_sets, x_pos)])
+    passes = [passes_gram_floor(w) for w in eigs]
+    factors = iter(np.linalg.cholesky(g[passes]) if any(passes) else ())
+    for s_set, t_set, xp, ok in zip(s_sets, t_sets, x_pos, passes):
+        if ok:
+            w = np.zeros((len(xp), len(s_set)), dtype=np.complex128)
+            w[:, xp] = next(factors)[len(t_set):, len(t_set):].conj().T
+            yield w, len(t_set) + len(xp), len(t_set), None
+            continue
+        phi_s, (q, sv_t) = d.subdictionary(s_set), range_basis(d.subdictionary(t_set))
+        yield phi_s - q @ (q.conj().T @ phi_s), numerical_rank(d.subdictionary(s_set.union(t_set))), q.shape[1], sv_t
+
+
+def _sample_overlapping(d: Dictionary, s_sets: Sequence[AtomSet], t: int, delta: int,
+                        rngs: Sequence[np.random.Generator]) -> list[tuple[AtomSet, np.ndarray, int, int]]:
+    """Per S and Generator, T = delta atoms of S plus t - delta of its complement, redrawn while cond(Phi_T) exceeds
+    the cap: T, the residual operator W, the redraw count and rank(Phi_{S u T}) from _pair_range."""
+    def step(js, redraws):
+        cands = [AtomSet.of(np.concatenate([
+            rngs[j].choice(s_sets[j].indices, size=delta, replace=False) if delta else np.empty(0, int),
+            rngs[j].choice(d.complement(s_sets[j]), size=t - delta, replace=False) if t - delta else np.empty(0, int),
+        ])) for j in js]
+        ranges = _pair_range(d, [s_sets[j] for j in js], cands)
+        return [(t_set, w, redraws, rank_union) if sv_t is None or sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP
+                else None for t_set, (w, rank_union, _, sv_t) in zip(cands, ranges)]
+
+    return _redraw_rounds(len(rngs), step, f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g} found in "
+                                           f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})")
 
 
 def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> list[float]:
@@ -200,7 +213,7 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
     means every residual stays at or below the ceiling.  Trial i draws
     from the stream [seed, i].
     """
-    w, rank_union, rank_t, sv_t = _pair_range(d, s_set, t_set)
+    (w, rank_union, rank_t, sv_t), = _pair_range(d, [s_set], [t_set])
     if sv_t is not None or not len(s_set):  # no Gram block certified S, or S is empty
         _independent_subdictionary(d, s_set)
     holds = len(t_set) < rank_union
@@ -251,23 +264,26 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     predicted_blocked = bool(decision.holds) if decision else False
     rows = []
     rank_condition_failures = t_redraws_total = 0
-    for p, rng in enumerate(rng_streams([seed], pairs if t and trials_per_pair else 0)):
-        s_set = _sample_support(d, s, rng)
-        # rank_condition without re-certifying S, which _sample_support just did
-        t_set, w, redraws, rank_union = _sample_overlapping(d, s_set, t, delta, rng)
-        holds = t < rank_union
-        rank_condition_failures += not holds
-        t_redraws_total += redraws
-        residuals = _trial_residuals(d, s_set, w, rng_streams([seed, p], trials_per_pair))
-        rows += [{
-            "pair": p,
-            "trial": i,
-            "residual": res,
-            "verdict": classify_residual(res).value,
-            "rank_condition": holds,
-            "predicted_blocked": predicted_blocked,
-            "t_redraws": redraws,
-        } for i, res in enumerate(residuals)]
+    n_pairs = pairs if t and trials_per_pair else 0
+    streams = rng_streams([seed], n_pairs)
+    for first in range(0, n_pairs, PAIR_CHUNK):
+        rngs = list(itertools.islice(streams, PAIR_CHUNK))
+        s_sets = _sample_support(d, s, rngs)
+        picks = _sample_overlapping(d, s_sets, t, delta, rngs)  # rank_condition, S already certified
+        for p, (s_set, (_, w, redraws, rank_union)) in enumerate(zip(s_sets, picks), first):
+            holds = t < rank_union
+            rank_condition_failures += not holds
+            t_redraws_total += redraws
+            residuals = _trial_residuals(d, s_set, w, rng_streams([seed, p], trials_per_pair))
+            rows += [{
+                "pair": p,
+                "trial": i,
+                "residual": res,
+                "verdict": classify_residual(res).value,
+                "rank_condition": holds,
+                "predicted_blocked": predicted_blocked,
+                "t_redraws": redraws,
+            } for i, res in enumerate(residuals)]
 
     violations = sum(r["verdict"] == Verdict.REPRESENTABLE.value for r in rows) if predicted_blocked else 0
     inconclusive = sum(1 for r in rows if r["verdict"] == Verdict.INCONCLUSIVE.value)

@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import numpy.linalg._linalg as _linalg
@@ -18,22 +19,38 @@ def gram_coherence(atoms):
     return float(np.abs(gram - np.diag(np.diag(gram))).max())
 
 
+class LinalgCounts(collections.Counter):
+    """Matrices factorised, by entry point name: a stacked call counts each matrix of its stack.
+
+    ``calls`` counts the calls themselves.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.calls = collections.Counter()
+
+    def clear(self):
+        super().clear()
+        self.calls.clear()
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counter of numpy.linalg factorisation calls by name, from here on."""
-    calls = collections.Counter()
+    """LinalgCounts of numpy.linalg factorisations by name, from here on."""
+    counts = LinalgCounts()
 
     def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            counts[name] += math.prod(np.shape(a)[:-2])  # the leading batch dimensions
+            counts.calls[name] += 1
+            return fn(a, *args, **kwargs)
         return wrapper
 
     for name in FACTORIZATIONS:
         wrapped = counting(name, getattr(_linalg, name))
         monkeypatch.setattr(np.linalg, name, wrapped)
         monkeypatch.setattr(_linalg, name, wrapped)
-    return calls
+    return counts
 
 
 @pytest.fixture(scope="module")

@@ -322,6 +322,14 @@ class TestExperimentCommand:
         assert code == 2
         assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_repeated_sweep_s_value_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"kind": "spikes-sines", "m": 8},
+                                    "s_values": [3, 3], "trials_per_s": 2}))
+        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("changes", [{"c_sparsity": math.nan}, {"beta": math.inf}, {"beta": math.nan},
                                          {"beta": 10**400}],
                              ids=["nan-c-sparsity", "infinite-beta", "nan-beta", "beta-past-float-range"])

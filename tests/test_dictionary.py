@@ -123,6 +123,8 @@ class TestRandomTightFrame:
         assert err.iterations == 1
         assert math.isfinite(err.rho_residual) and math.isfinite(err.norm_residual)
         assert err.rho_residual > TIGHTNESS_TOL
+        # the projection's column norms before renormalization, not the rounding left after it
+        assert err.norm_residual > TIGHTNESS_TOL
 
     def test_rank_deficient_iterate_raises(self, monkeypatch):
         # a start with a zero row has a singular Phi Phi*, so no polar factor
@@ -252,6 +254,14 @@ class TestOneGram:
             tracemalloc.stop()
         # G (16 B an entry) plus |G| (8 B); the old G - diag(diag(G)) path held three G-sized arrays
         assert peak <= 1.75 * d.gram.nbytes
+
+    def test_gram_blocks_match_each_block_bit_for_bit(self):
+        d = build_random_tight_frame(8, 24, seed=3)
+        rows = [(0, 5, 9, 17), (23, 1, 2, 3), (4, 4, 6, 7)]  # any order, repeats included
+        g, w = d.gram_blocks(rows)
+        for i, row in enumerate(rows):
+            block = d.gram[np.ix_(row, row)]
+            assert np.array_equal(g[i], block) and np.array_equal(w[i], np.linalg.eigvalsh(block))
 
 
 class TestWeakIncoherence:

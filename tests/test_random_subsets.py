@@ -260,6 +260,11 @@ class TestStatisticsSweep:
         cfg = SweepConfig(s_values=(2, 4), trials_per_s=20, master_seed=2)
         assert statistics_sweep(d, cfg).to_json() == statistics_sweep(d, cfg).to_json()
 
+    def test_repeated_s_rejected(self):
+        # each (s, trial) row draws from the stream [seed, s, trial], so a repeat would duplicate rows
+        with pytest.raises(ValueError, match="repeat"):
+            SweepConfig(s_values=(3, 4, 3), trials_per_s=2, master_seed=0)
+
     def test_quantiles_present(self):
         d = build_random_tight_frame(16, 64, seed=6)
         cfg = SweepConfig(s_values=(2, 4), trials_per_s=25, master_seed=3, beta=1.5)

@@ -11,6 +11,7 @@ from sparsegap.dictionary import (
     build_random_tight_frame,
     build_random_unit_norm,
     build_spikes_sines,
+    passes_gram_floor,
 )
 from sparsegap import signals
 from sparsegap.rank_bounds import DependentSetError, numerical_rank
@@ -248,18 +249,20 @@ def tight_24_64():
     return build_random_tight_frame(24, 64, seed=3)
 
 
+def resampled_pair(d, seed, p, s, t, delta):
+    """Pair p's S and T, sampled again from its stream [seed, p] as gap_experiment does."""
+    rng = np.random.default_rng([seed, p])
+    s_set, = _sample_support(d, s, [rng])
+    return s_set, _sample_overlapping(d, [s_set], t, delta, [rng])[0][0]
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("kind", ["spikes-sines", "tight"])
     @pytest.mark.parametrize("s,t,delta", [(4, 5, 0), (4, 6, 2), (4, 6, 4)])
     def test_gap_rows(self, kind, s, t, delta, tight_24_64):
         d = build_spikes_sines(16) if kind == "spikes-sines" else tight_24_64
         rep = gap_experiment(d, s, t, delta, pairs=4, trials_per_pair=6, seed=17)
-        # re-sample each pair's S and T from the pair stream, as the engine does
-        pair_sets = {}
-        for p in range(4):
-            rng = np.random.default_rng([17, p])
-            s_set = _sample_support(d, s, rng)
-            pair_sets[p] = (s_set, _sample_overlapping(d, s_set, t, delta, rng)[0])
+        pair_sets = {p: resampled_pair(d, 17, p, s, t, delta) for p in range(4)}
         assert len(rep.trials) == 24
         assert_rows_match_reference(d, rep.trials, lambda r: pair_sets[r["pair"]],
                                     lambda r: [17, r["pair"], r["trial"]])
@@ -303,9 +306,7 @@ class TestEngineMatchesReference:
             rep = gap_experiment(d, s, t, delta, pairs=8, trials_per_pair=2, seed=23)
             below_floor = []
             for r in rep.trials:
-                rng = np.random.default_rng([23, r["pair"]])
-                s_set = _sample_support(d, s, rng)
-                t_set = _sample_overlapping(d, s_set, t, delta, rng)[0]
+                s_set, t_set = resampled_pair(d, 23, r["pair"], s, t, delta)
                 assert r["rank_condition"] == rank_condition(d, s_set, t_set)[0]
                 idx = list(s_set.union(t_set).indices)
                 below_floor.append(np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])[0] < GRAM_EIG_FLOOR)
@@ -319,6 +320,25 @@ class TestEngineMatchesReference:
         # every Gram block passes the floor here, so no pair needs an SVD
         gap_experiment(tight_24_64, 4, 6, 2, pairs=7, trials_per_pair=3, seed=31)
         assert linalg_calls == {"eigvalsh": 2 * 7, "cholesky": 7}
+        # one chunk: one stacked eigvalsh for the S blocks, one for the S u T blocks and one Cholesky
+        assert linalg_calls.calls == {"eigvalsh": 2, "cholesky": 1}
+
+    @pytest.mark.parametrize("kind,s,t,delta", [("tight", 5, 24, 1), ("near-duplicates", 2, 3, 1)])
+    def test_chunk_boundaries(self, kind, s, t, delta, tight_24_64, near_duplicates_6_16):
+        # s + t - delta > m sends every tight-frame pair down the SVD path; near duplicates redraw T
+        d = tight_24_64 if kind == "tight" else near_duplicates_6_16
+        full = gap_experiment(d, s, t, delta, pairs=70, trials_per_pair=2, seed=37).trials
+        if kind == "tight":  # every G[S u T, S u T] is singular, so numerical_rank gives 24 = t
+            assert not any(r["rank_condition"] for r in full)
+        else:
+            assert any(r["t_redraws"] for r in full)
+        for k in (1, signals.PAIR_CHUNK - 1, signals.PAIR_CHUNK, signals.PAIR_CHUNK + 1):
+            assert gap_experiment(d, s, t, delta, pairs=k, trials_per_pair=2, seed=37).trials == full[:2 * k]
+        # pairs past the first chunk still sample from their own stream [seed, p]
+        assert [(r["pair"], r["trial"]) for r in full] == [(p, i) for p in range(70) for i in range(2)]
+        pair_sets = {p: resampled_pair(d, 37, p, s, t, delta) for p in (signals.PAIR_CHUNK, 69)}
+        assert_rows_match_reference(d, [r for r in full if r["pair"] in pair_sets], lambda r: pair_sets[r["pair"]],
+                                    lambda r: [37, r["pair"], r["trial"]])
 
 
 class TestCertifiedResidual:
@@ -332,9 +352,7 @@ class TestCertifiedResidual:
              "tight-12-40": build_random_tight_frame(12, 40, seed=5)}[kind]
         rep = gap_experiment(d, s, t, delta, pairs=4, trials_per_pair=3, seed=41)
         for row in rep.trials:
-            rng = np.random.default_rng([41, row["pair"]])
-            s_set = _sample_support(d, s, rng)
-            t_set = _sample_overlapping(d, s_set, t, delta, rng)[0]
+            s_set, t_set = resampled_pair(d, 41, row["pair"], s, t, delta)
             idx = list(s_set.union(t_set).indices)
             lam = np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])
             assert lam[0] >= GRAM_EIG_FLOOR  # the Cholesky path decided this pair
@@ -392,7 +410,7 @@ class TestSingleEngine:
     @pytest.mark.parametrize("t_indices", [[2, 3], []])
     def test_empty_support_rejected(self, t_indices):
         d = build_spikes_sines(8)
-        assert d.gram_eigvalsh(AtomSet.of(t_indices))[1]  # G[T, T] passes the floor
+        assert passes_gram_floor(d.gram_blocks([t_indices])[1][0])  # G[T, T] passes the floor
         with pytest.raises(DependentSetError):
             equivalence_experiment(d, AtomSet.of([]), AtomSet.of(t_indices), trials=1, seed=0)
 
@@ -406,7 +424,7 @@ class TestRedrawCap:
         atoms[1, 1:] = 1.0
         d = Dictionary(atoms=atoms, coherence=1.0, redundancy=4.0)
         with pytest.raises(RedrawCapExceededError):
-            _sample_overlapping(d, AtomSet.of([0, 1]), 2, 0, np.random.default_rng(0))
+            _sample_overlapping(d, [AtomSet.of([0, 1])], 2, 0, [np.random.default_rng(0)])
         # per T draw: the Gram block of S u T is singular, so the SVDs of Phi_T and Phi_{S u T} follow
         assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": 2 * INDEPENDENCE_REDRAW_CAP}
         with pytest.raises(RedrawCapExceededError):
@@ -416,6 +434,6 @@ class TestRedrawCap:
         # every atom is e1, so no S of two atoms is independent although s <= m
         d = Dictionary(atoms=np.outer([1.0, 0.0], np.ones(5)).astype(complex), coherence=1.0, redundancy=5.0)
         with pytest.raises(RedrawCapExceededError, match="support"):
-            _sample_support(d, 2, np.random.default_rng(0))
+            _sample_support(d, 2, [np.random.default_rng(0)])
         # per S draw: G[S, S] is singular, so the SVD of Phi_S follows
         assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": INDEPENDENCE_REDRAW_CAP}
