@@ -1,34 +1,30 @@
 """Command-line front end: dictionary construction, threshold tables, experiments.
 
-Exit status contract: 0 = all invariants held, 1 = a soundness violation
-or an INCONCLUSIVE verdict occurred, or a sampler hit its redraw cap (one
-line on stderr, no report), 2 = usage or config error, or an output file
-that cannot be written.
+Exit status contract: 0 = all invariants held, 1 = the experiment set its
+report's ``failed`` (a violation or an INCONCLUSIVE verdict), or a sampler
+hit its redraw cap (one line on stderr, no report), 2 = usage or config
+error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__
+from . import __version__, dictionary, random_subsets, signals
 from .dictionary import (
-    AtomSet,
     Dictionary,
-    build_random_tight_frame,
-    build_random_unit_norm,
-    build_spikes_sines,
     is_weakly_incoherent,
     load_dictionary,
     save_dictionary,
     welch_lower_bound,
 )
 from .manifest import ExperimentReport, build_manifest, csv_text
-from .random_subsets import SweepConfig, statistics_sweep, weak_rank_bound_experiment
-from .signals import RedrawCapExceededError, equivalence_experiment, gap_experiment
+from .signals import RedrawCapExceededError
 from .thresholds import GapThresholds, evaluate_thresholds
 
 EXIT_OK = 0
@@ -36,14 +32,13 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 BOUNDS_COLUMNS = tuple(f.name for f in fields(GapThresholds)) + ("error",)
-EXPERIMENT_KEYS = {
-    "gap": {"s", "t", "delta", "pairs", "trials_per_pair"},
-    "equivalence": {"s_set", "t_set", "trials"},
-    "stats-sweep": {"s_values", "trials_per_s"},
-    "weak-rank": {"s", "v_size", "trials"},
-}
-DICTIONARY_KEYS = {"spikes-sines": {"m"}, "random-unit": {"m", "n_atoms", "seed"},
-                   "random-tight": {"m", "n_atoms", "seed"}}
+# Each kind's function as (module, name), read when called: a wrapper bound to that name (bench/child.py) is what runs.
+EXPERIMENTS = {"gap": (signals, "gap_experiment"), "equivalence": (signals, "equivalence_experiment"),
+               "stats-sweep": (random_subsets, "statistics_sweep"),
+               "weak-rank": (random_subsets, "weak_rank_bound_experiment")}
+DICTIONARIES = {"spikes-sines": (dictionary, "build_spikes_sines"),
+                "random-unit": (dictionary, "build_random_unit_norm"),
+                "random-tight": (dictionary, "build_random_tight_frame")}
 LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
 REAL_KEYS = {"beta", "c_sparsity"}           # any finite number; every other key a nonnegative integer
 
@@ -68,17 +63,22 @@ def _check_keys(obj: dict, keys: set, where: str) -> None:
             raise ConfigError(f"{where} key {key!r} must be a finite float: {obj[key]!r}")
 
 
+def _config_keys(func, obj: dict, skip=()) -> set:
+    """Keys ``func`` takes from ``obj``: its parameters without a default (less ``skip``), and any REAL_KEYS set."""
+    params = inspect.signature(func).parameters.values()
+    return {p.name for p in params if p.default is p.empty or p.name in REAL_KEYS & obj.keys()} - set(skip)
+
+
 def _build_dictionary(spec: dict) -> Dictionary:
     if "path" in spec:
         return load_dictionary(spec["path"])
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in DICTIONARY_KEYS:
+    if not isinstance(kind, str) or kind not in DICTIONARIES:
         raise ConfigError(f"unknown dictionary kind {kind!r}")
-    _check_keys(spec, DICTIONARY_KEYS[kind], "dictionary")
-    if kind == "spikes-sines":
-        return build_spikes_sines(spec["m"])
-    build = build_random_unit_norm if kind == "random-unit" else build_random_tight_frame
-    return build(spec["m"], spec["n_atoms"], spec["seed"])
+    build = getattr(*DICTIONARIES[kind])
+    keys = _config_keys(build, spec)
+    _check_keys(spec, keys, "dictionary")
+    return build(**{k: spec[k] for k in keys})
 
 
 def _print_metrics(d: Dictionary, c: float) -> None:
@@ -100,9 +100,7 @@ def cmd_dict(args) -> int:
     if not args.kind:
         print("error: --kind is required unless --inspect is given", file=sys.stderr)
         return EXIT_USAGE
-    d = _build_dictionary({
-        "kind": args.kind, "m": args.m, "n_atoms": args.n_atoms, "seed": args.seed,
-    })
+    d = _build_dictionary(vars(args))  # the builder takes the flags named after its parameters
     if args.out:  # saved first, so a failed save prints no metrics
         save_dictionary(d, args.out)
     _print_metrics(d, args.c)
@@ -154,45 +152,18 @@ def _validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     name = cfg.get("experiment")
-    if not isinstance(name, str) or name not in EXPERIMENT_KEYS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
     if "dictionary" not in cfg or not isinstance(cfg["dictionary"], dict):
         raise ConfigError("config needs a 'dictionary' object")
-    optional = ({"seed"} | REAL_KEYS) & set(cfg)
-    _check_keys(cfg, EXPERIMENT_KEYS[name] | optional, f"experiment {name!r}")
+    keys = _config_keys(getattr(*EXPERIMENTS[name]), cfg, {"d", "seed"})
+    _check_keys(cfg, keys | (({"seed"} | REAL_KEYS) & cfg.keys()), f"experiment {name!r}")
 
 
 def _run_experiment(cfg: dict, seed: int) -> ExperimentReport:
     d = _build_dictionary(cfg["dictionary"])
-    name = cfg["experiment"]
-    if name == "gap":
-        return gap_experiment(d, cfg["s"], cfg["t"], cfg["delta"], cfg["pairs"], cfg["trials_per_pair"], seed)
-    if name == "equivalence":
-        s_set, t_set = AtomSet.of(cfg["s_set"]), AtomSet.of(cfg["t_set"])
-        if max(s_set.indices + t_set.indices, default=-1) >= d.n_atoms:
-            raise ConfigError(f"atom indices must be below the {d.n_atoms} atoms of the dictionary")
-        return equivalence_experiment(d, s_set, t_set, cfg["trials"], seed)
-    if name == "stats-sweep":
-        config = SweepConfig(
-            s_values=tuple(cfg["s_values"]),
-            trials_per_s=cfg["trials_per_s"],
-            master_seed=seed,
-            beta=float(cfg.get("beta", 1.0)),
-            c_sparsity=float(cfg.get("c_sparsity", 1.0)),
-        )
-        return statistics_sweep(d, config)
-    return weak_rank_bound_experiment(d, cfg["s"], cfg["v_size"], cfg["trials"], seed)
-
-
-def _violated(report: ExperimentReport) -> bool:
-    s = report.summary
-    if report.kind == "gap":
-        return s["violations"] > 0 or s["n_inconclusive"] > 0
-    if report.kind == "equivalence":
-        return (not s["consistent"]) or s["n_inconclusive"] > 0
-    if report.kind == "weak-rank":
-        return s["gated_violations_gate_derived"] > 0
-    return False
+    run = getattr(*EXPERIMENTS[cfg["experiment"]])
+    return run(d, seed=seed, **{k: cfg[k] for k in _config_keys(run, cfg, {"d", "seed"})})
 
 
 def cmd_experiment(args) -> int:
@@ -222,7 +193,7 @@ def cmd_experiment(args) -> int:
         _emit(report.to_json(), out and out.with_suffix(".json"))
     if args.format in ("csv", "both"):
         _emit(report.to_csv(), out and out.with_suffix(".csv"))
-    return EXIT_VIOLATION if _violated(report) else EXIT_OK
+    return EXIT_VIOLATION if report.failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dict = sub.add_parser("dict", help="construct, save, or inspect a dictionary")
-    p_dict.add_argument("--kind", choices=["spikes-sines", "random-unit", "random-tight"])
+    p_dict.add_argument("--kind", choices=DICTIONARIES)
     p_dict.add_argument("--m", type=int)
     p_dict.add_argument("--n-atoms", type=int, dest="n_atoms")
     p_dict.add_argument("--seed", type=int, default=0)

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -72,6 +72,9 @@ class AtomSet:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices)
 
     def union(self, other: "AtomSet") -> "AtomSet":
         return AtomSet.of(set(self.indices) | set(other.indices))
@@ -180,7 +183,7 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     m, n = atoms.shape
     norms = np.linalg.norm(atoms, axis=0)
     worst = float(np.abs(norms - 1.0).max())
-    if worst > max(COLUMN_NORM_TOL, TIGHTNESS_TOL):
+    if not worst <= max(COLUMN_NORM_TOL, TIGHTNESS_TOL):  # a non-finite atom has a NaN or infinite norm
         raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
     sv = np.linalg.svd(atoms, compute_uv=False)
     if rank_of_singular_values(sv, atoms.shape) < m:
@@ -350,11 +353,12 @@ def load_dictionary(path) -> Dictionary:
                 raise DictionaryError(f"metadata field {name!r} must be a positive integer, not {value!r}")
         if not isinstance(provenance, dict):
             raise DictionaryError(f"metadata field 'provenance' must be an object, not {provenance!r}")
-        buf = np.frombuffer((path.parent / payload).read_bytes(), dtype="<f8")
+        raw = (path.parent / payload).read_bytes()
     except (OSError, KeyError, TypeError, AttributeError) as exc:
         raise DictionaryError(f"cannot read dictionary {path}: {type(exc).__name__}: {exc}") from exc
-    if buf.size != 2 * m * n:
+    if len(raw) != 16 * m * n:  # two little-endian float64 per entry
         raise DictionaryError("payload size does not match metadata")
+    buf = np.frombuffer(raw, dtype="<f8")
     flat = buf[0::2] + 1j * buf[1::2]
     atoms = flat.reshape((m, n), order="F")
     d = _finalize(atoms, provenance)

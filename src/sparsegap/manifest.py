@@ -44,6 +44,7 @@ class ExperimentReport:
     trials: list
     summary: dict
     manifest: Optional[dict] = None
+    failed: bool = False  # the run broke an invariant it checks (exit status 1); not serialised
 
     def to_json(self) -> str:
         """The bytes of json.dumps(sort_keys=True, indent=2), with the rows in one C-encoder call.

@@ -84,33 +84,25 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
                             pinv_norm=pinv_norm)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    s_values: tuple[int, ...]
-    trials_per_s: int
-    master_seed: int
-    beta: float = 1.0            # reported quantile level is 1 - N^(-beta)
-    c_sparsity: float = 1.0      # in-regime cut: s <= c * m / log N
+def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int,
+                     beta: float = 1.0, c_sparsity: float = 1.0) -> ExperimentReport:
+    """Per-s quantiles of the subset statistics and gate-violation fractions.
 
-    def __post_init__(self):
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")
-        if self.trials_per_s < 1:
-            raise ValueError("trials_per_s must be positive")
-        if len(set(self.s_values)) < len(self.s_values):  # a repeat would reuse its streams and count twice
-            raise ValueError(f"s_values must not repeat: {list(self.s_values)}")
-
-    def in_regime(self, m: int, n_atoms: int) -> tuple[int, ...]:
-        cut = self.c_sparsity * m / math.log(n_atoms)
-        return tuple(s for s in self.s_values if s <= cut)
-
-
-def statistics_sweep(d: Dictionary, config: SweepConfig) -> ExperimentReport:
-    """Per-s quantiles of the subset statistics and gate-violation fractions."""
+    The reported quantile level is 1 - N^(-beta); an s is in the regime when s <= c_sparsity * m / log N.
+    """
+    beta, c_sparsity = float(beta), float(c_sparsity)
+    if beta < 1.0:
+        raise ValueError("beta must be >= 1")
+    if trials_per_s < 1:
+        raise ValueError("trials_per_s must be positive")
+    if len(set(s_values)) < len(s_values):  # a repeat would reuse its streams and count twice
+        raise ValueError(f"s_values must not repeat: {list(s_values)}")
+    if not c_sparsity > 0:
+        raise ValueError(f"c_sparsity must be positive: {c_sparsity!r}")
     n = d.n_atoms
     rows = []
-    for s in config.s_values:
-        for trial, rng in enumerate(rng_streams([config.master_seed, s], config.trials_per_s)):
+    for s in s_values:
+        for trial, rng in enumerate(rng_streams([seed, s], trials_per_s)):
             st = subset_statistics(d, sample_uniform_subset(n, s, rng))
             rows.append({
                 "s": s,
@@ -122,9 +114,9 @@ def statistics_sweep(d: Dictionary, config: SweepConfig) -> ExperimentReport:
                 "pinv_gate_ok": st.pinv_norm <= PINV_GATE,
             })
     q_hi = 1.0 - 1.0 / n
-    q_beta = 1.0 - n ** (-config.beta)
+    q_beta = 1.0 - n ** (-beta)
     per_s = {}
-    for s in config.s_values:
+    for s in s_values:
         sub = [r for r in rows if r["s"] == s]
         stats = {}
         for key in ("max_cross_correlation", "gram_deviation", "pinv_norm"):
@@ -138,19 +130,19 @@ def statistics_sweep(d: Dictionary, config: SweepConfig) -> ExperimentReport:
             np.mean([not (r["cross_gate_ok"] and r["pinv_gate_ok"]) for r in sub])
         )
         per_s[str(s)] = stats
-    weak = is_weakly_incoherent(d, config.c_sparsity)
+    weak = is_weakly_incoherent(d, c_sparsity)
     return ExperimentReport(
         kind="stats-sweep",
-        params={"s_values": list(config.s_values), "trials_per_s": config.trials_per_s,
-                "beta": config.beta, "c_sparsity": config.c_sparsity,
+        params={"s_values": list(s_values), "trials_per_s": trials_per_s,
+                "beta": beta, "c_sparsity": c_sparsity,
                 "dictionary": d.provenance},
-        master_seed=config.master_seed,
+        master_seed=seed,
         columns=("s", "trial", "max_cross_correlation", "gram_deviation",
                  "pinv_norm", "cross_gate_ok", "pinv_gate_ok"),
         trials=rows,
         summary={
             "per_s": per_s,
-            "in_regime_s_values": list(config.in_regime(d.m, n)),
+            "in_regime_s_values": [s for s in s_values if s <= c_sparsity * d.m / math.log(n)],
             "weakly_incoherent": weak.passed,
             "cross_gate": CROSS_GATE,
             "pinv_gate": PINV_GATE,
@@ -211,4 +203,5 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
             "all_violations_stated": sum(r["violates_stated"] for r in rows),
             "all_violations_gate_derived": sum(r["violates_gate_derived"] for r in rows),
         },
+        failed=any(r["violates_gate_derived"] for r in gated),
     )

@@ -17,7 +17,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> l
     return (np.linalg.norm(w @ x, axis=0) / norm_u).tolist()
 
 
-def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
+def equivalence_experiment(d: Dictionary, s_set: Iterable[int], t_set: Iterable[int],
                            trials: int, seed: int) -> ExperimentReport:
     """Check the rank-condition dichotomy on repeated generic draws.
 
@@ -213,6 +213,9 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
     means every residual stays at or below the ceiling.  Trial i draws
     from the stream [seed, i].
     """
+    s_set, t_set = AtomSet.of(s_set), AtomSet.of(t_set)
+    if max(s_set.indices + t_set.indices, default=-1) >= d.n_atoms:
+        raise ValueError(f"atom indices must be below the {d.n_atoms} atoms of the dictionary")
     (w, rank_union, rank_t, sv_t), = _pair_range(d, [s_set], [t_set])
     if sv_t is not None or not len(s_set):  # no Gram block certified S, or S is empty
         _independent_subdictionary(d, s_set)
@@ -242,6 +245,7 @@ def equivalence_experiment(d: Dictionary, s_set: AtomSet, t_set: AtomSet,
             "consistent": sound and complete,
             "n_inconclusive": verdicts.count(Verdict.INCONCLUSIVE.value),
         },
+        failed=not (sound and complete) or Verdict.INCONCLUSIVE.value in verdicts,
     )
 
 
@@ -306,4 +310,5 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
             "rank_condition_failures": rank_condition_failures,
             "t_redraws_total": t_redraws_total,
         },
+        failed=violations > 0 or inconclusive > 0,
     )

@@ -18,7 +18,7 @@ from sparsegap.dictionary import (
     build_random_unit_norm,
     build_spikes_sines,
 )
-from sparsegap.random_subsets import SweepConfig, statistics_sweep
+from sparsegap.random_subsets import statistics_sweep
 from sparsegap.rank_bounds import (
     SingularBlockError,
     numerical_rank,
@@ -232,9 +232,9 @@ def test_criterion_07_weak_gap_experiment(tight_32_128):
 
 
 def test_criterion_08_statistics_sweep(tight_64_256):
-    cfg = SweepConfig(s_values=(4, 8, 16), trials_per_s=200, master_seed=81)
-    rep_a = statistics_sweep(tight_64_256, cfg)
-    rep_b = statistics_sweep(tight_64_256, cfg)
+    cfg = dict(s_values=(4, 8, 16), trials_per_s=200, seed=81)
+    rep_a = statistics_sweep(tight_64_256, **cfg)
+    rep_b = statistics_sweep(tight_64_256, **cfg)
     deterministic = rep_a.to_json() == rep_b.to_json()
     medians = [rep_a.summary["per_s"][str(s)]["max_cross_correlation"]["median"]
                for s in (4, 8, 16)]

@@ -54,7 +54,8 @@ class TestDictCommand:
         (np.eye(3) * (1 - 1e-6), "atom norms"),
         (np.ones((2, 4)) * [[1], [0]], "span"),
         (np.eye(3) * (1 - 5e-9), "redundancy"),  # norms within 1e-8, but rho < N/m - 1e-10
-    ], ids=["norm", "span", "redundancy"])
+        (np.diag([1, math.nan, 1]), "atom norms deviate from 1 by nan"),  # not an SVD that fails to converge
+    ], ids=["norm", "span", "redundancy", "nan"])
     def test_inspect_rejects_invalid_atoms(self, tmp_path, capsys, atoms, message):
         out = tmp_path / "d.sgdict"
         save_dictionary(Dictionary(atoms=atoms.astype(complex), coherence=0.0, redundancy=1.0), out)
@@ -330,6 +331,15 @@ class TestExperimentCommand:
         assert code == 2
         assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("c_sparsity", [0, -0.5])
+    def test_nonpositive_c_sparsity_rejected(self, tmp_path, capsys, c_sparsity):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"kind": "spikes-sines", "m": 8},
+                                    "s_values": [1, 2], "trials_per_s": 2, "c_sparsity": c_sparsity}))
+        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
+        assert code == 2
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ") and "c_sparsity" in err
+
     @pytest.mark.parametrize("changes", [{"c_sparsity": math.nan}, {"beta": math.inf}, {"beta": math.nan},
                                          {"beta": 10**400}],
                              ids=["nan-c-sparsity", "infinite-beta", "nan-beta", "beta-past-float-range"])
@@ -348,17 +358,32 @@ class TestExperimentCommand:
         assert code == 2
         assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
-    def test_inconclusive_equivalence_exits_one(self, tmp_path, capsys):
+    @pytest.fixture
+    def near_e1(self, tmp_path):
         # e1 ... e4 and e1 + 1e-8 e2 normalised: e1 lies 1e-8 off the span of the last atom
         near_e1 = np.array([1, 1e-8, 0, 0]) / np.hypot(1, 1e-8)
         save_dictionary(_finalize(np.column_stack([np.eye(4), near_e1]), {"kind": "near-e1"}),
                         tmp_path / "d.sgdict")
+        return {"path": str(tmp_path / "d.sgdict")}
+
+    def test_inconclusive_equivalence_exits_one(self, near_e1, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "equivalence", "dictionary": {"path": str(tmp_path / "d.sgdict")},
+        path.write_text(json.dumps({"experiment": "equivalence", "dictionary": near_e1,
                                     "s_set": [0], "t_set": [4], "trials": 5}))
         code, stdout, _ = run(["experiment", "--config", str(path)], capsys)
         assert code == 1
         assert json.loads(stdout)["summary"]["n_inconclusive"] == 5
+
+    def test_inconclusive_gap_exits_one(self, near_e1, tmp_path, capsys):
+        # the pairs that draw S = {0}, T = {4} or the reverse give residuals of about 1e-8
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "gap", "dictionary": near_e1, "seed": 0,
+                                    "s": 1, "t": 1, "delta": 0, "pairs": 20, "trials_per_pair": 1}))
+        code, stdout, _ = run(["experiment", "--config", str(path)], capsys)
+        assert code == 1
+        summary = json.loads(stdout)["summary"]
+        assert summary["n_inconclusive"] == 2 and summary["violations"] == 0
+        assert "failed" not in stdout  # the exit decision is not part of the report
 
     def test_empty_support_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

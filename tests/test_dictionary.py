@@ -297,6 +297,13 @@ class TestConstructionInvariants:
         assert 0 <= d.coherence <= 1
         assert d.coherence >= welch_lower_bound(d.m, d.n_atoms) - 1e-10
 
+    @pytest.mark.parametrize("entry", [math.nan, complex(0, math.nan)], ids=["real", "imaginary"])
+    def test_rejects_nan_atom(self, entry):
+        atoms = np.eye(3, dtype=complex)
+        atoms[2, 1] = entry  # its norm is NaN, which is not above the tolerance either
+        with pytest.raises(DictionaryError, match="atom norms deviate from 1 by nan"):
+            _finalize(atoms, {})
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -393,9 +400,11 @@ class TestLoadValidation:
         with pytest.raises(DictionaryError, match="unsupported dictionary format 'sgdict-2'"):
             load_dictionary(path)
 
-    def test_rejects_truncated_payload(self, saved_frame):
+    @pytest.mark.parametrize("cut", [lambda b: b[:-16], lambda b: b + b"\0", lambda b: b[:-1]],
+                             ids=["one-entry-short", "one-byte-long", "one-byte-short"])
+    def test_rejects_truncated_payload(self, saved_frame, cut):
         _, path = saved_frame
         payload = path.parent / "d.sgdict.bin"
-        payload.write_bytes(payload.read_bytes()[:-16])  # one complex entry short
-        with pytest.raises(DictionaryError, match="payload size"):
+        payload.write_bytes(cut(payload.read_bytes()))
+        with pytest.raises(DictionaryError, match="payload size does not match metadata"):
             load_dictionary(path)

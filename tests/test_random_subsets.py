@@ -13,7 +13,6 @@ from sparsegap.dictionary import (
     build_spikes_sines,
 )
 from sparsegap.random_subsets import (
-    SweepConfig,
     rng_streams,
     sample_uniform_subset,
     statistics_sweep,
@@ -220,9 +219,8 @@ class TestGramPath:
 
     def test_sweep_one_eigvalsh_per_subset(self, linalg_calls):
         d = build_random_tight_frame(32, 128, seed=9)
-        cfg = SweepConfig(s_values=(2, 4, 8), trials_per_s=5, master_seed=4)
         linalg_calls.clear()
-        statistics_sweep(d, cfg)
+        statistics_sweep(d, s_values=(2, 4, 8), trials_per_s=5, seed=4)
         assert linalg_calls == {"eigvalsh": 15}
 
     def test_weak_rank_one_eigvalsh_per_trial(self, linalg_calls):
@@ -242,33 +240,38 @@ class TestStatisticsSweep:
     def test_orthonormal_sweep_trivial(self):
         atoms = np.eye(8, dtype=complex)
         d = Dictionary(atoms=atoms, coherence=0.0, redundancy=1.0, provenance={})
-        cfg = SweepConfig(s_values=(1, 2, 4), trials_per_s=10, master_seed=0)
-        rep = statistics_sweep(d, cfg)
+        rep = statistics_sweep(d, s_values=(1, 2, 4), trials_per_s=10, seed=0)
         for r in rep.trials:
             assert r["max_cross_correlation"] == 0.0
             assert abs(r["pinv_norm"] - 1.0) < 1e-12
 
     def test_singleton_cross_bounded_by_mu(self):
         d = build_random_tight_frame(8, 32, seed=5)
-        cfg = SweepConfig(s_values=(1,), trials_per_s=30, master_seed=1)
-        rep = statistics_sweep(d, cfg)
+        rep = statistics_sweep(d, s_values=(1,), trials_per_s=30, seed=1)
         for r in rep.trials:
             assert r["max_cross_correlation"] <= d.coherence + 1e-12
 
     def test_deterministic(self):
         d = build_random_tight_frame(8, 32, seed=5)
-        cfg = SweepConfig(s_values=(2, 4), trials_per_s=20, master_seed=2)
-        assert statistics_sweep(d, cfg).to_json() == statistics_sweep(d, cfg).to_json()
+        cfg = dict(s_values=(2, 4), trials_per_s=20, seed=2)
+        assert statistics_sweep(d, **cfg).to_json() == statistics_sweep(d, **cfg).to_json()
 
     def test_repeated_s_rejected(self):
         # each (s, trial) row draws from the stream [seed, s, trial], so a repeat would duplicate rows
         with pytest.raises(ValueError, match="repeat"):
-            SweepConfig(s_values=(3, 4, 3), trials_per_s=2, master_seed=0)
+            statistics_sweep(build_spikes_sines(4), s_values=(3, 4, 3), trials_per_s=2, seed=0)
+
+    @pytest.mark.parametrize("c_sparsity", [0, -1.5])
+    def test_nonpositive_c_sparsity_rejected_before_any_factorisation(self, linalg_calls, c_sparsity):
+        d = build_random_tight_frame(8, 32, seed=5)
+        linalg_calls.clear()
+        with pytest.raises(ValueError, match="c_sparsity must be positive"):
+            statistics_sweep(d, s_values=(2, 4), trials_per_s=5, seed=0, c_sparsity=c_sparsity)
+        assert not linalg_calls and not linalg_calls.calls
 
     def test_quantiles_present(self):
         d = build_random_tight_frame(16, 64, seed=6)
-        cfg = SweepConfig(s_values=(2, 4), trials_per_s=25, master_seed=3, beta=1.5)
-        rep = statistics_sweep(d, cfg)
+        rep = statistics_sweep(d, s_values=(2, 4), trials_per_s=25, seed=3, beta=1.5)
         stats = rep.summary["per_s"]["4"]["max_cross_correlation"]
         assert set(stats) == {"median", "q_1_minus_1_over_n", "q_beta"}
         assert 0 <= rep.summary["per_s"]["2"]["gate_violation_fraction"] <= 1
