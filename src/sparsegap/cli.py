@@ -12,7 +12,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, dictionary, random_subsets, signals
@@ -119,7 +119,7 @@ def _bounds_rows(mu: float, m: int, n_atoms: int, s_values, t_fixed, delta: int)
             row["error"] = "delta exceeds min(s, t)"
         else:
             gt = evaluate_thresholds(s, t, delta, mu, m, n_atoms)
-            row.update(gt.to_dict())
+            row.update(asdict(gt))
         rows.append(row)
     return rows
 

@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-COLUMN_NORM_TOL = 1e-12
 TIGHTNESS_TOL = 1e-8
 COHERENCE_TOL = 1e-12   # rounding slack above 1 for the coherence of unit-norm atoms
 METADATA_TOL = 1e-9    # stored vs recomputed coherence/redundancy in sgdict-1 files
@@ -183,7 +182,7 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     m, n = atoms.shape
     norms = np.linalg.norm(atoms, axis=0)
     worst = float(np.abs(norms - 1.0).max())
-    if not worst <= max(COLUMN_NORM_TOL, TIGHTNESS_TOL):  # a non-finite atom has a NaN or infinite norm
+    if not worst <= TIGHTNESS_TOL:  # a non-finite atom has a NaN or infinite norm
         raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
     sv = np.linalg.svd(atoms, compute_uv=False)
     if rank_of_singular_values(sv, atoms.shape) < m:
@@ -359,6 +358,8 @@ def load_dictionary(path) -> Dictionary:
     if len(raw) != 16 * m * n:  # two little-endian float64 per entry
         raise DictionaryError("payload size does not match metadata")
     buf = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(buf).all():  # before the decode, whose 1j * inf would warn
+        raise DictionaryError("payload holds a non-finite value")
     flat = buf[0::2] + 1j * buf[1::2]
     atoms = flat.reshape((m, n), order="F")
     d = _finalize(atoms, provenance)

@@ -1,9 +1,10 @@
 """Exact numerical rank and the analytic lower bounds that sandwich it.
 
 All bounds are certified against :func:`numerical_rank`, the SVD-based
-ground truth.  The norm-ratio family works for any matrix; the
+ground truth.  The Schatten norm-ratio family works for any matrix; the
 trace/Frobenius form needs a psd input; the coherence form applies to
-subdictionaries of unit-norm atoms.
+subdictionaries of unit-norm atoms.  The Schur rank identity and the
+projected-block decomposition split a rank into the ranks of its parts.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ def _schatten(sv: np.ndarray, p) -> float:
     if p == math.inf:
         return float(sv[0]) if sv.size else 0.0
     return float(np.sum(sv**p) ** (1.0 / p))
-
-
-def schatten_norm(a: np.ndarray, p) -> float:
-    """lp norm of the singular value vector; p in [1, inf]."""
-    a = np.asarray(a)
-    if p == 2:
-        return float(np.linalg.norm(a))  # entrywise Frobenius formula, exact for S2, no SVD
-    return _schatten(np.linalg.svd(a, compute_uv=False), p)
 
 
 def numerical_rank(a: np.ndarray, tol: Optional[float] = None) -> int:
@@ -124,32 +117,6 @@ def rank_lb_coherence(r: int, mu: float) -> float:
     return r / (1.0 + (r - 1) * mu**2)
 
 
-def schur_complement(x: np.ndarray, split: int) -> np.ndarray:
-    """Schur complement of the leading k x k block of a Hermitian psd matrix.
-
-    Computed via a solve against the leading block.  Raises
-    SingularBlockError when the block's smallest eigenvalue is below
-    1e-10 times the spectral norm of X.
-    """
-    return _schur_complement(x, split)[0]
-
-
-def _schur_complement(x: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """schur_complement(x, split) and the ascending eigenvalues of X and of its leading block."""
-    w = _eigvalsh_checked(x)
-    if not (0 < split < x.shape[0]):
-        raise ValueError("split must satisfy 0 < k < n")
-    smax = float(np.abs(w).max())
-    a = x[:split, :split]
-    b = x[:split, split:]
-    c = x[split:, split:]
-    w_a = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    if w_a[0] <= BLOCK_SINGULARITY_REL_TOL * smax:
-        raise SingularBlockError(float(w_a[0]))
-    comp = c - b.conj().T @ np.linalg.solve(a, b)
-    return (comp + comp.conj().T) / 2, w, w_a
-
-
 @dataclass(frozen=True)
 class SchurRankIdentity:
     rank_full: int
@@ -171,13 +138,23 @@ def verify_schur_rank_identity(x: np.ndarray, split: int) -> SchurRankIdentity:
     Hermitian psd, so their eigenvalue magnitudes are their singular values.
     """
     x = np.asarray(x)
-    comp, w_x, w_a = _schur_complement(x, split)
+    w_x = _eigvalsh_checked(x)
+    if not (0 < split < x.shape[0]):
+        raise ValueError("split must satisfy 0 < k < n")
+    smax = float(np.abs(w_x).max())
+    a = x[:split, :split]
+    b = x[:split, split:]
+    c = x[split:, split:]
+    w_a = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    if w_a[0] <= BLOCK_SINGULARITY_REL_TOL * smax:
+        raise SingularBlockError(float(w_a[0]))
+    comp = c - b.conj().T @ np.linalg.solve(a, b)
     sv_x, sv_a = (np.sort(np.abs(w))[::-1] for w in (w_x, w_a))
     tol_comp = max(sv_x[0], sv_x[0]**2 / w_a[0]) * x.shape[0] * np.finfo(float).eps * 10
     return SchurRankIdentity(
         rank_full=rank_of_singular_values(sv_x, x.shape),
         rank_block=rank_of_singular_values(sv_a, (split, split)),
-        rank_complement=numerical_rank(comp, tol=tol_comp),
+        rank_complement=numerical_rank((comp + comp.conj().T) / 2, tol=tol_comp),
     )
 
 

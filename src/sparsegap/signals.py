@@ -49,7 +49,7 @@ class GenericSignal:
 
 @dataclass(frozen=True)
 class RepresentabilityVerdict:
-    rank_condition_holds: Optional[bool]
+    rank_condition_holds: bool
     residual: float
     verdict: Verdict
 

@@ -9,7 +9,7 @@ underlying statement.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .dictionary import check_coherence
@@ -125,16 +125,13 @@ class GapThresholds:
     weak_gap_rhs: Optional[float]
     weak_gap_simplified_rhs: Optional[float]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: int) -> GapThresholds:
     """Evaluate the whole threshold family; inapplicable entries become None."""
     decision = overlap_condition(s, t, delta, mu)
     try:
         t_thr = t_threshold_given_overlap(s, delta, mu)
-    except (FormulaInapplicableError, ValueError):
+    except ValueError:  # FormulaInapplicableError among them
         t_thr = None
     try:
         weak = weak_gap_threshold(s, delta, m, n_atoms)

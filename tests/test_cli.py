@@ -54,8 +54,10 @@ class TestDictCommand:
         (np.eye(3) * (1 - 1e-6), "atom norms"),
         (np.ones((2, 4)) * [[1], [0]], "span"),
         (np.eye(3) * (1 - 5e-9), "redundancy"),  # norms within 1e-8, but rho < N/m - 1e-10
-        (np.diag([1, math.nan, 1]), "atom norms deviate from 1 by nan"),  # not an SVD that fails to converge
-    ], ids=["norm", "span", "redundancy", "nan"])
+        (np.diag([1, math.nan, 1]), "payload holds a non-finite value"),  # not an SVD that fails to converge
+        (np.diag([1, math.inf, 1]), "payload holds a non-finite value"),  # not numpy's RuntimeWarning first
+        (np.diag([1, complex(0, -math.inf), 1]), "payload holds a non-finite value"),
+    ], ids=["norm", "span", "redundancy", "nan", "inf-real", "minus-inf-imaginary"])
     def test_inspect_rejects_invalid_atoms(self, tmp_path, capsys, atoms, message):
         out = tmp_path / "d.sgdict"
         save_dictionary(Dictionary(atoms=atoms.astype(complex), coherence=0.0, redundancy=1.0), out)

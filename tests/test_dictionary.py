@@ -408,3 +408,15 @@ class TestLoadValidation:
         payload.write_bytes(cut(payload.read_bytes()))
         with pytest.raises(DictionaryError, match="payload size does not match metadata"):
             load_dictionary(path)
+
+    @pytest.mark.parametrize("index,value", [(0, math.inf), (1, -math.inf), (2, math.nan)],
+                             ids=["inf-real", "minus-inf-imaginary", "nan"])
+    def test_rejects_non_finite_payload(self, saved_frame, index, value):
+        # rejected before the complex decode, so no RuntimeWarning (an error under this suite)
+        _, path = saved_frame
+        payload = path.parent / "d.sgdict.bin"
+        buf = np.frombuffer(payload.read_bytes(), dtype="<f8").copy()
+        buf[index] = value  # even indices are real parts, odd ones imaginary parts
+        payload.write_bytes(buf.tobytes())
+        with pytest.raises(DictionaryError, match="payload holds a non-finite value"):
+            load_dictionary(path)

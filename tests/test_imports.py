@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
-module-level helper goes unreferenced, and no dataclass field goes unread
-(stdlib ast, no linter)."""
+module-level helper goes unreferenced, no dataclass field goes unread, and
+no public function or class exists only for its own unit tests (stdlib
+ast, no linter)."""
 
 import ast
 from pathlib import Path
@@ -117,3 +118,58 @@ def test_no_unread_dataclass_fields():
     package = [p.read_text() for p in Path(sparsegap.__file__).parent.glob("*.py")]
     readers = [p.read_text() for d in ("tests", "bench") for p in (REPO / d).glob("*.py")]
     assert unread_dataclass_fields(package, readers) == []
+
+
+def _names_in(node) -> set:
+    """Names ``node`` refers to: loads, attributes and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.ImportFrom, ast.Import)):
+            names |= {alias.name.split(".")[-1] for alias in sub.names}
+    return names
+
+
+def unexercised_publics(package_sources: list[str], user_sources: list[str]) -> list[str]:
+    """Public module-level functions and classes of the package that nothing but their own definition refers to.
+
+    A package module's references include its string constants, which is how
+    a ``(module, name)`` table names a function; ``user_sources`` (the
+    acceptance tests, the benchmark) count by name, attribute and import.
+    """
+    defined, referenced = set(), set()
+    for source in package_sources:
+        for node in ast.parse(source).body:
+            own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            defined |= {name for name in own if not name.startswith("_")}
+            strings = {sub.value for sub in ast.walk(node)
+                       if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+            referenced |= (_names_in(node) | strings) - own
+    for source in user_sources:
+        referenced |= _names_in(ast.parse(source))
+    return sorted(defined - referenced)
+
+
+def test_finds_an_unexercised_public():
+    package = (
+        "def run():\n    return helper() + _private()\n"
+        "def helper():\n    return 1\n"
+        "def _private():\n    return 2\n"
+        "def tabled():\n    return 3\n"
+        "TABLE = {'t': (None, 'tabled')}\n"
+        "def orphan(n):\n    return orphan(n - 1) if n else 0\n"
+        "class Shape:\n    pass\n"
+        "class Unused:\n    def run(self):\n        return Unused()\n"
+    )
+    users = ["from package import run\n", "import package\npackage.Shape()\n"]
+    assert unexercised_publics([package], users) == ["Unused", "orphan"]
+
+
+def test_no_public_exists_only_for_its_own_tests():
+    package = [p.read_text() for p in Path(sparsegap.__file__).parent.glob("*.py")]
+    users = [(REPO / "tests" / "test_acceptance.py").read_text()]
+    users += [p.read_text() for p in (REPO / "bench").glob("*.py")]
+    assert unexercised_publics(package, users) == []

@@ -26,8 +26,6 @@ from sparsegap.rank_bounds import (
     rank_lb_norm_ratio,
     rank_lb_trace_frobenius,
     rank_lb_weak,
-    schatten_norm,
-    schur_complement,
     verify_schur_rank_identity,
 )
 
@@ -37,29 +35,6 @@ def random_matrix(rng, rows, cols, complex_=True):
     if complex_:
         a = a + 1j * rng.standard_normal((rows, cols))
     return a
-
-
-class TestSchattenNorm:
-    def test_identity_p1(self):
-        assert abs(schatten_norm(np.eye(5), 1) - 5) < 1e-12
-
-    def test_identity_p2(self):
-        assert abs(schatten_norm(np.eye(5), 2) - math.sqrt(5)) < 1e-12
-
-    def test_p2_matches_entrywise(self):
-        rng = np.random.default_rng(0)
-        a = random_matrix(rng, 5, 7)
-        entrywise = math.sqrt(np.sum(np.abs(a) ** 2))
-        assert abs(schatten_norm(a, 2) - entrywise) <= 1e-10 * entrywise
-
-    def test_p_inf_is_spectral(self):
-        rng = np.random.default_rng(1)
-        a = random_matrix(rng, 4, 6)
-        assert abs(schatten_norm(a, math.inf) - np.linalg.norm(a, 2)) < 1e-12
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            schatten_norm(np.eye(2), 0.5)
 
 
 class TestNumericalRank:
@@ -91,6 +66,10 @@ class TestNormRatioBound:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             rank_lb_norm_ratio(np.eye(2), 2, 2)
+
+    def test_rejects_p_below_one(self):
+        with pytest.raises(ValueError, match="Schatten norm requires p >= 1"):
+            rank_lb_norm_ratio(np.eye(2), 0.5, 2)
 
     def test_constant_singular_values_equality(self):
         # constant singular values make the (1, 2) ratio bound exact
@@ -158,18 +137,6 @@ class TestCoherenceBound:
 
 
 class TestSchurComplement:
-    def test_block_diagonal(self):
-        a = np.diag([2.0, 3.0])
-        c = np.diag([5.0, 7.0, 11.0])
-        x = np.block([[a, np.zeros((2, 3))], [np.zeros((3, 2)), c]])
-        assert np.allclose(schur_complement(x, 2), c)
-
-    def test_two_by_two_closed_form(self):
-        c = 0.3 + 0.4j
-        x = np.array([[1.0, c], [np.conj(c), 1.0]])
-        comp = schur_complement(x, 1)
-        assert abs(comp[0, 0] - (1 - abs(c) ** 2)) < 1e-14
-
     def test_gram_rank_identity_spikes_sines(self):
         d = build_spikes_sines(4)
         sub = d.atoms[:, [0, 1, 4]]  # spike 0, spike 1, sine 0
@@ -181,7 +148,7 @@ class TestSchurComplement:
     def test_singular_block_rejected(self):
         x = np.diag([0.0, 1.0, 2.0])
         with pytest.raises(SingularBlockError):
-            schur_complement(x, 1)
+            verify_schur_rank_identity(x, 1)
 
 
 class TestSchurRankIdentity:
@@ -325,7 +292,6 @@ class TestRankReport:
             assert sum(linalg_calls.values()) == 1  # one svd, or the psd gate's one eigvalsh
         linalg_calls.clear()
         rank_lb_coherence(4, 0.5)
-        schatten_norm(np.eye(3), 2)  # entrywise Frobenius, no SVD
         assert linalg_calls == {}
 
     def test_extreme_scales(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestEvaluateThresholds:
         assert gt.donoho_elad_lhs == 16.0
         assert gt.overlap_rhs is not None
         assert gt.weak_gap_rhs is not None
-        data = gt.to_dict()
+        data = dataclasses.asdict(gt)
         assert data["s"] == 8 and data["generic_up_rhs"] == gt.generic_up_rhs
 
     def test_inapplicable_entries_none(self):
