@@ -115,11 +115,10 @@ class Dictionary:
         """Read-only N x N Gram matrix Phi* Phi; set by the constructors, else formed on first use."""
         return _gram(self.atoms)
 
-    def gram_blocks(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Stack of the principal blocks G[i, i] for index rows i of one length, and their ascending eigenvalues."""
+    def gram_blocks(self, rows) -> np.ndarray:
+        """Stack of the principal blocks G[i, i] for index rows i of one length."""
         idx = np.array(rows, dtype=np.intp)
-        g = self.gram[idx[:, :, None], idx[:, None, :]]
-        return g, np.linalg.eigvalsh(g)  # one call for the stack, bit for bit the per-block values
+        return self.gram[idx[:, :, None], idx[:, None, :]]
 
     def max_cross_sq(self, atom_set: AtomSet) -> float:
         """max_{v not in S} ||Phi_S* phi_v||^2 (0 if there is no v), from column sums of |G[S, :]|^2."""
@@ -130,9 +129,14 @@ class Dictionary:
         return float(col.max())
 
 
-def passes_gram_floor(w: np.ndarray) -> bool:
-    """True if ascending Gram eigenvalues w have lambda_min >= GRAM_EIG_FLOOR (sigma_min >= 0.1), or there are none."""
-    return bool(not w.size or w[0] >= GRAM_EIG_FLOOR)
+def certify_gram_floor(g: np.ndarray) -> np.ndarray:
+    """Per block of the (k, r, r) stack g: lambda_min >= GRAM_EIG_FLOOR (sigma_min >= 0.1), certified by a Cholesky
+    factor of g - floor * I.  A 0 x 0 block passes; only a block within rounding, r eps ||g||, of the floor can err."""
+    try:
+        np.linalg.cholesky(g - GRAM_EIG_FLOOR * np.eye(g.shape[-1]))
+        return np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:  # numpy fails the whole stack: retry block by block, unless it is one block
+        return np.array([len(g) > 1 and certify_gram_floor(b[None])[0] for b in g])
 
 
 def _gram(atoms: np.ndarray) -> np.ndarray:

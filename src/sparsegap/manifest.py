@@ -62,21 +62,13 @@ class ExperimentReport:
         return csv_text(self.trials, self.columns)
 
 
-def config_digest(config: dict, provenance: dict, master_seed, tool_version: str) -> str:
-    payload = json.dumps(
-        {"config": config, "provenance": provenance,
-         "master_seed": master_seed, "tool_version": tool_version},
-        sort_keys=True, default=str,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def build_manifest(command_line: str, config: dict, provenance: dict,
                    master_seed, tool_version: str) -> dict:
     """The run manifest embedded in a report, as a JSON-ready dict."""
+    digested = {"config": config, "provenance": provenance, "master_seed": master_seed, "tool_version": tool_version}
     return {
         "command_line": command_line,
-        "config_digest": config_digest(config, provenance, master_seed, tool_version),
+        "config_digest": hashlib.sha256(json.dumps(digested, sort_keys=True, default=str).encode()).hexdigest(),
         "dictionary_provenance": provenance,
         "master_seed": master_seed,
         "tool_version": tool_version,

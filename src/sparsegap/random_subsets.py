@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import TIGHTNESS_TOL, AtomSet, Dictionary, is_weakly_incoherent, passes_gram_floor
+from .dictionary import GRAM_EIG_FLOOR, TIGHTNESS_TOL, AtomSet, Dictionary, is_weakly_incoherent
 from .manifest import ExperimentReport
 from .rank_bounds import numerical_rank
 from .thresholds import HypothesisViolatedError
@@ -73,9 +73,9 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     if len(s_set) == 0:
         raise ValueError("S must be nonempty")
     max_cross = math.sqrt(d.max_cross_sq(s_set))
-    w = d.gram_blocks([s_set.indices])[1][0]
+    w = np.linalg.eigvalsh(d.gram_blocks([s_set.indices])[0])  # reported, so the whole spectrum
     gram_dev = float(np.abs(w - 1.0).max())
-    if passes_gram_floor(w):  # never when s > m: G[S, S] is then singular
+    if w[0] >= GRAM_EIG_FLOOR:  # never when s > m: G[S, S] is then singular
         pinv_norm = 1.0 / math.sqrt(w[0])
     else:
         sigma_min = float(np.linalg.svd(d.subdictionary(s_set), compute_uv=False)[-1])

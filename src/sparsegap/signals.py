@@ -4,10 +4,10 @@ A generic signal is u = Phi_S x with x drawn i.i.d. standard complex Gaussian.  
 over an alternative atom set T is decided through the relative least-squares residual of u against range(Phi_T),
 with a two-threshold verdict policy: at or below the ceiling representable, above the floor not representable,
 in between inconclusive.  Experiments return a ``manifest.ExperimentReport``; both decide pairs (S, T) with
-``_pair_range``.  ``gap`` samples and decides its pairs PAIR_CHUNK at a time: a chunk's Gram blocks share one
-stacked eigvalsh and, past ``dictionary.GRAM_EIG_FLOOR``, one stacked Cholesky, so a certified pair still
-costs 2 eigvalsh and 1 Cholesky of its own blocks; blocks below the floor take SVDs one by one.  The SVD
-functions here are reference code for the tests.  Chunks change no stream: pair p samples from [seed, p] and
+``_pair_range``.  ``gap`` samples and decides its pairs PAIR_CHUNK at a time: a round's Gram blocks share one
+``dictionary.certify_gram_floor`` (a Cholesky of G - GRAM_EIG_FLOOR * I) and the certified ones one Cholesky of G,
+so a certified pair costs 3 Cholesky factors of its own blocks; blocks below the floor take SVDs one by one.  The
+SVD functions here are reference code for the tests.  Chunks change no stream: pair p samples from [seed, p] and
 its trial i from [seed, p, i] (``random_subsets.rng_streams``); a trial's x takes one standard_normal call.
 """
 
@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dictionary import AtomSet, Dictionary, passes_gram_floor
+from .dictionary import AtomSet, Dictionary, certify_gram_floor
 from .manifest import ExperimentReport
 from .random_subsets import rng_streams, sample_uniform_subset
 from .rank_bounds import DependentSetError, numerical_rank, range_basis
@@ -31,7 +31,7 @@ RESIDUAL_CEILING = 1e-10
 RESIDUAL_FLOOR = 1e-6
 CONDITION_CAP = 1e6
 INDEPENDENCE_REDRAW_CAP = 100
-PAIR_CHUNK = 32  # gap pairs whose Gram blocks share one stacked eigvalsh and Cholesky; bounds the stacks' memory
+PAIR_CHUNK = 32  # gap pairs whose Gram blocks share one stacked Cholesky per stage; bounds the stacks' memory
 
 
 class Verdict(enum.Enum):
@@ -144,8 +144,8 @@ def _sample_support(d: Dictionary, s: int, rngs: Sequence[np.random.Generator]) 
     """One linearly independent s-subset per Generator: G[S, S] passes the floor, else numerical_rank(Phi_S) == s."""
     def step(js, _):
         cands = [sample_uniform_subset(d.n_atoms, s, rngs[j]) for j in js]
-        return [c if passes_gram_floor(w) or numerical_rank(d.subdictionary(c)) == s else None
-                for c, w in zip(cands, d.gram_blocks([c.indices for c in cands])[1])]
+        return [c if ok or numerical_rank(d.subdictionary(c)) == s else None
+                for c, ok in zip(cands, certify_gram_floor(d.gram_blocks([c.indices for c in cands])))]
 
     return _redraw_rounds(len(rngs), step, f"no linearly independent support of size {s} found in "
                                            f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})")
@@ -155,16 +155,15 @@ def _pair_range(d: Dictionary, s_sets: Sequence[AtomSet],
                 t_sets: Sequence[AtomSet]) -> Iterator[tuple[np.ndarray, int, int, Optional[np.ndarray]]]:
     """Per pair (all of one |S u T| and |T|): W with ||W x|| = ||(I - P_T) Phi_S x||, rank(Phi_R) for R = S u T,
     rank(Phi_T) and Phi_T's singular values.  Each G[R, R] is gathered in the order (T, X), X = S minus T, into one
-    stack for one eigvalsh; the blocks past the floor take one Cholesky, whose trailing block has L22 L22* = G_XX -
-    G_XT G_TT^-1 G_TX.  There W is L22* on X's entries of x (no rows if S is in T), the ranks are |R| and |T|, the
-    values None (cond(Phi_T) <= sqrt(|T| / floor) by interlacing).  Else W = Phi_S - Q (Q* Phi_S), Q the range_basis
-    of Phi_T, and numerical_rank.
+    stack for one certify_gram_floor; the certified blocks take one Cholesky of G (the stack itself if all pass),
+    whose trailing block has L22 L22* = G_XX - G_XT G_TT^-1 G_TX.  There W is L22* on X's entries of x (no rows if S
+    is in T), the ranks are |R| and |T|, the values None (cond(Phi_T) <= sqrt(|T| / floor) by interlacing).  Else
+    W = Phi_S - Q (Q* Phi_S), Q the range_basis of Phi_T, and numerical_rank.
     """
     x_pos = [[k for k, i in enumerate(s.indices) if i not in t.indices] for s, t in zip(s_sets, t_sets)]
-    g, eigs = d.gram_blocks([t.indices + tuple(s.indices[k] for k in xp)
-                             for s, t, xp in zip(s_sets, t_sets, x_pos)])
-    passes = [passes_gram_floor(w) for w in eigs]
-    factors = iter(np.linalg.cholesky(g[passes]) if any(passes) else ())
+    g = d.gram_blocks([t.indices + tuple(s.indices[k] for k in xp) for s, t, xp in zip(s_sets, t_sets, x_pos)])
+    passes = certify_gram_floor(g)
+    factors = iter(np.linalg.cholesky(g if passes.all() else g[passes]) if passes.any() else ())
     for s_set, t_set, xp, ok in zip(s_sets, t_sets, x_pos, passes):
         if ok:
             w = np.zeros((len(xp), len(s_set)), dtype=np.complex128)

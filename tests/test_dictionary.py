@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import gram_coherence
 from sparsegap.dictionary import (
+    GRAM_EIG_FLOOR,
     TIGHTNESS_TOL,
     AtomSet,
     Dictionary,
@@ -17,6 +18,7 @@ from sparsegap.dictionary import (
     build_random_tight_frame,
     build_random_unit_norm,
     build_spikes_sines,
+    certify_gram_floor,
     is_weakly_incoherent,
     load_dictionary,
     _finalize,
@@ -258,10 +260,87 @@ class TestOneGram:
     def test_gram_blocks_match_each_block_bit_for_bit(self):
         d = build_random_tight_frame(8, 24, seed=3)
         rows = [(0, 5, 9, 17), (23, 1, 2, 3), (4, 4, 6, 7)]  # any order, repeats included
-        g, w = d.gram_blocks(rows)
+        g = d.gram_blocks(rows)
+        assert g.shape == (3, 4, 4)
         for i, row in enumerate(rows):
-            block = d.gram[np.ix_(row, row)]
-            assert np.array_equal(g[i], block) and np.array_equal(w[i], np.linalg.eigvalsh(block))
+            assert np.array_equal(g[i], d.gram[np.ix_(row, row)])
+        assert d.gram_blocks([()]).shape == (1, 0, 0)
+
+
+BAND = 1e-12  # a block whose computed lambda_min lies this close to the floor may go either way
+
+
+def hermitian_stack(rng, lam):
+    """Q diag(lam_i) Q* for each row lam_i of lam, Q a random unitary."""
+    k, r = lam.shape
+    q = np.linalg.qr(rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r)))[0]
+    g = (q * lam[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    return (g + g.conj().transpose(0, 2, 1)) / 2
+
+
+def near_floor_stack(rng, k, r, top):
+    """k Hermitian r x r blocks with lambda_min = f (1 +- 10^-e), e = 1..12, the other eigenvalues up to top; and e."""
+    e = rng.integers(1, 13, k)
+    lam_min = GRAM_EIG_FLOOR * (1 + rng.choice([-1.0, 1.0], k) * 10.0**-e)
+    lam = np.sort(np.hstack([lam_min[:, None], lam_min[:, None] + rng.uniform(0, top, (k, r - 1))]), axis=1)
+    return hermitian_stack(rng, lam), e
+
+
+def floor_reference(g):
+    """(lambda_min >= GRAM_EIG_FLOOR, whether lambda_min lies outside BAND of the floor) per block, from eigvalsh."""
+    w0 = np.linalg.eigvalsh(g)[:, 0]
+    return w0 >= GRAM_EIG_FLOOR, np.abs(w0 - GRAM_EIG_FLOOR) > BAND
+
+
+class TestGramFloorCertificate:
+    """certify_gram_floor (a Cholesky of G - floor * I) against eigvalsh(G)[0] >= GRAM_EIG_FLOOR."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 16), st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 4.0, 32.0]))
+    def test_agrees_with_eigvalsh_near_the_floor(self, r, k, seed, top):
+        g, _ = near_floor_stack(np.random.default_rng(seed), k, r, top)  # e >= 10 lands inside BAND
+        passes, decided = floor_reference(g)
+        event("blocks skipped inside the band", payload=int(np.count_nonzero(~decided)))
+        assert np.array_equal(certify_gram_floor(g)[decided], passes[decided])
+
+    def test_skipped_blocks_are_the_ones_inside_the_band(self):
+        g, e = near_floor_stack(np.random.default_rng(7), 2000, 8, 8.0)
+        passes, decided = floor_reference(g)
+        assert np.array_equal(certify_gram_floor(g)[decided], passes[decided])
+        # f 10^-e is 1e-12 at e = 10: 452 of the 2000 blocks are skipped, all with e >= 10
+        assert decided[e <= 9].all() and not decided[e >= 11].any()
+        assert 0 < passes[decided].sum() < decided.sum()
+
+    def test_one_failing_block_matches_block_by_block(self, linalg_calls):
+        d = build_random_tight_frame(8, 24, seed=3)
+        rows = [(0, 5, 9, 17), (23, 1, 2, 3), (4, 6, 7, 8), (10, 11, 12, 13)]
+        g = d.gram_blocks(rows)
+        g[2] = hermitian_stack(np.random.default_rng(1), np.array([[0.5 * GRAM_EIG_FLOOR, 1.0, 1.5, 2.0]]))[0]
+        linalg_calls.clear()
+        got = certify_gram_floor(g)
+        assert linalg_calls.calls == {"cholesky": 1 + len(rows)}  # the stack fails as a whole, then each block
+        assert got.tolist() == [certify_gram_floor(g[i:i + 1])[0] for i in range(len(rows))]
+        assert got.tolist() == floor_reference(g)[0].tolist() == [True, True, False, True]
+        linalg_calls.clear()
+        assert certify_gram_floor(g[2:3]).tolist() == [False]
+        assert linalg_calls.calls == {"cholesky": 1}  # a single block takes no retry
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_blocks_pass(self, k):
+        assert certify_gram_floor(np.zeros((k, 0, 0), dtype=np.complex128)).tolist() == [True] * k
+
+    @pytest.mark.parametrize("e", [1, 3, 6, 9])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_scaled_blocks(self, e, sign):
+        # real Gram blocks scaled so that lambda_min sits at f (1 +- 10^-e), and scaled far up and down
+        d = build_random_tight_frame(16, 48, seed=2)
+        g = d.gram_blocks([range(i, i + 6) for i in range(0, 42, 6)])
+        w0 = np.linalg.eigvalsh(g)[:, 0]
+        for scale in (GRAM_EIG_FLOOR * (1 + sign * 10.0**-e) / w0, 1e3 * np.ones(len(g)), 1e-3 * np.ones(len(g))):
+            scaled = g * scale[:, None, None]
+            passes, decided = floor_reference(scaled)
+            assert decided.all()
+            assert np.array_equal(certify_gram_floor(scaled), passes)
 
 
 class TestWeakIncoherence:

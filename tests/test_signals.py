@@ -11,7 +11,7 @@ from sparsegap.dictionary import (
     build_random_tight_frame,
     build_random_unit_norm,
     build_spikes_sines,
-    passes_gram_floor,
+    certify_gram_floor,
 )
 from sparsegap import signals
 from sparsegap.rank_bounds import DependentSetError, numerical_rank
@@ -293,7 +293,7 @@ class TestEngineMatchesReference:
             linalg_calls.clear()
             gap_experiment(d, 4, 4, 1, pairs=3, trials_per_pair=trials, seed=10)
             counts.append(sum(linalg_calls.values()))
-        # per pair: eigvalsh of the Gram blocks of S and of S u T, Cholesky of the latter
+        # per pair: certificates of the Gram blocks of S and of S u T, Cholesky of the latter
         assert counts == [3 * 3, 3 * 3]
 
     def test_gap_rank_condition_matches_reference(self, tight_24_64, near_duplicates_6_16):
@@ -319,9 +319,9 @@ class TestEngineMatchesReference:
     def test_factorisation_budget_per_pair(self, tight_24_64, linalg_calls):
         # every Gram block passes the floor here, so no pair needs an SVD
         gap_experiment(tight_24_64, 4, 6, 2, pairs=7, trials_per_pair=3, seed=31)
-        assert linalg_calls == {"eigvalsh": 2 * 7, "cholesky": 7}
-        # one chunk: one stacked eigvalsh for the S blocks, one for the S u T blocks and one Cholesky
-        assert linalg_calls.calls == {"eigvalsh": 2, "cholesky": 1}
+        assert linalg_calls == {"cholesky": 3 * 7}
+        # one chunk: one stacked certificate for the S blocks, one for the S u T blocks and one Cholesky of the latter
+        assert linalg_calls.calls == {"cholesky": 3}
 
     @pytest.mark.parametrize("kind,s,t,delta", [("tight", 5, 24, 1), ("near-duplicates", 2, 3, 1)])
     def test_chunk_boundaries(self, kind, s, t, delta, tight_24_64, near_duplicates_6_16):
@@ -403,14 +403,14 @@ class TestSingleEngine:
         assert (np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])[0] >= GRAM_EIG_FLOOR) == certified
         linalg_calls.clear()
         equivalence_experiment(d, s_set, t_set, trials=4, seed=0)
-        # certified: eigvalsh and Cholesky of G[S u T, S u T]; otherwise the SVDs
-        # of Phi_T, Phi_{S u T} and Phi_S (to certify S) follow the eigvalsh
-        assert linalg_calls == ({"eigvalsh": 1, "cholesky": 1} if certified else {"eigvalsh": 1, "svd": 3})
+        # certified: the certificate and the Cholesky of G[S u T, S u T]; otherwise the SVDs
+        # of Phi_T, Phi_{S u T} and Phi_S (to certify S) follow the failed certificate
+        assert linalg_calls == ({"cholesky": 2} if certified else {"cholesky": 1, "svd": 3})
 
     @pytest.mark.parametrize("t_indices", [[2, 3], []])
     def test_empty_support_rejected(self, t_indices):
         d = build_spikes_sines(8)
-        assert passes_gram_floor(d.gram_blocks([t_indices])[1][0])  # G[T, T] passes the floor
+        assert certify_gram_floor(d.gram_blocks([t_indices])).tolist() == [True]  # G[T, T] passes the floor
         with pytest.raises(DependentSetError):
             equivalence_experiment(d, AtomSet.of([]), AtomSet.of(t_indices), trials=1, seed=0)
 
@@ -426,7 +426,7 @@ class TestRedrawCap:
         with pytest.raises(RedrawCapExceededError):
             _sample_overlapping(d, [AtomSet.of([0, 1])], 2, 0, [np.random.default_rng(0)])
         # per T draw: the Gram block of S u T is singular, so the SVDs of Phi_T and Phi_{S u T} follow
-        assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": 2 * INDEPENDENCE_REDRAW_CAP}
+        assert linalg_calls == {"cholesky": INDEPENDENCE_REDRAW_CAP, "svd": 2 * INDEPENDENCE_REDRAW_CAP}
         with pytest.raises(RedrawCapExceededError):
             gap_experiment(d, 2, 2, 0, pairs=1, trials_per_pair=1, seed=0)
 
@@ -436,4 +436,4 @@ class TestRedrawCap:
         with pytest.raises(RedrawCapExceededError, match="support"):
             _sample_support(d, 2, [np.random.default_rng(0)])
         # per S draw: G[S, S] is singular, so the SVD of Phi_S follows
-        assert linalg_calls == {"eigvalsh": INDEPENDENCE_REDRAW_CAP, "svd": INDEPENDENCE_REDRAW_CAP}
+        assert linalg_calls == {"cholesky": INDEPENDENCE_REDRAW_CAP, "svd": INDEPENDENCE_REDRAW_CAP}
