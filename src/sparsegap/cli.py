@@ -12,7 +12,6 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, dictionary, random_subsets, signals
@@ -25,13 +24,12 @@ from .dictionary import (
 )
 from .manifest import ExperimentReport, build_manifest, csv_text
 from .signals import RedrawCapExceededError
-from .thresholds import GapThresholds, evaluate_thresholds
+from .thresholds import BOUNDS_COLUMNS, evaluate_thresholds
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-BOUNDS_COLUMNS = tuple(f.name for f in fields(GapThresholds)) + ("error",)
 # Each kind's function as (module, name), read when called: a wrapper bound to that name (bench/child.py) is what runs.
 EXPERIMENTS = {"gap": (signals, "gap_experiment"), "equivalence": (signals, "equivalence_experiment"),
                "stats-sweep": (random_subsets, "statistics_sweep"),
@@ -109,21 +107,6 @@ def cmd_dict(args) -> int:
     return EXIT_OK
 
 
-def _bounds_rows(mu: float, m: int, n_atoms: int, s_values, t_fixed, delta: int) -> list[dict]:
-    rows = []
-    for s in s_values:
-        t = s if t_fixed is None else t_fixed
-        row = {k: None for k in BOUNDS_COLUMNS}
-        row.update({"s": s, "t": t, "delta": delta, "mu": mu, "m": m, "n_atoms": n_atoms})
-        if delta > min(s, t):
-            row["error"] = "delta exceeds min(s, t)"
-        else:
-            gt = evaluate_thresholds(s, t, delta, mu, m, n_atoms)
-            row.update(asdict(gt))
-        rows.append(row)
-    return rows
-
-
 def _emit(text: str, out) -> None:
     if out:
         Path(out).write_text(text)
@@ -140,7 +123,8 @@ def cmd_bounds(args) -> int:
             print("error: provide --dict or all of --mu/--m/--n-atoms", file=sys.stderr)
             return EXIT_USAGE
         mu, m, n_atoms = args.mu, args.m, args.n_atoms
-    rows = _bounds_rows(mu, m, n_atoms, range(args.s_min, args.s_max + 1), args.t, args.delta)
+    rows = [evaluate_thresholds(s, s if args.t is None else args.t, args.delta, mu, m, n_atoms)
+            for s in range(args.s_min, args.s_max + 1)]
     if args.format == "csv":
         _emit(csv_text(rows, BOUNDS_COLUMNS), args.out)
     else:

@@ -277,7 +277,7 @@ class WeakIncoherenceCheck:
     """Outcome of the weakly-incoherent-tight-frame test with margins."""
 
     tight: bool
-    tight_margin: float          # tolerance - |rho - N/m|; >= 0 iff tight
+    tight_margin: float          # tightness_margin(d); >= 0 iff tight
     coherent: bool
     coherence_margin: float      # c/log N - mu; >= 0 iff coherent enough
 
@@ -286,17 +286,22 @@ class WeakIncoherenceCheck:
         return self.tight and self.coherent
 
 
+def tightness_margin(d: Dictionary) -> float:
+    """TIGHTNESS_TOL - |rho - N/m|: ``d`` is a tight frame iff this is >= 0."""
+    return TIGHTNESS_TOL - abs(d.redundancy - d.n_atoms / d.m)
+
+
 def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:
     """Check rho = N/m (tolerance 1e-8) and mu <= c / log N."""
     if c <= 0:
         raise ValueError("c must be positive")
     if d.n_atoms < 2:
         raise DictionaryError("need at least two atoms")
-    tight_residual = abs(d.redundancy - d.n_atoms / d.m)
+    tight_margin = tightness_margin(d)
     bound = c / math.log(d.n_atoms)
     return WeakIncoherenceCheck(
-        tight=tight_residual <= TIGHTNESS_TOL,
-        tight_margin=TIGHTNESS_TOL - tight_residual,
+        tight=tight_margin >= 0,
+        tight_margin=tight_margin,
         coherent=d.coherence <= bound,
         coherence_margin=bound - d.coherence,
     )

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dictionary import GRAM_EIG_FLOOR, TIGHTNESS_TOL, AtomSet, Dictionary, is_weakly_incoherent
+from .dictionary import GRAM_EIG_FLOOR, AtomSet, Dictionary, is_weakly_incoherent, tightness_margin
 from .manifest import ExperimentReport
 from .rank_bounds import numerical_rank
 from .thresholds import HypothesisViolatedError
@@ -100,36 +100,23 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int,
     if not c_sparsity > 0:
         raise ValueError(f"c_sparsity must be positive: {c_sparsity!r}")
     n = d.n_atoms
-    rows = []
+    if not all(1 <= s <= n for s in s_values):
+        raise ValueError(f"s_values must lie in [1, {n}]: {list(s_values)}")
+    names = tuple(f.name for f in fields(SubsetStatistics))
+    levels = {"median": 0.5, "q_1_minus_1_over_n": 1.0 - 1.0 / n, "q_beta": 1.0 - n ** (-beta)}
+    rows, per_s = [], {}
     for s in s_values:
+        sub = []
         for trial, rng in enumerate(rng_streams([seed, s], trials_per_s)):
             st = subset_statistics(d, sample_uniform_subset(n, s, rng))
-            rows.append({
-                "s": s,
-                "trial": trial,
-                "max_cross_correlation": st.max_cross_correlation,
-                "gram_deviation": st.gram_deviation,
-                "pinv_norm": st.pinv_norm,
-                "cross_gate_ok": st.max_cross_correlation <= CROSS_GATE,
-                "pinv_gate_ok": st.pinv_norm <= PINV_GATE,
-            })
-    q_hi = 1.0 - 1.0 / n
-    q_beta = 1.0 - n ** (-beta)
-    per_s = {}
-    for s in s_values:
-        sub = [r for r in rows if r["s"] == s]
-        stats = {}
-        for key in ("max_cross_correlation", "gram_deviation", "pinv_norm"):
-            vals = np.array([r[key] for r in sub])
-            stats[key] = {
-                "median": float(np.quantile(vals, 0.5)),
-                "q_1_minus_1_over_n": float(np.quantile(vals, q_hi)),
-                "q_beta": float(np.quantile(vals, q_beta)),
-            }
-        stats["gate_violation_fraction"] = float(
-            np.mean([not (r["cross_gate_ok"] and r["pinv_gate_ok"]) for r in sub])
-        )
-        per_s[str(s)] = stats
+            sub.append({"s": s, "trial": trial, **{k: getattr(st, k) for k in names},
+                        "cross_gate_ok": st.max_cross_correlation <= CROSS_GATE,
+                        "pinv_gate_ok": st.pinv_norm <= PINV_GATE})
+        per_s[str(s)] = {k: dict(zip(levels, map(float, np.quantile([r[k] for r in sub], list(levels.values())))))
+                         for k in names}
+        per_s[str(s)]["gate_violation_fraction"] = float(
+            np.mean([not (r["cross_gate_ok"] and r["pinv_gate_ok"]) for r in sub]))
+        rows += sub
     weak = is_weakly_incoherent(d, c_sparsity)
     return ExperimentReport(
         kind="stats-sweep",
@@ -137,8 +124,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int,
                 "beta": beta, "c_sparsity": c_sparsity,
                 "dictionary": d.provenance},
         master_seed=seed,
-        columns=("s", "trial", "max_cross_correlation", "gram_deviation",
-                 "pinv_norm", "cross_gate_ok", "pinv_gate_ok"),
+        columns=("s", "trial", *names, "cross_gate_ok", "pinv_gate_ok"),
         trials=rows,
         summary={
             "per_s": per_s,
@@ -162,7 +148,7 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
     m, n = d.m, d.n_atoms
     if n <= 2 * m:
         raise HypothesisViolatedError("requires N > 2m")
-    if abs(d.redundancy - n / m) > TIGHTNESS_TOL:
+    if tightness_margin(d) < 0:
         raise ValueError("dictionary must be a tight frame")
     if s < 1 or v_size < 0 or s + v_size > n:
         raise ValueError("invalid (s, v_size)")

@@ -105,53 +105,31 @@ def weak_gap_simplified(s: int, delta: int, m: int, n_atoms: int) -> float:
     return s + 2.0 * (s - delta) * m / n_atoms
 
 
-@dataclass(frozen=True)
-class GapThresholds:
-    """Every threshold evaluated at one parameter point."""
-
-    s: int
-    t: int
-    delta: int
-    mu: float
-    m: int
-    n_atoms: int
-    donoho_elad_lhs: float
-    donoho_elad_rhs: float
-    strong_gap_rhs: float
-    overlap_rhs: Optional[float]
-    overlap_vacuous: bool
-    t_threshold: Optional[float]
-    generic_up_rhs: float
-    weak_gap_rhs: Optional[float]
-    weak_gap_simplified_rhs: Optional[float]
+BOUNDS_COLUMNS = ("s", "t", "delta", "mu", "m", "n_atoms", "donoho_elad_lhs", "donoho_elad_rhs",
+                  "strong_gap_rhs", "overlap_rhs", "overlap_vacuous", "t_threshold", "generic_up_rhs",
+                  "weak_gap_rhs", "weak_gap_simplified_rhs", "error")
 
 
-def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: int) -> GapThresholds:
-    """Evaluate the whole threshold family; inapplicable entries become None."""
-    decision = overlap_condition(s, t, delta, mu)
+def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: int) -> dict:
+    """One ``bounds`` row over BOUNDS_COLUMNS: the whole threshold family, inapplicable entries None.
+
+    A delta above min(s, t) evaluates nothing: the row holds the parameters and its ``error``.
+    """
+    row = dict.fromkeys(BOUNDS_COLUMNS)
+    row.update(s=s, t=t, delta=delta, mu=mu, m=m, n_atoms=n_atoms)
+    if delta > min(s, t):
+        return {**row, "error": "delta exceeds min(s, t)"}
+    decision = overlap_condition(s, t, delta, mu)  # checks s, t, delta and mu for the calls below
+    row.update(donoho_elad_lhs=float(s + t), donoho_elad_rhs=donoho_elad_threshold(mu),
+               strong_gap_rhs=strong_gap_threshold(s, mu), overlap_rhs=decision.rhs,
+               overlap_vacuous=decision.vacuous, generic_up_rhs=generic_up_threshold(s, delta, mu))
     try:
-        t_thr = t_threshold_given_overlap(s, delta, mu)
-    except ValueError:  # FormulaInapplicableError among them
-        t_thr = None
+        row["t_threshold"] = t_threshold_given_overlap(s, delta, mu)
+    except ValueError:  # mu = 0, or FormulaInapplicableError
+        pass
     try:
-        weak = weak_gap_threshold(s, delta, m, n_atoms)
-        weak_simpl = weak_gap_simplified(s, delta, m, n_atoms)
+        row.update(weak_gap_rhs=weak_gap_threshold(s, delta, m, n_atoms),
+                   weak_gap_simplified_rhs=weak_gap_simplified(s, delta, m, n_atoms))
     except HypothesisViolatedError:
-        weak = weak_simpl = None
-    return GapThresholds(
-        s=s,
-        t=t,
-        delta=delta,
-        mu=mu,
-        m=m,
-        n_atoms=n_atoms,
-        donoho_elad_lhs=float(s + t),
-        donoho_elad_rhs=donoho_elad_threshold(mu),
-        strong_gap_rhs=strong_gap_threshold(s, mu),
-        overlap_rhs=decision.rhs,
-        overlap_vacuous=decision.vacuous,
-        t_threshold=t_thr,
-        generic_up_rhs=generic_up_threshold(s, delta, mu),
-        weak_gap_rhs=weak,
-        weak_gap_simplified_rhs=weak_simpl,
-    )
+        pass
+    return row

@@ -145,6 +145,25 @@ class TestBoundsCommand:
         assert rows[0]["error"] is not None  # delta=2 > s=1
         assert rows[2]["error"] is None
 
+    def test_schema_of_error_and_boundary_rows(self, capsys):
+        columns = ["s", "t", "delta", "mu", "m", "n_atoms", "donoho_elad_lhs", "donoho_elad_rhs",
+                   "strong_gap_rhs", "overlap_rhs", "overlap_vacuous", "t_threshold", "generic_up_rhs",
+                   "weak_gap_rhs", "weak_gap_simplified_rhs", "error"]
+        # N = 2m: no weak gap; s = 1 < delta: an error row; s = delta = 2: no t threshold
+        args = ["bounds", "--mu", "0.2", "--m", "8", "--n-atoms", "16", "--s-max", "2", "--delta", "2"]
+        code, csv_out, _ = run(args + ["--format", "csv"], capsys)
+        assert code == 0
+        header, error_line, _ = csv_out.splitlines()
+        assert header == ",".join(columns)
+        assert error_line == "1,1,2,0.2,8,16" + "," * 10 + '"delta exceeds min(s, t)"'  # nine empty cells
+        code, json_out, _ = run(args, capsys)
+        error_row, boundary_row = json.loads(json_out)["rows"]
+        assert error_row == {**dict.fromkeys(columns), "s": 1, "t": 1, "delta": 2, "mu": 0.2, "m": 8,
+                             "n_atoms": 16, "error": "delta exceeds min(s, t)"}
+        assert sorted(boundary_row) == sorted(columns)
+        assert sorted(k for k, v in boundary_row.items() if v is None) == [
+            "error", "t_threshold", "weak_gap_rhs", "weak_gap_simplified_rhs"]
+
     def test_json_and_csv_agree(self, tmp_path, capsys):
         args = ["bounds", "--mu", "0.125", "--m", "16", "--n-atoms", "64",
                 "--s-max", "4", "--delta", "0"]

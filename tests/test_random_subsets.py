@@ -269,6 +269,14 @@ class TestStatisticsSweep:
             statistics_sweep(d, s_values=(2, 4), trials_per_s=5, seed=0, c_sparsity=c_sparsity)
         assert not linalg_calls and not linalg_calls.calls
 
+    @pytest.mark.parametrize("s_values", [(4, 8, 33), (0, 4)])
+    def test_out_of_range_s_rejected_before_any_factorisation(self, linalg_calls, s_values):
+        d = build_random_tight_frame(8, 32, seed=5)
+        linalg_calls.clear()
+        with pytest.raises(ValueError, match=r"s_values must lie in \[1, 32\]"):
+            statistics_sweep(d, s_values=s_values, trials_per_s=5, seed=0)
+        assert not linalg_calls and not linalg_calls.calls
+
     def test_quantiles_present(self):
         d = build_random_tight_frame(16, 64, seed=6)
         rep = statistics_sweep(d, s_values=(2, 4), trials_per_s=25, seed=3, beta=1.5)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from sparsegap.rank_bounds import rank_lb_coherence
 from sparsegap.thresholds import (
+    BOUNDS_COLUMNS,
     FormulaInapplicableError,
     HypothesisViolatedError,
     donoho_elad_threshold,
@@ -162,18 +162,20 @@ class TestInvariants:
 
 class TestEvaluateThresholds:
     def test_fields_populated(self):
-        gt = evaluate_thresholds(8, 8, 2, 0.1, 16, 64)
-        assert gt.donoho_elad_lhs == 16.0
-        assert gt.overlap_rhs is not None
-        assert gt.weak_gap_rhs is not None
-        data = dataclasses.asdict(gt)
-        assert data["s"] == 8 and data["generic_up_rhs"] == gt.generic_up_rhs
+        row = evaluate_thresholds(8, 8, 2, 0.1, 16, 64)
+        assert tuple(row) == BOUNDS_COLUMNS
+        assert row["donoho_elad_lhs"] == 16.0
+        assert row["overlap_rhs"] is not None
+        assert row["weak_gap_rhs"] is not None
+        assert row["s"] == 8 and row["generic_up_rhs"] == generic_up_threshold(8, 2, 0.1)
+        assert row["error"] is None
 
     def test_inapplicable_entries_none(self):
-        gt = evaluate_thresholds(2, 2, 1, 0.9, 16, 32)  # N = 2m, s - delta < 2
-        assert gt.weak_gap_rhs is None
-        assert gt.t_threshold is None
-        assert gt.overlap_vacuous  # t mu^2 = 1.62
+        row = evaluate_thresholds(2, 2, 1, 0.9, 16, 32)  # N = 2m, s - delta < 2
+        assert row["weak_gap_rhs"] is None
+        assert row["t_threshold"] is None
+        assert row["overlap_vacuous"]  # t mu^2 = 1.62
+        assert evaluate_thresholds(4, 4, 0, 0.0, 8, 32)["t_threshold"] is None  # needs mu > 0
 
 
 MU_FUNCTIONS = {
