@@ -183,23 +183,17 @@ def welch_lower_bound(m: int, n_atoms: int) -> float:
 def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     """Validate structural invariants and cache the metrics and the Gram matrix."""
     atoms = np.ascontiguousarray(atoms, dtype=np.complex128)
-    m, n = atoms.shape
     norms = np.linalg.norm(atoms, axis=0)
     worst = float(np.abs(norms - 1.0).max())
     if not worst <= TIGHTNESS_TOL:  # a non-finite atom has a NaN or infinite norm
         raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
     sv = np.linalg.svd(atoms, compute_uv=False)
-    if rank_of_singular_values(sv, atoms.shape) < m:
+    if rank_of_singular_values(sv, atoms.shape) < atoms.shape[0]:
         raise DictionaryError("atoms do not span the ambient space")
-    rho = float(sv[0] ** 2)
-    if rho < n / m - 1e-10:
-        raise DictionaryError(f"redundancy {rho} below N/m = {n / m}")
     gram = _gram(atoms)
     mu = _max_off_diagonal(gram)  # 0 for a single atom
     check_coherence(mu)
-    if n > m and mu < welch_lower_bound(m, n) - 1e-10:
-        raise DictionaryError("coherence below the Grassmannian bound")
-    d = Dictionary(atoms=atoms, coherence=mu, redundancy=rho, provenance=provenance)
+    d = Dictionary(atoms=atoms, coherence=mu, redundancy=float(sv[0] ** 2), provenance=provenance)
     vars(d)["gram"] = gram  # the cached property's slot: Phi* Phi is formed once per dictionary
     return d
 
@@ -238,9 +232,10 @@ def build_random_tight_frame(
 
     Iterates two steps: project onto scaled co-isometries (Phi Phi* =
     (N/m) I) and renormalize columns, until the tightness residual
-    |rho - N/m| of the renormalized frame falls below TIGHTNESS_TOL.
+    max_i |w_i - N/m| over the eigenvalues w of the renormalized frame's
+    Phi Phi* falls below TIGHTNESS_TOL, so it is tight in every direction.
     One Hermitian eigendecomposition Phi Phi* = V diag(w) V* per iterate
-    serves both steps: its largest eigenvalue is rho, and it gives the
+    serves both steps: it gives the residual and the
     projection sqrt(N/m) (Phi Phi*)^(-1/2) Phi, the scaled polar factor of
     Phi.  Raises TightFrameConvergenceError, with the projection's worst
     column-norm deviation |norm - 1| before renormalization, when the cap
@@ -253,7 +248,7 @@ def build_random_tight_frame(
     atoms /= np.linalg.norm(atoms, axis=0)
     target = n_atoms / m
     w, v = np.linalg.eigh(atoms @ atoms.conj().T)
-    rho_res = abs(float(w[-1]) - target)
+    rho_res = float(np.abs(w - target).max())
     norm_res = float(np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max())
     for iteration in range(max_iterations):
         if not w[0] > 0:  # (Phi Phi*)^(-1/2) does not exist; NaN also lands here
@@ -263,7 +258,7 @@ def build_random_tight_frame(
         norm_res = float(np.abs(norms - 1.0).max())
         atoms /= norms
         w, v = np.linalg.eigh(atoms @ atoms.conj().T)
-        rho_res = abs(float(w[-1]) - target)
+        rho_res = float(np.abs(w - target).max())
         if rho_res <= TIGHTNESS_TOL:
             return _finalize(
                 atoms,
@@ -287,12 +282,13 @@ class WeakIncoherenceCheck:
 
 
 def tightness_margin(d: Dictionary) -> float:
-    """TIGHTNESS_TOL - |rho - N/m|: ``d`` is a tight frame iff this is >= 0."""
-    return TIGHTNESS_TOL - abs(d.redundancy - d.n_atoms / d.m)
+    """TIGHTNESS_TOL - max_i |lambda_i(Phi Phi*) - N/m|: ``d`` is a tight frame iff this is >= 0."""
+    w = np.linalg.eigvalsh(d.atoms @ d.atoms.conj().T)
+    return TIGHTNESS_TOL - float(np.abs(w - d.n_atoms / d.m).max())
 
 
 def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:
-    """Check rho = N/m (tolerance 1e-8) and mu <= c / log N."""
+    """Check Phi Phi* = (N/m) I (every eigenvalue within 1e-8) and mu <= c / log N."""
     if c <= 0:
         raise ValueError("c must be positive")
     if d.n_atoms < 2:
@@ -310,17 +306,13 @@ def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:
 def save_dictionary(d: Dictionary, path) -> None:
     """Write metadata JSON at ``path`` and the matrix payload at ``path + '.bin'``.
 
-    Payload layout: for each column, for each row, the real then the
-    imaginary part as little-endian float64 (column-major, interleaved).  A
-    failed metadata write removes the payload again.
+    Payload layout: the atoms as little-endian complex128 in column-major
+    order, so each entry is its real then its imaginary part as
+    little-endian float64.  A failed metadata write removes the payload again.
     """
     path = Path(path)
     payload = path.parent / (path.name + ".bin")
-    flat = d.atoms.flatten(order="F")
-    buf = np.empty(2 * flat.size, dtype="<f8")
-    buf[0::2] = flat.real
-    buf[1::2] = flat.imag
-    payload.write_bytes(buf.tobytes())
+    payload.write_bytes(d.atoms.astype("<c16").tobytes(order="F"))
     meta = {
         "format": FORMAT_VERSION,
         "m": d.m,
@@ -367,11 +359,9 @@ def load_dictionary(path) -> Dictionary:
     if len(raw) != 16 * m * n:  # two little-endian float64 per entry
         raise DictionaryError("payload size does not match metadata")
     buf = np.frombuffer(raw, dtype="<f8")
-    if not np.isfinite(buf).all():  # before the decode, whose 1j * inf would warn
+    if not np.isfinite(buf).all():  # named here, before _finalize reports it as a nan or inf norm
         raise DictionaryError("payload holds a non-finite value")
-    flat = buf[0::2] + 1j * buf[1::2]
-    atoms = flat.reshape((m, n), order="F")
-    d = _finalize(atoms, provenance)
+    d = _finalize(buf.view("<c16").reshape((m, n), order="F"), provenance)
     for name in ("coherence", "redundancy"):
         stored, actual = meta.get(name), getattr(d, name)
         if not isinstance(stored, (int, float)) or not abs(stored - actual) <= METADATA_TOL:

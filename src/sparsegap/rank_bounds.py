@@ -40,15 +40,6 @@ class DependentSetError(ValueError):
     """An atom set required to be linearly independent is not."""
 
 
-def _schatten(sv: np.ndarray, p) -> float:
-    """Schatten p-norm from descending singular values; p in [1, inf]."""
-    if p != math.inf and p < 1:
-        raise ValueError("Schatten norm requires p >= 1")
-    if p == math.inf:
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv**p) ** (1.0 / p))
-
-
 def numerical_rank(a: np.ndarray, tol: Optional[float] = None) -> int:
     """Count of singular values above the cutoff (scale-aware default)."""
     a = np.asarray(a)
@@ -62,14 +53,21 @@ def rank_lb_norm_ratio(a: np.ndarray, p, q) -> float:
 
     For q = inf the exponent is the analytic limit p.
     """
+    return _norm_ratio_bound(np.linalg.svd(np.asarray(a), compute_uv=False), p, q)
+
+
+def _norm_ratio_bound(sv: np.ndarray, p, q) -> float:
+    """(||sv||_p / ||sv||_q)^(pq/(q-p)) of descending nonnegative values; exponent p at q = inf."""
     if not (p < q):
         raise ValueError("requires p < q")
-    sv = np.linalg.svd(np.asarray(a), compute_uv=False)
+    if p < 1:
+        raise ValueError("Schatten norm requires p >= 1")
     if not np.any(sv):
         raise ValueError("zero matrix")
     sv = sv / sv[0]  # the bound is scale-free; scaled, no power of sv under- or overflows
     exponent = p if q == math.inf else p * q / (q - p)
-    return float((_schatten(sv, p) / _schatten(sv, q)) ** exponent)
+    norm_q = 1.0 if q == math.inf else np.sum(sv**q) ** (1.0 / q)  # ||sv||_inf = sv[0] = 1
+    return float((np.sum(sv**p) ** (1.0 / p) / norm_q) ** exponent)
 
 
 def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
@@ -89,20 +87,13 @@ def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
 
 
 def rank_lb_trace_frobenius(a: np.ndarray) -> float:
-    """rank(A) >= trace(A)^2 / ||A||_F^2 for Hermitian psd A."""
-    w = _eigvalsh_checked(a)
-    if not np.any(w):
-        raise ValueError("zero matrix")
-    w = w / np.abs(w).max()
-    return float(np.sum(w)) ** 2 / float(np.sum(w**2))
+    """rank(A) >= trace(A)^2 / ||A||_F^2 for Hermitian psd A: the (1, 2) norm ratio of its eigenvalues."""
+    return _norm_ratio_bound(np.sort(np.abs(_eigvalsh_checked(a)))[::-1], 1, 2)
 
 
 def rank_lb_frobenius_spectral(a: np.ndarray) -> float:
-    """rank(A) >= ||A||_F^2 / ||A||^2 for any nonzero matrix."""
-    sv = np.linalg.svd(np.asarray(a), compute_uv=False)
-    if not np.any(sv):
-        raise ValueError("zero matrix")
-    return float(np.sum((sv / sv[0]) ** 2))
+    """rank(A) >= ||A||_F^2 / ||A||^2 for any nonzero matrix: the (2, inf) norm ratio."""
+    return rank_lb_norm_ratio(a, 2, math.inf)
 
 
 def rank_lb_coherence(r: int, mu: float) -> float:

@@ -115,11 +115,12 @@ def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: 
 
     A delta above min(s, t) evaluates nothing: the row holds the parameters and its ``error``.
     """
+    check_coherence(mu)  # whatever delta is, so an invalid mu is an error and never a row
     row = dict.fromkeys(BOUNDS_COLUMNS)
     row.update(s=s, t=t, delta=delta, mu=mu, m=m, n_atoms=n_atoms)
     if delta > min(s, t):
         return {**row, "error": "delta exceeds min(s, t)"}
-    decision = overlap_condition(s, t, delta, mu)  # checks s, t, delta and mu for the calls below
+    decision = overlap_condition(s, t, delta, mu)  # checks s, t and delta for the calls below
     row.update(donoho_elad_lhs=float(s + t), donoho_elad_rhs=donoho_elad_threshold(mu),
                strong_gap_rhs=strong_gap_threshold(s, mu), overlap_rhs=decision.rhs,
                overlap_vacuous=decision.vacuous, generic_up_rhs=generic_up_threshold(s, delta, mu))

@@ -25,6 +25,13 @@ class TestDictCommand:
         assert "coherence mu = 0.25" in stdout
         assert out.exists() and (tmp_path / "d.sgdict.bin").exists()
 
+    def test_weak_incoherence_constant(self, capsys):
+        code, stdout, _ = run(["dict", "--kind", "spikes-sines", "--m", "16", "--c", "0.5"], capsys)
+        assert code == 0
+        margin = 0.5 / math.log(32) - 0.25  # mu = 1/sqrt(16)
+        assert "weak incoherence (c = 0.5): " in stdout
+        assert f"coherence <= c/log N = {margin >= 0} (margin {margin:.3e})" in stdout
+
     def test_usage_error_small_m(self, capsys):
         code, _, err = run(["dict", "--kind", "spikes-sines", "--m", "1"], capsys)
         assert code == 2
@@ -53,7 +60,7 @@ class TestDictCommand:
     @pytest.mark.parametrize("atoms,message", [
         (np.eye(3) * (1 - 1e-6), "atom norms"),
         (np.ones((2, 4)) * [[1], [0]], "span"),
-        (np.eye(3) * (1 - 5e-9), "redundancy"),  # norms within 1e-8, but rho < N/m - 1e-10
+        (np.eye(3) * (1 - 5e-9), "redundancy"),  # norms within 1e-8, but the stored rho = 1 is not 1 - 1e-8
         (np.diag([1, math.nan, 1]), "payload holds a non-finite value"),  # not an SVD that fails to converge
         (np.diag([1, math.inf, 1]), "payload holds a non-finite value"),  # not numpy's RuntimeWarning first
         (np.diag([1, complex(0, -math.inf), 1]), "payload holds a non-finite value"),
@@ -144,6 +151,22 @@ class TestBoundsCommand:
         rows = json.loads(stdout)["rows"]
         assert rows[0]["error"] is not None  # delta=2 > s=1
         assert rows[2]["error"] is None
+
+    def test_fixed_t(self, capsys):
+        code, stdout, _ = run(["bounds", "--mu", "0.125", "--m", "16", "--n-atoms", "64",
+                               "--s-max", "4", "--t", "6", "--delta", "0"], capsys)
+        assert code == 0
+        rows = json.loads(stdout)["rows"]
+        assert [r["s"] for r in rows] == [1, 2, 3, 4]
+        assert all(r["t"] == 6 and r["donoho_elad_lhs"] == r["s"] + 6 for r in rows)
+
+    def test_invalid_mu_rejected_whatever_delta(self, capsys):
+        # with delta = 5 > min(s, t) every row is an error row, and mu must still be checked
+        for delta in ("0", "5"):
+            code, stdout, err = run(["bounds", "--mu", "7", "--m", "4", "--n-atoms", "12", "--s-max", "2",
+                                     "--delta", delta], capsys)
+            assert code == 2, delta
+            assert stdout == "" and "coherence mu = 7.0 outside" in err
 
     def test_schema_of_error_and_boundary_rows(self, capsys):
         columns = ["s", "t", "delta", "mu", "m", "n_atoms", "donoho_elad_lhs", "donoho_elad_rhs",

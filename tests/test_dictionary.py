@@ -1,10 +1,11 @@
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gram_coherence
@@ -23,6 +24,7 @@ from sparsegap.dictionary import (
     load_dictionary,
     _finalize,
     save_dictionary,
+    tightness_margin,
     welch_lower_bound,
 )
 
@@ -87,7 +89,8 @@ def svd_tight_frame(m, n_atoms, seed, tol=TIGHTNESS_TOL):
     """Alternating projections in SVD form: (atoms, iterations to converge).
 
     The projection is the scaled polar factor sqrt(N/m) U V* of a thin SVD,
-    and rho comes from a second SVD of the renormalized iterate.
+    and the frame bounds come from a second SVD of the renormalized iterate:
+    it stops once every squared singular value is within tol of N/m.
     """
     rng = np.random.default_rng(seed)
     atoms = rng.standard_normal((m, n_atoms)) + 1j * rng.standard_normal((m, n_atoms))
@@ -96,9 +99,9 @@ def svd_tight_frame(m, n_atoms, seed, tol=TIGHTNESS_TOL):
         u, _, vh = np.linalg.svd(atoms, full_matrices=False)
         atoms = math.sqrt(n_atoms / m) * (u @ vh)
         atoms /= np.linalg.norm(atoms, axis=0)
-        rho = np.linalg.svd(atoms, compute_uv=False)[0] ** 2
+        frame_res = np.abs(np.linalg.svd(atoms, compute_uv=False) ** 2 - n_atoms / m).max()
         norm_res = np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max()
-        if abs(rho - n_atoms / m) <= tol and norm_res <= tol:
+        if frame_res <= tol and norm_res <= tol:
             return atoms, iteration
     raise AssertionError("reference did not converge")
 
@@ -150,6 +153,15 @@ class TestRandomTightFrame:
     def test_redundancy_hits_target(self):
         d = build_random_tight_frame(8, 32, seed=7)
         assert abs(d.redundancy - 4.0) <= 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 12), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @example(12, 1, 1)  # a stop on rho = lambda_max alone left lambda_min of this frame 1.05e-7 from N/m
+    def test_tight_in_every_direction(self, m, extra, seed):
+        d = build_random_tight_frame(m, m + extra, seed)
+        w = np.linalg.eigvalsh(d.atoms @ d.atoms.conj().T)
+        assert np.abs(w - d.n_atoms / m).max() <= TIGHTNESS_TOL
+        assert tightness_margin(d) >= 0
 
     def test_coherence_respects_welch(self):
         d = build_random_tight_frame(8, 32, seed=7)
@@ -361,6 +373,14 @@ class TestWeakIncoherence:
         check = is_weakly_incoherent(d, c=1.0)
         assert check.passed
 
+    def test_low_lower_frame_bound_is_not_tight(self):
+        # Phi Phi* = diag(2, 2, 2 - 5e-8): rho = N/m exactly, but one direction falls short
+        atoms = np.hstack([np.eye(3), np.diag([1.0, 1.0, math.sqrt(1 - 5e-8)])]).astype(complex)
+        d = Dictionary(atoms=atoms, coherence=0.0, redundancy=2.0, provenance={})
+        assert abs(tightness_margin(d) - (TIGHTNESS_TOL - 5e-8)) < 1e-15
+        check = is_weakly_incoherent(d, c=1.0)
+        assert not check.tight and check.tight_margin == tightness_margin(d)
+
 
 class TestConstructionInvariants:
     @pytest.mark.parametrize("d", [
@@ -375,6 +395,20 @@ class TestConstructionInvariants:
         assert d.redundancy >= d.n_atoms / d.m - 1e-10
         assert 0 <= d.coherence <= 1
         assert d.coherence >= welch_lower_bound(d.m, d.n_atoms) - 1e-10
+
+    @pytest.mark.parametrize("frame", [
+        build_random_tight_frame(8, 32, seed=7).atoms,
+        np.array([[1, -0.5, -0.5], [0, math.sqrt(3) / 2, -math.sqrt(3) / 2]]),  # equiangular, mu = Welch = 1/2
+    ], ids=["tight-8x32", "equiangular-3-in-c2"])
+    def test_accepts_and_round_trips_norms_within_tolerance(self, frame, tmp_path):
+        # unit norms give rho >= N/m and mu >= Welch only up to the norm tolerance, so neither is checked to 1e-10
+        atoms = (1 - 5e-9) * frame.astype(complex)
+        d = _finalize(atoms, {"kind": "scaled"})
+        assert d.redundancy < d.n_atoms / d.m - 1e-10
+        save_dictionary(d, tmp_path / "d.sgdict")
+        loaded = load_dictionary(tmp_path / "d.sgdict")
+        assert np.array_equal(loaded.atoms, atoms)
+        assert (loaded.coherence, loaded.redundancy) == (d.coherence, d.redundancy)
 
     @pytest.mark.parametrize("entry", [math.nan, complex(0, math.nan)], ids=["real", "imaginary"])
     def test_rejects_nan_atom(self, entry):
@@ -394,6 +428,14 @@ class TestSerialization:
         assert loaded.coherence == d.coherence
         assert loaded.redundancy == d.redundancy
         assert loaded.provenance == d.provenance
+
+    def test_payload_is_little_endian_complex128_column_major(self, tmp_path):
+        d = build_random_unit_norm(3, 5, seed=1)
+        path = tmp_path / "d.sgdict"
+        save_dictionary(d, path)
+        expected = b"".join(struct.pack("<2d", z.real, z.imag) for z in d.atoms.ravel(order="F"))
+        assert (tmp_path / "d.sgdict.bin").read_bytes() == expected
+        assert load_dictionary(path).atoms.tobytes() == d.atoms.tobytes()
 
     def test_format_field(self, tmp_path):
         d = build_spikes_sines(4)
