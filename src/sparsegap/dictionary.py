@@ -8,8 +8,9 @@ everything downstream:
 * coherence   mu  = max_{j != k} |<phi_j, phi_k>|
 
 Constructors return immutable :class:`Dictionary` instances with both
-metrics and the Gram matrix Phi* Phi, which both are read off, cached and
-all structural invariants checked.
+metrics, the Gram matrix Phi* Phi (mu is read off it) and the spectrum of
+Phi Phi* (rho is its largest eigenvalue) cached, and all structural
+invariants checked.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 TIGHTNESS_TOL = 1e-8
 COHERENCE_TOL = 1e-12   # rounding slack above 1 for the coherence of unit-norm atoms
 METADATA_TOL = 1e-9    # stored vs recomputed coherence/redundancy in sgdict-1 files
-GRAM_EIG_FLOOR = 1e-2  # lambda_min of a Gram block that certifies its atoms without an SVD
+GRAM_EIG_FLOOR = 1e-2  # lambda_min of a Gram block, or of Phi Phi* over its lambda_max, that certifies without an SVD
+MU_BLOCK_ROWS = 64     # Gram rows per block of the coherence maximum
 
 FORMAT_VERSION = "sgdict-1"
 
@@ -113,7 +115,12 @@ class Dictionary:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Read-only N x N Gram matrix Phi* Phi; set by the constructors, else formed on first use."""
-        return _gram(self.atoms)
+        return _read_only(self.atoms.conj().T @ self.atoms)
+
+    @functools.cached_property
+    def frame_spectrum(self) -> np.ndarray:
+        """Read-only ascending eigenvalues of Phi Phi*; set by the constructors, else computed on first use."""
+        return _read_only(np.linalg.eigvalsh(self.atoms @ self.atoms.conj().T))
 
     def gram_blocks(self, rows) -> np.ndarray:
         """Stack of the principal blocks G[i, i] for index rows i of one length."""
@@ -139,16 +146,19 @@ def certify_gram_floor(g: np.ndarray) -> np.ndarray:
         return np.array([len(g) > 1 and certify_gram_floor(b[None])[0] for b in g])
 
 
-def _gram(atoms: np.ndarray) -> np.ndarray:
-    g = atoms.conj().T @ atoms
-    g.flags.writeable = False
-    return g
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _max_off_diagonal(gram: np.ndarray) -> float:
-    off = np.abs(gram)
-    np.fill_diagonal(off, 0.0)
-    return float(off.max())
+    """max_{j != k} |G[j, k]| (0 for one atom), over blocks of MU_BLOCK_ROWS rows: no N x N copy of |G|."""
+    mu = 0.0
+    for first in range(0, len(gram), MU_BLOCK_ROWS):
+        off = np.abs(gram[first:first + MU_BLOCK_ROWS])
+        np.fill_diagonal(off[:, first:], 0.0)
+        mu = max(mu, float(off.max()))
+    return mu
 
 
 def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:
@@ -181,20 +191,23 @@ def welch_lower_bound(m: int, n_atoms: int) -> float:
 
 
 def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
-    """Validate structural invariants and cache the metrics and the Gram matrix."""
+    """Validate structural invariants; cache the metrics, the Gram matrix and the spectrum of Phi Phi*."""
     atoms = np.ascontiguousarray(atoms, dtype=np.complex128)
     norms = np.linalg.norm(atoms, axis=0)
     worst = float(np.abs(norms - 1.0).max())
     if not worst <= TIGHTNESS_TOL:  # a non-finite atom has a NaN or infinite norm
         raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
-    sv = np.linalg.svd(atoms, compute_uv=False)
-    if rank_of_singular_values(sv, atoms.shape) < atoms.shape[0]:
-        raise DictionaryError("atoms do not span the ambient space")
-    gram = _gram(atoms)
-    mu = _max_off_diagonal(gram)  # 0 for a single atom
+    d = Dictionary(atoms=atoms, coherence=math.nan, redundancy=math.nan, provenance=provenance)
+    w = d.frame_spectrum  # d.frame_spectrum and d.gram are each formed once per dictionary, here
+    rho = float(w[-1])  # lambda_min >= floor * lambda_max: sigma_min >= 0.1 sigma_max, far above the rank cutoff
+    if w[0] < GRAM_EIG_FLOOR * w[-1]:
+        sv = np.linalg.svd(atoms, compute_uv=False)
+        if rank_of_singular_values(sv, atoms.shape) < atoms.shape[0]:
+            raise DictionaryError("atoms do not span the ambient space")
+        rho = float(sv[0] ** 2)
+    mu = _max_off_diagonal(d.gram)  # 0 for a single atom
     check_coherence(mu)
-    d = Dictionary(atoms=atoms, coherence=mu, redundancy=float(sv[0] ** 2), provenance=provenance)
-    vars(d)["gram"] = gram  # the cached property's slot: Phi* Phi is formed once per dictionary
+    vars(d).update(coherence=mu, redundancy=rho)  # set before d leaves here, so it is frozen to every caller
     return d
 
 
@@ -283,8 +296,7 @@ class WeakIncoherenceCheck:
 
 def tightness_margin(d: Dictionary) -> float:
     """TIGHTNESS_TOL - max_i |lambda_i(Phi Phi*) - N/m|: ``d`` is a tight frame iff this is >= 0."""
-    w = np.linalg.eigvalsh(d.atoms @ d.atoms.conj().T)
-    return TIGHTNESS_TOL - float(np.abs(w - d.n_atoms / d.m).max())
+    return TIGHTNESS_TOL - float(np.abs(d.frame_spectrum - d.n_atoms / d.m).max())
 
 
 def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:

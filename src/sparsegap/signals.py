@@ -58,9 +58,10 @@ class RedrawCapExceededError(RuntimeError):
     """A sampler found no acceptable atom set within INDEPENDENCE_REDRAW_CAP draws."""
 
 
-def _complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
-    z = rng.standard_normal(2 * size)  # the numbers two calls of size each would give
-    return (z[:size] + 1j * z[size:]) / math.sqrt(2)
+def _complex_gaussian(z: np.ndarray) -> np.ndarray:
+    """x from normals z of shape (..., 2s): real parts first, then imaginary parts, as two calls of s would give."""
+    s = z.shape[-1] // 2
+    return (z[..., :s] + 1j * z[..., s:]) / math.sqrt(2)
 
 
 def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex]) -> GenericSignal:
@@ -86,7 +87,7 @@ def _independent_subdictionary(d: Dictionary, s_set: AtomSet) -> np.ndarray:
 def draw_generic_signal(d: Dictionary, support: AtomSet, seed) -> GenericSignal:
     """u = Phi_S x with x i.i.d. standard complex Gaussian, deterministic in seed."""
     phi_s = _independent_subdictionary(d, support)
-    coeff = _complex_gaussian(np.random.default_rng(seed), len(support))
+    coeff = _complex_gaussian(np.random.default_rng(seed).standard_normal(2 * len(support)))
     return GenericSignal(support=support, coefficients=coeff, signal=phi_s @ coeff)
 
 
@@ -196,7 +197,8 @@ def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> l
 
     residual_over up to rounding (0.0 if W has no rows); S must already be known to be independent.
     """
-    x = np.array([_complex_gaussian(rng, len(s_set)) for rng in streams]).reshape(-1, len(s_set)).T
+    z = np.array([rng.standard_normal(2 * len(s_set)) for rng in streams]).reshape(-1, 2 * len(s_set))
+    x = _complex_gaussian(z).T  # column i from stream i
     norm_u = np.linalg.norm(d.subdictionary(s_set) @ x, axis=0)
     if not norm_u.all():
         raise ValueError("zero signal has no meaningful residual")

@@ -118,7 +118,7 @@ def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: 
     check_coherence(mu)  # whatever delta is, so an invalid mu is an error and never a row
     row = dict.fromkeys(BOUNDS_COLUMNS)
     row.update(s=s, t=t, delta=delta, mu=mu, m=m, n_atoms=n_atoms)
-    if delta > min(s, t):
+    if delta > min(s, t) >= 1:  # s or t below 1 is an error whatever delta is: overlap_condition raises it
         return {**row, "error": "delta exceeds min(s, t)"}
     decision = overlap_condition(s, t, delta, mu)  # checks s, t and delta for the calls below
     row.update(donoho_elad_lhs=float(s + t), donoho_elad_rhs=donoho_elad_threshold(mu),

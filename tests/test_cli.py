@@ -187,6 +187,15 @@ class TestBoundsCommand:
         assert sorted(k for k, v in boundary_row.items() if v is None) == [
             "error", "t_threshold", "weak_gap_rhs", "weak_gap_simplified_rhs"]
 
+    @pytest.mark.parametrize("bad", [["--s-min", "0", "--s-max", "1"], ["--s-max", "1", "--t", "0"]])
+    def test_s_or_t_below_one_rejected_whatever_delta(self, bad, capsys):
+        # an out-of-range s or t is a usage error, not a "delta exceeds min(s, t)" row
+        for delta in ("0", "1"):
+            code, stdout, err = run(["bounds", "--mu", "0.3", "--m", "4", "--n-atoms", "12", *bad,
+                                     "--delta", delta], capsys)
+            assert code == 2, delta
+            assert stdout == "" and err == "error: need 1 <= s, 1 <= t, 0 <= delta <= min(s, t)\n"
+
     def test_json_and_csv_agree(self, tmp_path, capsys):
         args = ["bounds", "--mu", "0.125", "--m", "16", "--n-atoms", "64",
                 "--s-max", "4", "--delta", "0"]

@@ -221,14 +221,14 @@ class TestGramPath:
         d = build_random_tight_frame(32, 128, seed=9)
         linalg_calls.clear()
         statistics_sweep(d, s_values=(2, 4, 8), trials_per_s=5, seed=4)
-        assert linalg_calls == {"eigvalsh": 16}  # one per subset, and the sweep's one tightness check
+        assert linalg_calls == {"eigvalsh": 15}  # one per subset; the tightness check reads d.frame_spectrum
 
     def test_weak_rank_one_eigvalsh_per_trial(self, linalg_calls):
         d = build_random_tight_frame(32, 128, seed=8)
         linalg_calls.clear()
         weak_rank_bound_experiment(d, 8, 16, 5, seed=3)
-        # one eigvalsh per trial and the run's one tightness check; the svd is numerical_rank(Phi_{S u V})
-        assert linalg_calls == {"eigvalsh": 6, "svd": 5}
+        # one eigvalsh per trial (the tightness check reads d.frame_spectrum); the svd is numerical_rank(Phi_{S u V})
+        assert linalg_calls == {"eigvalsh": 5, "svd": 5}
 
     def test_gram_is_formed_once_on_first_use(self):
         d = build_random_tight_frame(8, 32, seed=4)

@@ -286,6 +286,32 @@ class TestEngineMatchesReference:
         assert_rows_match_reference(d, rep.trials, lambda r: (s_set, t_set),
                                     lambda r: [19, r["trial"]])
 
+    def test_trial_coefficients_are_the_reference_draws(self, tight_24_64, monkeypatch):
+        # column i of the x that _trial_residuals draws for pair p is draw_generic_signal's x from [seed, p, i]
+        seen = []
+
+        class RecordingW:
+            def __init__(self, w):
+                self.w = w
+
+            def __matmul__(self, x):
+                seen[-1].append(x)
+                return self.w @ x
+
+        trial_residuals = signals._trial_residuals
+
+        def spy(d, s_set, w, streams):
+            seen.append([s_set])
+            return trial_residuals(d, s_set, RecordingW(w), streams)
+
+        monkeypatch.setattr(signals, "_trial_residuals", spy)
+        rep = gap_experiment(tight_24_64, 4, 6, 2, pairs=3, trials_per_pair=5, seed=41)
+        assert [len(r) for r in seen] == [2, 2, 2] and len(rep.trials) == 15
+        for p, (s_set, x) in enumerate(seen):
+            assert x.shape == (4, 5)
+            for i in range(5):
+                assert np.array_equal(x[:, i], draw_generic_signal(tight_24_64, s_set, [41, p, i]).coefficients)
+
     def test_svd_count_independent_of_trials(self, linalg_calls):
         d = build_spikes_sines(16)
         counts = []
