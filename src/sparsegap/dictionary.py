@@ -28,7 +28,6 @@ TIGHTNESS_TOL = 1e-8
 COHERENCE_TOL = 1e-12   # rounding slack above 1 for the coherence of unit-norm atoms
 METADATA_TOL = 1e-9    # stored vs recomputed coherence/redundancy in sgdict-1 files
 GRAM_EIG_FLOOR = 1e-2  # lambda_min of a Gram block, or of Phi Phi* over its lambda_max, that certifies without an SVD
-MU_BLOCK_ROWS = 64     # Gram rows per block of the coherence maximum
 
 FORMAT_VERSION = "sgdict-1"
 
@@ -115,12 +114,12 @@ class Dictionary:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Read-only N x N Gram matrix Phi* Phi; set by the constructors, else formed on first use."""
-        return _read_only(self.atoms.conj().T @ self.atoms)
+        return _gram(self.atoms)
 
     @functools.cached_property
     def frame_spectrum(self) -> np.ndarray:
         """Read-only ascending eigenvalues of Phi Phi*; set by the constructors, else computed on first use."""
-        return _read_only(np.linalg.eigvalsh(self.atoms @ self.atoms.conj().T))
+        return _frame_spectrum(self.atoms)
 
     def gram_blocks(self, rows) -> np.ndarray:
         """Stack of the principal blocks G[i, i] for index rows i of one length."""
@@ -146,19 +145,22 @@ def certify_gram_floor(g: np.ndarray) -> np.ndarray:
         return np.array([len(g) > 1 and certify_gram_floor(b[None])[0] for b in g])
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _gram(atoms: np.ndarray) -> np.ndarray:
+    g = atoms.conj().T @ atoms
+    g.flags.writeable = False
+    return g
+
+
+def _frame_spectrum(atoms: np.ndarray) -> np.ndarray:
+    w = np.linalg.eigvalsh(atoms @ atoms.conj().T)
+    w.flags.writeable = False
+    return w
 
 
 def _max_off_diagonal(gram: np.ndarray) -> float:
-    """max_{j != k} |G[j, k]| (0 for one atom), over blocks of MU_BLOCK_ROWS rows: no N x N copy of |G|."""
-    mu = 0.0
-    for first in range(0, len(gram), MU_BLOCK_ROWS):
-        off = np.abs(gram[first:first + MU_BLOCK_ROWS])
-        np.fill_diagonal(off[:, first:], 0.0)
-        mu = max(mu, float(off.max()))
-    return mu
+    off = np.abs(gram)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
 
 
 def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:
@@ -197,17 +199,16 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     worst = float(np.abs(norms - 1.0).max())
     if not worst <= TIGHTNESS_TOL:  # a non-finite atom has a NaN or infinite norm
         raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
-    d = Dictionary(atoms=atoms, coherence=math.nan, redundancy=math.nan, provenance=provenance)
-    w = d.frame_spectrum  # d.frame_spectrum and d.gram are each formed once per dictionary, here
-    rho = float(w[-1])  # lambda_min >= floor * lambda_max: sigma_min >= 0.1 sigma_max, far above the rank cutoff
-    if w[0] < GRAM_EIG_FLOOR * w[-1]:
+    w = _frame_spectrum(atoms)  # rho = lambda_max, accurate to rounding of lambda_max however conditioned
+    if w[0] < GRAM_EIG_FLOOR * w[-1]:  # above the floor sigma_min >= 0.1 sigma_max, far above the rank cutoff
         sv = np.linalg.svd(atoms, compute_uv=False)
         if rank_of_singular_values(sv, atoms.shape) < atoms.shape[0]:
             raise DictionaryError("atoms do not span the ambient space")
-        rho = float(sv[0] ** 2)
-    mu = _max_off_diagonal(d.gram)  # 0 for a single atom
+    gram = _gram(atoms)
+    mu = _max_off_diagonal(gram)  # 0 for a single atom
     check_coherence(mu)
-    vars(d).update(coherence=mu, redundancy=rho)  # set before d leaves here, so it is frozen to every caller
+    d = Dictionary(atoms=atoms, coherence=mu, redundancy=float(w[-1]), provenance=provenance)
+    vars(d).update(gram=gram, frame_spectrum=w)  # the cached properties' slots: each is formed once per dictionary
     return d
 
 
