@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 TIGHTNESS_TOL = 1e-8
+TIGHT_FRAME_MAX_ITERATIONS = 10_000
 COHERENCE_TOL = 1e-12   # rounding slack above 1 for the coherence of unit-norm atoms
 METADATA_TOL = 1e-9    # stored vs recomputed coherence/redundancy in sgdict-1 files
 GRAM_EIG_FLOOR = 1e-2  # lambda_min of a Gram block, or of Phi Phi* over its lambda_max, that certifies without an SVD
@@ -122,7 +123,7 @@ class Dictionary:
         return _frame_spectrum(self.atoms)
 
     def gram_blocks(self, rows) -> np.ndarray:
-        """Stack of the principal blocks G[i, i] for index rows i of one length."""
+        """(k, r, r) stack of the principal blocks G[i, i] for k index rows i of length r, bit for bit k gathers."""
         idx = np.array(rows, dtype=np.intp)
         return self.gram[idx[:, :, None], idx[:, None, :]]
 
@@ -193,7 +194,10 @@ def welch_lower_bound(m: int, n_atoms: int) -> float:
 
 
 def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
-    """Validate structural invariants; cache the metrics, the Gram matrix and the spectrum of Phi Phi*."""
+    """Validate structural invariants; cache the metrics, the Gram matrix and the spectrum of Phi Phi*.
+
+    Checks unit norms, span and mu, not rho >= N/m or the Welch bound (unit norms imply them only to TIGHTNESS_TOL);
+    the spectrum certifies the span at lambda_min >= GRAM_EIG_FLOOR * lambda_max, else an SVD of Phi runs for that."""
     atoms = np.ascontiguousarray(atoms, dtype=np.complex128)
     norms = np.linalg.norm(atoms, axis=0)
     worst = float(np.abs(norms - 1.0).max())
@@ -236,12 +240,7 @@ def build_random_unit_norm(m: int, n_atoms: int, seed: int) -> Dictionary:
     return _finalize(atoms, {"kind": "random-unit", "m": m, "n_atoms": n_atoms, "seed": seed})
 
 
-def build_random_tight_frame(
-    m: int,
-    n_atoms: int,
-    seed: int,
-    max_iterations: int = 10_000,
-) -> Dictionary:
+def build_random_tight_frame(m: int, n_atoms: int, seed: int) -> Dictionary:
     """Random unit-norm tight frame via alternating projections.
 
     Iterates two steps: project onto scaled co-isometries (Phi Phi* =
@@ -252,8 +251,8 @@ def build_random_tight_frame(
     serves both steps: it gives the residual and the
     projection sqrt(N/m) (Phi Phi*)^(-1/2) Phi, the scaled polar factor of
     Phi.  Raises TightFrameConvergenceError, with the projection's worst
-    column-norm deviation |norm - 1| before renormalization, when the cap
-    is hit or an iterate is rank-deficient.
+    column-norm deviation |norm - 1| before renormalization, after
+    TIGHT_FRAME_MAX_ITERATIONS iterations or at a rank-deficient iterate.
     """
     if m < 1 or n_atoms <= m:
         raise DictionaryError("a redundant tight frame needs n_atoms > m >= 1")
@@ -264,7 +263,7 @@ def build_random_tight_frame(
     w, v = np.linalg.eigh(atoms @ atoms.conj().T)
     rho_res = float(np.abs(w - target).max())
     norm_res = float(np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max())
-    for iteration in range(max_iterations):
+    for iteration in range(TIGHT_FRAME_MAX_ITERATIONS):
         if not w[0] > 0:  # (Phi Phi*)^(-1/2) does not exist; NaN also lands here
             raise TightFrameConvergenceError(iteration, rho_res, norm_res)
         atoms = (v * np.sqrt(target / w)) @ (v.conj().T @ atoms)
@@ -278,7 +277,7 @@ def build_random_tight_frame(
                 atoms,
                 {"kind": "random-tight", "m": m, "n_atoms": n_atoms, "seed": seed},
             )
-    raise TightFrameConvergenceError(max_iterations, rho_res, norm_res)
+    raise TightFrameConvergenceError(TIGHT_FRAME_MAX_ITERATIONS, rho_res, norm_res)
 
 
 @dataclass(frozen=True)

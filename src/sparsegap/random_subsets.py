@@ -89,6 +89,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int,
     """Per-s quantiles of the subset statistics and gate-violation fractions.
 
     The reported quantile level is 1 - N^(-beta); an s is in the regime when s <= c_sparsity * m / log N.
+    ValueError, before any work, on a repeated s (it would reuse its streams), an s outside [1, N] or c_sparsity <= 0.
     """
     beta, c_sparsity = float(beta), float(c_sparsity)
     if beta < 1.0:
@@ -138,7 +139,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int,
 
 def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
                                seed: int) -> ExperimentReport:
-    """Measured rank of Phi_{S u V} versus the weak-incoherence lower bounds.
+    """Measured rank of Phi_{S u V} versus the weak-incoherence lower bounds, on a tight frame (tightness_margin).
 
     Two candidate bounds are tracked: |S| + 2m|V|/N and |S| + m|V|/(2N)
     (the latter is what the good-event gate values give when plugged into

@@ -1,9 +1,9 @@
 """Closed-form uncertainty-principle thresholds.
 
-Pure formula objects in the parameters (s, t, delta, mu, m, N); nothing
-here touches a concrete dictionary.  Each docstring states whether the
-comparison it encodes is strict or weak, matching the inequality in the
-underlying statement.
+Pure formula objects in the parameters (s, t, delta, mu, m, N); nothing here touches a concrete dictionary.
+Each formula in mu accepts mu up to 1 + COHERENCE_TOL (``dictionary.check_coherence``), the rounded coherence
+of a repeated atom.  Each docstring states whether the comparison it encodes is strict or weak, matching the
+inequality in the underlying statement.
 """
 
 from __future__ import annotations

@@ -461,6 +461,16 @@ class TestExperimentCommand:
         assert stdout == (tmp_path / "run.csv").read_text()
         assert stdout.startswith("pair,trial,residual,")
 
+    def test_out_suffix_is_replaced(self, gap_config, tmp_path, monkeypatch, capsys):
+        # --out PATH writes PATH.with_suffix(".json" / ".csv"), so --out exp.1 and --out exp.2 write one file
+        monkeypatch.chdir(tmp_path)
+        for out, fmt in (("run.2026", "both"), ("plain.json", "json"), ("exp.1", "json"), ("exp.2", "json")):
+            assert run(["experiment", "--config", str(gap_config), "--out", out, "--format", fmt], capsys)[0] == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["cfg.json", "exp.json", "plain.json", "run.csv", "run.json"]
+        manifest = json.loads((tmp_path / "exp.json").read_text())["manifest"]
+        assert manifest["command_line"].endswith("--out exp.2 --format json")  # the second run overwrote the first
+
     def test_both_formats_without_out_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"  # the flag check comes before the config is read
         code, stdout, err = run(["experiment", "--config", str(missing), "--format", "both"], capsys)

@@ -55,6 +55,11 @@ class TestSpikesSines:
         assert abs(d.redundancy - 2.0) < 1e-10
         assert d.n_atoms / d.m == 2
 
+    @pytest.mark.parametrize("m", [8, 16, 32, 64, 128, 256, 512])
+    def test_redundancy_drift_is_of_order_m_eps(self, m):
+        # lambda_max of the formed Phi Phi* lies above the exact rho = 2 by up to 0.92 m eps rho (at m = 512)
+        assert abs(build_spikes_sines(m).redundancy - 2.0) <= 2 * m * np.finfo(float).eps * 2.0
+
     def test_spike_block_orthonormal(self):
         d = build_spikes_sines(16)
         assert abs(np.vdot(d.atoms[:, 0], d.atoms[:, 1])) < 1e-14
@@ -121,9 +126,10 @@ class TestRandomTightFrame:
         # the start, one per iteration, and the validation SVD in _finalize
         assert sum(linalg_calls.values()) <= iterations + 2
 
-    def test_iteration_cap_raises_with_finite_residuals(self):
+    def test_iteration_cap_raises_with_finite_residuals(self, monkeypatch):
+        monkeypatch.setattr("sparsegap.dictionary.TIGHT_FRAME_MAX_ITERATIONS", 1)
         with pytest.raises(TightFrameConvergenceError) as info:
-            build_random_tight_frame(8, 32, seed=7, max_iterations=1)
+            build_random_tight_frame(8, 32, seed=7)
         err = info.value
         assert err.iterations == 1
         assert math.isfinite(err.rho_residual) and math.isfinite(err.norm_residual)
