@@ -1,9 +1,11 @@
 """Command-line front end: dictionary construction, threshold tables, experiments.
 
-Exit status contract: 0 = all invariants held, 1 = the experiment set its
-report's ``failed`` (a violation or an INCONCLUSIVE verdict), or a sampler
-hit its redraw cap (one line on stderr, no report), 2 = usage or config
-error, or an output file that cannot be written.
+Exit status contract, which ``main`` returns and never raises: 0 = all
+invariants held, 1 = the experiment set its report's ``failed`` (a violation
+or an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame
+builder its iteration cap (one line on stderr, no report), 2 = usage or config
+error, argparse's included, or an output file that cannot be written (``dict``
+then writes no file).
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ def _build_dictionary(spec: dict) -> Dictionary:
     return build(**{k: spec[k] for k in keys})
 
 
-def _print_metrics(d: Dictionary, c: float) -> None:
-    check = is_weakly_incoherent(d, c)
+def _print_metrics(d: Dictionary, c: float, check: dictionary.WeakIncoherenceCheck) -> None:
     print(f"m = {d.m}  N = {d.n_atoms}")
     print(f"coherence mu = {d.coherence:.12g}")
     print(f"redundancy rho = {d.redundancy:.12g}  (N/m = {d.n_atoms / d.m:.12g})")
@@ -92,18 +93,17 @@ def _print_metrics(d: Dictionary, c: float) -> None:
 
 def cmd_dict(args) -> int:
     if args.inspect:
-        d = load_dictionary(args.inspect)
-        _print_metrics(d, args.c)
-        return EXIT_OK
-    if not args.kind:
-        print("error: --kind is required unless --inspect is given", file=sys.stderr)
-        return EXIT_USAGE
-    d = _build_dictionary(vars(args))  # the builder takes the flags named after its parameters
-    if args.out:  # saved first, so a failed save prints no metrics
-        save_dictionary(d, args.out)
-    _print_metrics(d, args.c)
-    if args.out:
-        print(f"wrote {args.out}")
+        d, out = load_dictionary(args.inspect), None
+    elif args.kind:
+        d, out = _build_dictionary(vars(args)), args.out  # the builder takes the flags named after its parameters
+    else:
+        raise ConfigError("--kind is required unless --inspect is given")
+    check = is_weakly_incoherent(d, args.c)  # before the save, so a rejected run writes nothing
+    if out:  # saved before printing, so a failed save prints no metrics
+        save_dictionary(d, out)
+    _print_metrics(d, args.c, check)
+    if out:
+        print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -120,8 +120,7 @@ def cmd_bounds(args) -> int:
         mu, m, n_atoms = d.coherence, d.m, d.n_atoms
     else:
         if args.mu is None or args.m is None or args.n_atoms is None:
-            print("error: provide --dict or all of --mu/--m/--n-atoms", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError("provide --dict or all of --mu/--m/--n-atoms")
         mu, m, n_atoms = args.mu, args.m, args.n_atoms
     rows = [evaluate_thresholds(s, s if args.t is None else args.t, args.delta, mu, m, n_atoms)
             for s in range(args.s_min, args.s_max + 1)]
@@ -153,8 +152,7 @@ def _run_experiment(cfg: dict, seed: int) -> ExperimentReport:
 def cmd_experiment(args) -> int:
     """Run the configured experiment; ``args.argv`` is recorded as the command line."""
     if args.format == "both" and not args.out:
-        print("error: --format both needs --out", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--format both needs --out")
     try:
         cfg = json.loads(Path(args.config).read_text())
         _validate_config(cfg)
@@ -220,13 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv, namespace=argparse.Namespace(argv=argv))
+    try:
+        args = build_parser().parse_args(argv, namespace=argparse.Namespace(argv=argv))
+    except SystemExit as exc:  # argparse has printed its usage error (2), --help or --version (0)
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # DictionaryError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RedrawCapExceededError as exc:
+    except (RedrawCapExceededError, dictionary.TightFrameConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

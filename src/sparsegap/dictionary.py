@@ -260,24 +260,21 @@ def build_random_tight_frame(m: int, n_atoms: int, seed: int) -> Dictionary:
     atoms = rng.standard_normal((m, n_atoms)) + 1j * rng.standard_normal((m, n_atoms))
     atoms /= np.linalg.norm(atoms, axis=0)
     target = n_atoms / m
-    w, v = np.linalg.eigh(atoms @ atoms.conj().T)
-    rho_res = float(np.abs(w - target).max())
     norm_res = float(np.abs(np.linalg.norm(atoms, axis=0) - 1.0).max())
-    for iteration in range(TIGHT_FRAME_MAX_ITERATIONS):
-        if not w[0] > 0:  # (Phi Phi*)^(-1/2) does not exist; NaN also lands here
+    for iteration in range(TIGHT_FRAME_MAX_ITERATIONS + 1):
+        w, v = np.linalg.eigh(atoms @ atoms.conj().T)
+        rho_res = float(np.abs(w - target).max())
+        if iteration and rho_res <= TIGHTNESS_TOL:  # the starting frame is projected at least once
+            return _finalize(
+                atoms,
+                {"kind": "random-tight", "m": m, "n_atoms": n_atoms, "seed": seed},
+            )
+        if iteration == TIGHT_FRAME_MAX_ITERATIONS or not w[0] > 0:  # no (Phi Phi*)^(-1/2); NaN fails too
             raise TightFrameConvergenceError(iteration, rho_res, norm_res)
         atoms = (v * np.sqrt(target / w)) @ (v.conj().T @ atoms)
         norms = np.linalg.norm(atoms, axis=0)
         norm_res = float(np.abs(norms - 1.0).max())
         atoms /= norms
-        w, v = np.linalg.eigh(atoms @ atoms.conj().T)
-        rho_res = float(np.abs(w - target).max())
-        if rho_res <= TIGHTNESS_TOL:
-            return _finalize(
-                atoms,
-                {"kind": "random-tight", "m": m, "n_atoms": n_atoms, "seed": seed},
-            )
-    raise TightFrameConvergenceError(TIGHT_FRAME_MAX_ITERATIONS, rho_res, norm_res)
 
 
 @dataclass(frozen=True)
@@ -301,7 +298,7 @@ def tightness_margin(d: Dictionary) -> float:
 
 def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:
     """Check Phi Phi* = (N/m) I (every eigenvalue within 1e-8) and mu <= c / log N."""
-    if c <= 0:
+    if not c > 0:  # NaN fails too
         raise ValueError("c must be positive")
     if d.n_atoms < 2:
         raise DictionaryError("need at least two atoms")

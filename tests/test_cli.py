@@ -6,8 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from sparsegap import __version__, dictionary
 from sparsegap.cli import main
 from sparsegap.dictionary import Dictionary, _finalize, save_dictionary
+
+GAP = {"experiment": "gap", "dictionary": {"kind": "spikes-sines", "m": 16}, "seed": 5,
+       "s": 4, "t": 4, "delta": 0, "pairs": 3, "trials_per_pair": 3}
+SPIKES_8 = {"kind": "spikes-sines", "m": 8}
+TIGHT_8_32 = {"kind": "random-tight", "m": 8, "n_atoms": 32, "seed": 0}
 
 
 def run(argv, capsys):
@@ -31,22 +37,6 @@ class TestDictCommand:
         margin = 0.5 / math.log(32) - 0.25  # mu = 1/sqrt(16)
         assert "weak incoherence (c = 0.5): " in stdout
         assert f"coherence <= c/log N = {margin >= 0} (margin {margin:.3e})" in stdout
-
-    def test_usage_error_small_m(self, capsys):
-        code, _, err = run(["dict", "--kind", "spikes-sines", "--m", "1"], capsys)
-        assert code == 2
-        assert "error" in err
-
-    def test_random_tight_without_rows_is_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "gap", "s": 1, "t": 1, "delta": 0, "pairs": 1,
-                                   "trials_per_pair": 1, "dictionary": {
-                                       "kind": "random-tight", "m": 0, "n_atoms": 3, "seed": 0}}))
-        for argv in (["dict", "--kind", "random-tight", "--m", "0", "--n-atoms", "3"],
-                     ["experiment", "--config", str(cfg)]):
-            code, stdout, err = run(argv, capsys)
-            assert code == 2, argv
-            assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_inspect_round_trips_metrics(self, tmp_path, capsys):
         out = tmp_path / "d.sgdict"
@@ -160,14 +150,6 @@ class TestBoundsCommand:
         assert [r["s"] for r in rows] == [1, 2, 3, 4]
         assert all(r["t"] == 6 and r["donoho_elad_lhs"] == r["s"] + 6 for r in rows)
 
-    def test_invalid_mu_rejected_whatever_delta(self, capsys):
-        # with delta = 5 > min(s, t) every row is an error row, and mu must still be checked
-        for delta in ("0", "5"):
-            code, stdout, err = run(["bounds", "--mu", "7", "--m", "4", "--n-atoms", "12", "--s-max", "2",
-                                     "--delta", delta], capsys)
-            assert code == 2, delta
-            assert stdout == "" and "coherence mu = 7.0 outside" in err
-
     def test_schema_of_error_and_boundary_rows(self, capsys):
         columns = ["s", "t", "delta", "mu", "m", "n_atoms", "donoho_elad_lhs", "donoho_elad_rhs",
                    "strong_gap_rhs", "overlap_rhs", "overlap_vacuous", "t_threshold", "generic_up_rhs",
@@ -186,15 +168,6 @@ class TestBoundsCommand:
         assert sorted(boundary_row) == sorted(columns)
         assert sorted(k for k, v in boundary_row.items() if v is None) == [
             "error", "t_threshold", "weak_gap_rhs", "weak_gap_simplified_rhs"]
-
-    @pytest.mark.parametrize("bad", [["--s-min", "0", "--s-max", "1"], ["--s-max", "1", "--t", "0"]])
-    def test_s_or_t_below_one_rejected_whatever_delta(self, bad, capsys):
-        # an out-of-range s or t is a usage error, not a "delta exceeds min(s, t)" row
-        for delta in ("0", "1"):
-            code, stdout, err = run(["bounds", "--mu", "0.3", "--m", "4", "--n-atoms", "12", *bad,
-                                     "--delta", delta], capsys)
-            assert code == 2, delta
-            assert stdout == "" and err == "error: need 1 <= s, 1 <= t, 0 <= delta <= min(s, t)\n"
 
     def test_json_and_csv_agree(self, tmp_path, capsys):
         args = ["bounds", "--mu", "0.125", "--m", "16", "--n-atoms", "64",
@@ -219,22 +192,12 @@ class TestBoundsCommand:
             code, _, err = run(argv, capsys)
             assert code == 0, err
 
-    def test_missing_parameters(self, capsys):
-        code, _, err = run(["bounds", "--s-max", "4"], capsys)
-        assert code == 2
-
 
 class TestExperimentCommand:
     @pytest.fixture
     def gap_config(self, tmp_path):
-        cfg = {
-            "experiment": "gap",
-            "dictionary": {"kind": "spikes-sines", "m": 16},
-            "seed": 5,
-            "s": 4, "t": 4, "delta": 0, "pairs": 3, "trials_per_pair": 3,
-        }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(GAP))
         return path
 
     def test_runs_clean(self, gap_config, capsys):
@@ -278,18 +241,6 @@ class TestExperimentCommand:
             digests.append(json.loads(stdout)["manifest"]["config_digest"])
         assert digests[0] == digests[1]
 
-    def test_negative_seed_flag_is_config_error(self, gap_config, capsys):
-        code, stdout, stderr = run(["experiment", "--config", str(gap_config), "--seed", "-1"], capsys)
-        assert code == 2
-        assert stdout == ""
-        assert stderr.startswith("config error:") and "--seed" in stderr
-        assert len(stderr.splitlines()) == 1
-
-    def test_threads_flag_rejected(self, gap_config, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--threads", "2", "--config", str(gap_config)])
-        assert exc.value.code == 2
-
     def test_redraw_cap_exits_one(self, tmp_path, capsys):
         # e1 and four copies of e2: every independent S of size 2 leaves a
         # complement of parallel atoms, so no T of size 2 is well conditioned
@@ -307,109 +258,6 @@ class TestExperimentCommand:
         assert code == 1
         assert stdout == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
-    def test_unknown_experiment_rejected(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"experiment": "nope", "dictionary": {}}))
-        code, _, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert "config error" in err
-
-    def test_missing_keys_rejected_before_compute(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "experiment": "gap",
-            "dictionary": {"kind": "spikes-sines", "m": 8},
-            "s": 2,
-        }))
-        code, _, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert "missing keys" in err
-
-    @pytest.mark.parametrize("changes", [
-        {"dictionary": {"kind": "spikes-sines"}},
-        {"dictionary": {"kind": "random-tight", "m": 8, "n_atoms": 32, "seed": "7"}},
-        {"dictionary": {"kind": ["spikes-sines"], "m": 8}},
-        {"s": [1]},
-        {"seed": [1]},
-        {"experiment": ["gap"]},
-    ], ids=["dictionary-without-m", "string-seed", "list-kind", "list-s", "list-seed",
-            "list-experiment"])
-    def test_malformed_config_rejected(self, gap_config, capsys, changes):
-        cfg = json.loads(gap_config.read_text())
-        gap_config.write_text(json.dumps({**cfg, **changes}))
-        code, stdout, err = run(["experiment", "--config", str(gap_config)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize("changes", [
-        {"s": True}, {"delta": False}, {"seed": True},
-        {"dictionary": {"kind": "spikes-sines", "m": True}},
-        {"pairs": -3}, {"trials_per_pair": -1}, {"seed": -1}, {"delta": -1},
-    ], ids=["bool-s", "bool-delta", "bool-seed", "bool-m", "negative-pairs",
-            "negative-trials", "negative-seed", "negative-delta"])
-    def test_boolean_or_negative_integer_rejected(self, gap_config, capsys, changes):
-        cfg = json.loads(gap_config.read_text())
-        gap_config.write_text(json.dumps({**cfg, **changes}))
-        code, stdout, err = run(["experiment", "--config", str(gap_config)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and "error: " in err
-
-    @pytest.mark.parametrize("config", [
-        {"experiment": "equivalence", "s_set": [0, True], "t_set": [3], "trials": 2},
-        {"experiment": "equivalence", "s_set": [0], "t_set": [3], "trials": -5},
-        {"experiment": "weak-rank", "s": 1, "v_size": 2, "trials": -1},
-        {"experiment": "stats-sweep", "s_values": [1], "trials_per_s": 2, "beta": True},
-    ], ids=["bool-in-list", "negative-trials", "weak-rank-negative-trials", "bool-beta"])
-    def test_other_experiments_reject_boolean_or_negative(self, tmp_path, capsys, config):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**config, "dictionary": {"kind": "spikes-sines", "m": 8}}))
-        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("config error: ")
-
-    def test_equivalence_index_past_last_atom_rejected(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "equivalence", "dictionary": {"kind": "spikes-sines", "m": 4},
-                                    "s_set": [0, 99], "t_set": [1], "trials": 2}))
-        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
-
-    def test_repeated_sweep_s_value_rejected(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"kind": "spikes-sines", "m": 8},
-                                    "s_values": [3, 3], "trials_per_s": 2}))
-        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
-
-    @pytest.mark.parametrize("c_sparsity", [0, -0.5])
-    def test_nonpositive_c_sparsity_rejected(self, tmp_path, capsys, c_sparsity):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"kind": "spikes-sines", "m": 8},
-                                    "s_values": [1, 2], "trials_per_s": 2, "c_sparsity": c_sparsity}))
-        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ") and "c_sparsity" in err
-
-    @pytest.mark.parametrize("changes", [{"c_sparsity": math.nan}, {"beta": math.inf}, {"beta": math.nan},
-                                         {"beta": 10**400}],
-                             ids=["nan-c-sparsity", "infinite-beta", "nan-beta", "beta-past-float-range"])
-    def test_non_finite_real_rejected(self, tmp_path, capsys, changes):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"kind": "spikes-sines", "m": 8},
-                                    "s_values": [1], "trials_per_s": 2, **changes}))  # NaN, Infinity tokens
-        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("config error: ")
-
-    def test_gap_support_larger_than_m_is_usage_error(self, gap_config, capsys):
-        cfg = json.loads(gap_config.read_text())
-        gap_config.write_text(json.dumps({**cfg, "s": 17}))  # m = 16
-        code, stdout, err = run(["experiment", "--config", str(gap_config)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.fixture
     def near_e1(self, tmp_path):
@@ -438,14 +286,6 @@ class TestExperimentCommand:
         assert summary["n_inconclusive"] == 2 and summary["violations"] == 0
         assert "failed" not in stdout  # the exit decision is not part of the report
 
-    def test_empty_support_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "equivalence", "dictionary": {"kind": "spikes-sines", "m": 8},
-                                    "s_set": [], "t_set": [2, 3], "trials": 2}))
-        code, stdout, err = run(["experiment", "--config", str(path)], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
-
     def test_zero_t_is_accepted(self, gap_config, capsys):
         cfg = json.loads(gap_config.read_text())
         gap_config.write_text(json.dumps({**cfg, "t": 0}))
@@ -470,12 +310,6 @@ class TestExperimentCommand:
         assert written == ["cfg.json", "exp.json", "plain.json", "run.csv", "run.json"]
         manifest = json.loads((tmp_path / "exp.json").read_text())["manifest"]
         assert manifest["command_line"].endswith("--out exp.2 --format json")  # the second run overwrote the first
-
-    def test_both_formats_without_out_is_usage_error(self, tmp_path, capsys):
-        missing = tmp_path / "absent.json"  # the flag check comes before the config is read
-        code, stdout, err = run(["experiment", "--config", str(missing), "--format", "both"], capsys)
-        assert code == 2
-        assert stdout == "" and len(err.splitlines()) == 1 and "--out" in err
 
     def test_stats_sweep_config(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
@@ -512,3 +346,137 @@ def test_failed_dict_save_leaves_nothing(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ")
     assert stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dd"]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--m", "2", "--n-atoms", "2", "--c", "0"], "c must be positive"),
+    (["--m", "2", "--n-atoms", "2", "--c", "nan"], "c must be positive"),
+    (["--m", "1", "--n-atoms", "1"], "need at least two atoms"),
+], ids=["c-zero", "c-nan", "one-atom"])
+def test_rejected_dict_writes_nothing(tmp_path, capsys, flags, message):
+    argv = ["dict", "--kind", "random-unit", *flags, "--out", str(tmp_path / "d.sgdict")]
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def case(case_id, argv, prefix, text, status=2, lines=1, config=None):
+    """A row of the exit contract: ``config``, when given, is written to cfg.json first."""
+    return pytest.param(argv, config, status, lines, prefix, text, id=case_id)
+
+
+def bad_config(case_id, config, prefix, text, *flags):
+    """``experiment`` on ``config`` (and ``flags``) that exits 2."""
+    return case(case_id, ["experiment", "--config", "cfg.json", *flags], prefix, text, config=config)
+
+
+def bad_bounds(case_id, flags, text):
+    return case(case_id, ["bounds", "--m", "4", "--n-atoms", "12", *flags], "error: ", text)
+
+
+def stats_sweep(changes):
+    return {"experiment": "stats-sweep", "dictionary": SPIKES_8, "s_values": [1, 2], "trials_per_s": 2, **changes}
+
+
+TIGHT_FRAME_CAP = "tight-frame construction did not converge in 1 iterations"
+
+EXIT_CONTRACT = [
+    # argparse's own exits
+    case("version", ["--version"], __version__, "", status=0),
+    case("unknown-flag", ["dict", "--bogus"], "usage: ", "sparsegap: error: unrecognized arguments: --bogus",
+         lines=2),
+    case("threads-flag", ["experiment", "--threads", "2", "--config", "cfg.json"], "usage: ",
+         "sparsegap: error: unrecognized arguments: --threads 2", lines=2, config=GAP),
+    # flags the commands reject
+    case("dict-without-kind", ["dict"], "error: ", "--kind is required unless --inspect is given"),
+    case("dict-spikes-sines-m-1", ["dict", "--kind", "spikes-sines", "--m", "1"], "error: ",
+         "spikes-and-sines needs m >= 2"),
+    case("dict-random-tight-m-0", ["dict", "--kind", "random-tight", "--m", "0", "--n-atoms", "3"], "error: ",
+         "a redundant tight frame needs n_atoms > m >= 1"),
+    case("dict-builder-cap", ["dict", "--kind", "random-tight", "--m", "8", "--n-atoms", "32"], "error: ",
+         TIGHT_FRAME_CAP, status=1),
+    case("bounds-missing-parameters", ["bounds", "--s-max", "4"], "error: ",
+         "provide --dict or all of --mu/--m/--n-atoms"),
+    # mu is checked whatever delta is, also when delta > min(s, t) makes every row an error row
+    *(bad_bounds(f"bounds-mu-7-delta-{delta}", ["--mu", "7", "--s-max", "2", "--delta", delta],
+                 "coherence mu = 7.0 outside [0, 1 + 1e-12]") for delta in ("0", "5")),
+    # an s or t below one is a usage error, not a "delta exceeds min(s, t)" row
+    *(bad_bounds(f"bounds-{name}-delta-{delta}", ["--mu", "0.3", *flags, "--delta", delta],
+                 "need 1 <= s, 1 <= t, 0 <= delta <= min(s, t)")
+      for name, flags in (("s-0", ["--s-min", "0", "--s-max", "1"]), ("t-0", ["--s-max", "1", "--t", "0"]))
+      for delta in ("0", "1")),
+    case("both-formats-without-out", ["experiment", "--config", "absent.json", "--format", "both"], "error: ",
+         "--format both needs --out"),  # the flag check comes before the config is read
+    bad_config("negative-seed-flag", GAP, "config error: ", "--seed must not be negative: -1", "--seed", "-1"),
+    # configs rejected before any computation
+    bad_config("unknown-experiment", {"experiment": "nope", "dictionary": {}}, "config error: ",
+               "unknown experiment 'nope'"),
+    bad_config("list-experiment", {**GAP, "experiment": ["gap"]}, "config error: ",
+               "unknown experiment ['gap']"),
+    bad_config("gap-missing-keys", {"experiment": "gap", "dictionary": SPIKES_8, "s": 2}, "config error: ",
+               "experiment 'gap' missing keys: ['delta', 'pairs', 't', 'trials_per_pair']"),
+    *(bad_config(f"gap-{case_id}", {**GAP, key: value}, "config error: ",
+                 f"experiment 'gap' key {key!r} {reason}: {value!r}")
+      for case_id, key, value, reason in (
+          ("list-s", "s", [1], "has the wrong type"), ("list-seed", "seed", [1], "has the wrong type"),
+          ("bool-s", "s", True, "has the wrong type"), ("bool-delta", "delta", False, "has the wrong type"),
+          ("bool-seed", "seed", True, "has the wrong type"), ("negative-pairs", "pairs", -3, "must not be negative"),
+          ("negative-trials", "trials_per_pair", -1, "must not be negative"),
+          ("negative-seed", "seed", -1, "must not be negative"),
+          ("negative-delta", "delta", -1, "must not be negative"))),
+    *(bad_config(case_id, {**config, "dictionary": SPIKES_8}, "config error: ", text) for case_id, config, text in (
+        ("equivalence-bool-in-list", {"experiment": "equivalence", "s_set": [0, True], "t_set": [3], "trials": 2},
+         "experiment 'equivalence' key 's_set' has the wrong type: [0, True]"),
+        ("equivalence-negative-trials", {"experiment": "equivalence", "s_set": [0], "t_set": [3], "trials": -5},
+         "experiment 'equivalence' key 'trials' must not be negative: -5"),
+        ("weak-rank-negative-trials", {"experiment": "weak-rank", "s": 1, "v_size": 2, "trials": -1},
+         "experiment 'weak-rank' key 'trials' must not be negative: -1"))),
+    *(bad_config(f"stats-sweep-{case_id}", stats_sweep(changes), "config error: ",
+                 f"experiment 'stats-sweep' key {text}")
+      for case_id, changes, text in (
+          ("bool-beta", {"beta": True}, "'beta' has the wrong type: True"),
+          ("nan-c-sparsity", {"c_sparsity": math.nan}, "'c_sparsity' must be a finite float: nan"),
+          ("infinite-beta", {"beta": math.inf}, "'beta' must be a finite float: inf"),
+          ("nan-beta", {"beta": math.nan}, "'beta' must be a finite float: nan"),
+          ("beta-past-float-range", {"beta": 10**400}, "'beta' must be a finite float: 1000"))),
+    # configs rejected by the dictionary builder or by the experiment
+    *(bad_config(f"gap-{case_id}", {**GAP, "dictionary": spec}, "error: ", text) for case_id, spec, text in (
+        ("dictionary-without-m", {"kind": "spikes-sines"}, "dictionary missing keys: ['m']"),
+        ("string-dictionary-seed", {**TIGHT_8_32, "seed": "7"}, "dictionary key 'seed' has the wrong type: '7'"),
+        ("list-kind", {"kind": ["spikes-sines"], "m": 8}, "unknown dictionary kind ['spikes-sines']"),
+        ("bool-m", {"kind": "spikes-sines", "m": True}, "dictionary key 'm' has the wrong type: True"),
+        ("random-tight-m-0", {**TIGHT_8_32, "m": 0, "n_atoms": 3}, "a redundant tight frame needs n_atoms > m >= 1"))),
+    bad_config("gap-s-above-m", {**GAP, "s": 17}, "error: ",
+               "s = 17 exceeds m = 16: no 17 atoms are linearly independent"),
+    bad_config("equivalence-index-past-last-atom", {"experiment": "equivalence", "dictionary": {**SPIKES_8, "m": 4},
+                                                    "s_set": [0, 99], "t_set": [1], "trials": 2},
+               "error: ", "atom indices must be below the 8 atoms of the dictionary"),
+    bad_config("equivalence-empty-support", {"experiment": "equivalence", "dictionary": SPIKES_8,
+                                             "s_set": [], "t_set": [2, 3], "trials": 2},
+               "error: ", "S must be a nonempty linearly independent set"),
+    bad_config("stats-sweep-repeated-s", stats_sweep({"s_values": [3, 3]}), "error: ",
+               "s_values must not repeat: [3, 3]"),
+    bad_config("stats-sweep-c-sparsity-0", stats_sweep({"c_sparsity": 0}), "error: ",
+               "c_sparsity must be positive: 0"),
+    bad_config("stats-sweep-c-sparsity-negative", stats_sweep({"c_sparsity": -0.5}), "error: ",
+               "c_sparsity must be positive: -0.5"),
+    case("experiment-builder-cap", ["experiment", "--config", "cfg.json"], "error: ", TIGHT_FRAME_CAP, status=1,
+         config={**GAP, "dictionary": TIGHT_8_32}),
+]
+
+
+@pytest.mark.parametrize("argv,config,status,lines,prefix,text", EXIT_CONTRACT)
+def test_exit_contract(argv, config, status, lines, prefix, text, tmp_path, monkeypatch, capsys):
+    """``main`` returns ``status`` and prints ``lines`` lines, on stdout for status 0 and on stderr otherwise.
+
+    The tight-frame builder is capped at one iteration in every row; only
+    the two builder-cap rows build a frame far enough to reach it.
+    """
+    monkeypatch.setattr(dictionary, "TIGHT_FRAME_MAX_ITERATIONS", 1)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))  # NaN, Infinity tokens
+    code, stdout, stderr = run(argv, capsys)
+    message, silent = (stdout, stderr) if status == 0 else (stderr, stdout)
+    assert (code, silent, len(message.splitlines())) == (status, "", lines), message
+    assert message.startswith(prefix) and text in message, message

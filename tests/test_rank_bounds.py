@@ -271,7 +271,7 @@ class TestWeakRankBound:
         assert dec.projected_rank == 8 >= bound
 
 
-class TestRankReport:
+class TestRankLowerBounds:
     """The spectral rank bounds, each from its public rank_lb_* function."""
 
     def test_bounds_dominated_by_rank(self):
@@ -350,7 +350,7 @@ def assert_bounds_below_numerical_rank(a, mu=None):
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-class TestRankReportProperties:
+class TestRankLowerBoundProperties:
     """Inputs where the scale-aware rank tolerance decides the answer, for every rank_lb_* bound."""
 
     @PROPERTY_SETTINGS

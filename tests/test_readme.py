@@ -50,10 +50,7 @@ def test_sh_blocks_run(tmp_path, monkeypatch, capsys):
             continue
         if argv[0] != "sparsegap":
             pytest.fail(f"README line this test cannot run: {line!r}")
-        try:
-            code = main(argv[1:])
-        except SystemExit as exc:  # argparse rejected the line
-            code = exc.code
+        code = main(argv[1:])
         assert code == 0, f"{line!r} exited {code}: {capsys.readouterr().err}"
         ran += 1
     assert ran, "README.md has no sparsegap line"
