@@ -1,16 +1,17 @@
 """Command-line front end: dictionary construction, threshold tables, experiments.
 
-Exit status contract, which ``main`` returns and never raises: 0 = all
-invariants held, 1 = the experiment set its report's ``failed`` (a violation
-or an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame
-builder its iteration cap (one line on stderr, no report), 2 = usage or config
-error, argparse's included, or an output file that cannot be written (``dict``
-then writes no file).
+``_bind`` binds each config object and ``dict`` flag set once, before anything is computed, to the function
+that reads it; a key or flag it does not read, lacks or cannot take is a usage error.  Exit status contract,
+which ``main`` returns and never raises: 0 = all invariants held, 1 = the experiment set its report's ``failed``
+(a violation or an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame builder its
+iteration cap (one line on stderr, no report), 2 = usage or config error, argparse's included, or an output
+file that cannot be written (``dict`` then writes no file).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -18,13 +19,11 @@ from pathlib import Path
 
 from . import __version__, dictionary, random_subsets, signals
 from .dictionary import (
-    Dictionary,
     is_weakly_incoherent,
-    load_dictionary,
     save_dictionary,
     welch_lower_bound,
 )
-from .manifest import ExperimentReport, build_manifest, csv_text
+from .manifest import build_manifest, csv_text
 from .signals import RedrawCapExceededError
 from .thresholds import BOUNDS_COLUMNS, evaluate_thresholds
 
@@ -32,7 +31,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# Each kind's function as (module, name), read when called: a wrapper bound to that name (bench/child.py) is what runs.
+# Each kind's function as (module, name), read when bound: a wrapper bound to that name (bench/child.py) is what runs.
 EXPERIMENTS = {"gap": (signals, "gap_experiment"), "equivalence": (signals, "equivalence_experiment"),
                "stats-sweep": (random_subsets, "statistics_sweep"),
                "weak-rank": (random_subsets, "weak_rank_bound_experiment")}
@@ -40,48 +39,51 @@ DICTIONARIES = {"spikes-sines": (dictionary, "build_spikes_sines"),
                 "random-unit": (dictionary, "build_random_unit_norm"),
                 "random-tight": (dictionary, "build_random_tight_frame")}
 LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
-REAL_KEYS = {"beta", "c_sparsity"}           # any finite number; every other key a nonnegative integer
+REAL_KEYS = {"beta", "c_sparsity"}           # any finite number; "path" a string; every other key a nonnegative integer
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(obj: dict, keys: set, where: str) -> None:
-    """ConfigError unless ``obj`` holds every key, each of the type its name calls for (no bools)."""
-    missing = keys - set(obj)
+def _bind(func, obj: dict, where: str, defaults=(), passed=()) -> functools.partial:
+    """``func`` bound to ``obj`` and to the ``defaults`` it takes that ``obj`` lacks; the caller passes ``passed``.
+
+    ConfigError on a key that no other parameter reads, on one without a default that nothing sets, or on a
+    value of the wrong type: LIST_KEYS hold lists, and bools are not numbers.
+    """
+    params = inspect.signature(func).parameters
+    names = params.keys() - set(passed)
+    if obj.keys() - names:
+        raise ConfigError(f"{where}: {func.__name__} does not read {sorted(obj.keys() - names)}")
+    obj = {**{k: v for k, v in dict(defaults).items() if k in names}, **obj}
+    missing = {k for k in names - obj.keys() if params[k].default is params[k].empty}
     if missing:
         raise ConfigError(f"{where} missing keys: {sorted(missing)}")
-    for key in sorted(keys):
-        items = obj[key] if key in LIST_KEYS else [obj[key]]
-        kinds = (int, float) if key in REAL_KEYS else (int,)
+    for key, value in sorted(obj.items()):
+        items = value if key in LIST_KEYS else [value]
+        kinds = (int, float) if key in REAL_KEYS else (str,) if key == "path" else (int,)
         if not isinstance(items, list) or not all(type(v) in kinds for v in items):
-            raise ConfigError(f"{where} key {key!r} has the wrong type: {obj[key]!r}")
-        if key not in REAL_KEYS and any(v < 0 for v in items):
-            raise ConfigError(f"{where} key {key!r} must not be negative: {obj[key]!r}")
+            raise ConfigError(f"{where} key {key!r} has the wrong type: {value!r}")
+        if kinds == (int,) and any(v < 0 for v in items):
+            raise ConfigError(f"{where} key {key!r} must not be negative: {value!r}")
         if key in REAL_KEYS and not all(abs(v) <= sys.float_info.max for v in items):  # NaN fails too
-            raise ConfigError(f"{where} key {key!r} must be a finite float: {obj[key]!r}")
+            raise ConfigError(f"{where} key {key!r} must be a finite float: {value!r}")
+    return functools.partial(func, **obj)
 
 
-def _config_keys(func, obj: dict, skip=()) -> set:
-    """Keys ``func`` takes from ``obj``: its parameters without a default (less ``skip``), and any REAL_KEYS set."""
-    params = inspect.signature(func).parameters.values()
-    return {p.name for p in params if p.default is p.empty or p.name in REAL_KEYS & obj.keys()} - set(skip)
-
-
-def _build_dictionary(spec: dict) -> Dictionary:
+def _bind_dictionary(spec: dict, defaults=()) -> functools.partial:
+    """``load_dictionary`` bound to a ``{"path": ...}`` object, else the builder its ``kind`` names."""
     if "path" in spec:
-        return load_dictionary(spec["path"])
-    kind = spec.get("kind")
+        return _bind(dictionary.load_dictionary, spec, "dictionary")
+    spec = dict(spec)
+    kind = spec.pop("kind", None)
     if not isinstance(kind, str) or kind not in DICTIONARIES:
         raise ConfigError(f"unknown dictionary kind {kind!r}")
-    build = getattr(*DICTIONARIES[kind])
-    keys = _config_keys(build, spec)
-    _check_keys(spec, keys, "dictionary")
-    return build(**{k: spec[k] for k in keys})
+    return _bind(getattr(*DICTIONARIES[kind]), spec, "dictionary", defaults)
 
 
-def _print_metrics(d: Dictionary, c: float, check: dictionary.WeakIncoherenceCheck) -> None:
+def _print_metrics(d: dictionary.Dictionary, c: float, check: dictionary.WeakIncoherenceCheck) -> None:
     print(f"m = {d.m}  N = {d.n_atoms}")
     print(f"coherence mu = {d.coherence:.12g}")
     print(f"redundancy rho = {d.redundancy:.12g}  (N/m = {d.n_atoms / d.m:.12g})")
@@ -92,12 +94,14 @@ def _print_metrics(d: Dictionary, c: float, check: dictionary.WeakIncoherenceChe
 
 
 def cmd_dict(args) -> int:
+    # the builder reads the flags named after its parameters; load_dictionary reads --inspect alone
+    flags = {k: v for k, v in vars(args).items() if k in ("kind", "m", "n_atoms", "seed", "out") and v is not None}
     if args.inspect:
-        d, out = load_dictionary(args.inspect), None
-    elif args.kind:
-        d, out = _build_dictionary(vars(args)), args.out  # the builder takes the flags named after its parameters
-    else:
+        flags["path"] = args.inspect
+    elif not args.kind:
         raise ConfigError("--kind is required unless --inspect is given")
+    out = None if args.inspect else flags.pop("out", None)
+    d = _bind_dictionary(flags, {"seed": 0})()
     check = is_weakly_incoherent(d, args.c)  # before the save, so a rejected run writes nothing
     if out:  # saved before printing, so a failed save prints no metrics
         save_dictionary(d, out)
@@ -115,13 +119,13 @@ def _emit(text: str, out) -> None:
 
 
 def cmd_bounds(args) -> int:
-    if args.dict:
-        d = load_dictionary(args.dict)
-        mu, m, n_atoms = d.coherence, d.m, d.n_atoms
-    else:
-        if args.mu is None or args.m is None or args.n_atoms is None:
-            raise ConfigError("provide --dict or all of --mu/--m/--n-atoms")
-        mu, m, n_atoms = args.mu, args.m, args.n_atoms
+    flags = (args.mu, args.m, args.n_atoms)
+    if flags.count(None) != (3 if args.dict else 0):
+        raise ConfigError("provide --dict or all of --mu/--m/--n-atoms, not both")
+    d = args.dict and dictionary.load_dictionary(args.dict)
+    mu, m, n_atoms = (d.coherence, d.m, d.n_atoms) if d else flags
+    if not 1 <= m <= n_atoms or args.s_min > args.s_max:
+        raise ConfigError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}) and s_min ({args.s_min}) <= s_max ({args.s_max})")
     rows = [evaluate_thresholds(s, s if args.t is None else args.t, args.delta, mu, m, n_atoms)
             for s in range(args.s_min, args.s_max + 1)]
     if args.format == "csv":
@@ -131,22 +135,18 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _validate_config(cfg: dict) -> None:
+def bind_config(cfg) -> tuple[functools.partial, functools.partial]:
+    """The dictionary's builder or loader and the experiment (seed 0 by default), each bound to its keys of ``cfg``."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    name = cfg.get("experiment")
+    rest = dict(cfg)
+    name, spec = rest.pop("experiment", None), rest.pop("dictionary", None)
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
-    if "dictionary" not in cfg or not isinstance(cfg["dictionary"], dict):
+    if not isinstance(spec, dict):
         raise ConfigError("config needs a 'dictionary' object")
-    keys = _config_keys(getattr(*EXPERIMENTS[name]), cfg, {"d", "seed"})
-    _check_keys(cfg, keys | (({"seed"} | REAL_KEYS) & cfg.keys()), f"experiment {name!r}")
-
-
-def _run_experiment(cfg: dict, seed: int) -> ExperimentReport:
-    d = _build_dictionary(cfg["dictionary"])
-    run = getattr(*EXPERIMENTS[cfg["experiment"]])
-    return run(d, seed=seed, **{k: cfg[k] for k in _config_keys(run, cfg, {"d", "seed"})})
+    run = _bind(getattr(*EXPERIMENTS[name]), rest, f"experiment {name!r}", {"seed": 0}, passed=("d",))
+    return _bind_dictionary(spec), run
 
 
 def cmd_experiment(args) -> int:
@@ -155,14 +155,14 @@ def cmd_experiment(args) -> int:
         raise ConfigError("--format both needs --out")
     try:
         cfg = json.loads(Path(args.config).read_text())
-        _validate_config(cfg)
+        build, run = bind_config(cfg)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must not be negative: {args.seed}")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    report = _run_experiment(cfg, seed)
+    seed = run.keywords["seed"] if args.seed is None else args.seed
+    report = run(build(), seed=seed)
     report.manifest = build_manifest(
         command_line=" ".join(args.argv),
         config={**cfg, "seed": seed},
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dict.add_argument("--kind", choices=DICTIONARIES)
     p_dict.add_argument("--m", type=int)
     p_dict.add_argument("--n-atoms", type=int, dest="n_atoms")
-    p_dict.add_argument("--seed", type=int, default=0)
+    p_dict.add_argument("--seed", type=int, help="for the seeded kinds (default 0)")
     p_dict.add_argument("--c", type=float, default=1.0,
                         help="constant for the weak-incoherence check")
     p_dict.add_argument("--out")

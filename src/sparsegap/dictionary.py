@@ -298,8 +298,8 @@ def tightness_margin(d: Dictionary) -> float:
 
 def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:
     """Check Phi Phi* = (N/m) I (every eigenvalue within 1e-8) and mu <= c / log N."""
-    if not c > 0:  # NaN fails too
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:  # NaN fails too
+        raise ValueError("c must be positive" if not c > 0 else f"c must be finite: {c}")
     if d.n_atoms < 2:
         raise DictionaryError("need at least two atoms")
     tight_margin = tightness_margin(d)

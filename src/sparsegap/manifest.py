@@ -6,11 +6,11 @@ writes the report as JSON (``indent=2`` bytes, the rows C-encoded) or CSV.
 :func:`csv_text` writes the report rows and the ``bounds`` table alike.
 
 The manifest digest covers the resolved inputs that determine the
-numbers: the validated config with flag overrides applied, the dictionary
-provenance, the master seed and the tool version.  The command line and
-the timestamp are recorded next to it but not hashed, so two runs that
-differ only in where they write (``--out``) or when they ran share a
-digest.
+numbers: the config, which the CLI has bound key by key to the functions
+that read it, with ``--seed`` applied, the dictionary provenance, the
+master seed and the tool version.  The command line and the timestamp are
+recorded but not hashed, so two runs that differ only in where they write
+(``--out``) or when they ran share a digest.
 """
 
 from __future__ import annotations

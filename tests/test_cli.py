@@ -1,19 +1,25 @@
 import csv
+import functools
 import io
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsegap import __version__, dictionary
+from sparsegap import __version__, cli, dictionary
 from sparsegap.cli import main
 from sparsegap.dictionary import Dictionary, _finalize, save_dictionary
+from test_golden import CASES
 
 GAP = {"experiment": "gap", "dictionary": {"kind": "spikes-sines", "m": 16}, "seed": 5,
        "s": 4, "t": 4, "delta": 0, "pairs": 3, "trials_per_pair": 3}
 SPIKES_8 = {"kind": "spikes-sines", "m": 8}
 TIGHT_8_32 = {"kind": "random-tight", "m": 8, "n_atoms": 32, "seed": 0}
+# the benchmark's workload definitions, run from their file: bench/ is not a package, and nothing is written there
+BENCH_WORKLOADS = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))
 
 
 def run(argv, capsys):
@@ -397,6 +403,23 @@ EXIT_CONTRACT = [
          TIGHT_FRAME_CAP, status=1),
     case("bounds-missing-parameters", ["bounds", "--s-max", "4"], "error: ",
          "provide --dict or all of --mu/--m/--n-atoms"),
+    # flags the chosen mode or kind does not read; the file named is never opened
+    *(case(f"dict-spikes-sines-{name}", ["dict", "--kind", "spikes-sines", "--m", "4", *flags], "error: ",
+           f"dictionary: build_spikes_sines does not read {unread}")
+      for name, flags, unread in (("seed", ["--seed", "3"], ["seed"]), ("n-atoms", ["--n-atoms", "8"], ["n_atoms"]),
+                                  ("seed-0", ["--seed", "0", "--n-atoms", "8"], ["n_atoms", "seed"]))),
+    case("dict-random-unit-without-n-atoms", ["dict", "--kind", "random-unit", "--m", "4"], "error: ",
+         "dictionary missing keys: ['n_atoms']"),
+    *(case(f"dict-inspect-{name}", ["dict", "--inspect", "absent.sgdict", *flags], "error: ",
+           f"dictionary: load_dictionary does not read {unread}")
+      for name, flags, unread in (("out", ["--out", "copy.sgdict"], ["out"]),
+                                  ("kind", ["--kind", "spikes-sines"], ["kind"]), ("m", ["--m", "4"], ["m"]),
+                                  ("n-atoms", ["--n-atoms", "8"], ["n_atoms"]), ("seed", ["--seed", "0"], ["seed"]))),
+    *(case(f"bounds-dict-{flag[2:]}", ["bounds", "--dict", "absent.sgdict", flag, value, "--s-max", "2"], "error: ",
+           "provide --dict or all of --mu/--m/--n-atoms, not both")
+      for flag, value in (("--mu", "0.9"), ("--m", "4"), ("--n-atoms", "12"))),
+    case("dict-infinite-c", ["dict", "--kind", "spikes-sines", "--m", "4", "--c", "inf"], "error: ",
+         "c must be finite: inf"),
     # mu is checked whatever delta is, also when delta > min(s, t) makes every row an error row
     *(bad_bounds(f"bounds-mu-7-delta-{delta}", ["--mu", "7", "--s-max", "2", "--delta", delta],
                  "coherence mu = 7.0 outside [0, 1 + 1e-12]") for delta in ("0", "5")),
@@ -405,6 +428,13 @@ EXIT_CONTRACT = [
                  "need 1 <= s, 1 <= t, 0 <= delta <= min(s, t)")
       for name, flags in (("s-0", ["--s-min", "0", "--s-max", "1"]), ("t-0", ["--s-max", "1", "--t", "0"]))
       for delta in ("0", "1")),
+    # a sweep over no s, or an m and N that no dictionary has
+    *(bad_bounds(f"bounds-{name}", ["--mu", "0.3", *flags], f"need 1 <= m ({m}) <= n_atoms ({n}) and s_min ({lo})")
+      for name, flags, m, n, lo in (
+          ("m-0", ["--m", "0", "--s-max", "1"], 0, 12, 1),
+          ("negative-n-atoms", ["--n-atoms", "-5", "--s-max", "1"], 4, -5, 1),
+          ("n-atoms-below-m", ["--n-atoms", "3", "--s-max", "1"], 4, 3, 1),
+          ("s-min-above-s-max", ["--s-min", "3", "--s-max", "2"], 4, 12, 3))),
     case("both-formats-without-out", ["experiment", "--config", "absent.json", "--format", "both"], "error: ",
          "--format both needs --out"),  # the flag check comes before the config is read
     bad_config("negative-seed-flag", GAP, "config error: ", "--seed must not be negative: -1", "--seed", "-1"),
@@ -413,6 +443,9 @@ EXIT_CONTRACT = [
                "unknown experiment 'nope'"),
     bad_config("list-experiment", {**GAP, "experiment": ["gap"]}, "config error: ",
                "unknown experiment ['gap']"),
+    bad_config("list-config", [GAP], "config error: ", "config must be a JSON object"),
+    bad_config("gap-without-dictionary", {k: v for k, v in GAP.items() if k != "dictionary"}, "config error: ",
+               "config needs a 'dictionary' object"),
     bad_config("gap-missing-keys", {"experiment": "gap", "dictionary": SPIKES_8, "s": 2}, "config error: ",
                "experiment 'gap' missing keys: ['delta', 'pairs', 't', 'trials_per_pair']"),
     *(bad_config(f"gap-{case_id}", {**GAP, key: value}, "config error: ",
@@ -439,13 +472,28 @@ EXIT_CONTRACT = [
           ("infinite-beta", {"beta": math.inf}, "'beta' must be a finite float: inf"),
           ("nan-beta", {"beta": math.nan}, "'beta' must be a finite float: nan"),
           ("beta-past-float-range", {"beta": 10**400}, "'beta' must be a finite float: 1000"))),
-    # configs rejected by the dictionary builder or by the experiment
-    *(bad_config(f"gap-{case_id}", {**GAP, "dictionary": spec}, "error: ", text) for case_id, spec, text in (
+    *(bad_config(f"gap-{case_id}", {**GAP, "dictionary": spec}, "config error: ", text) for case_id, spec, text in (
         ("dictionary-without-m", {"kind": "spikes-sines"}, "dictionary missing keys: ['m']"),
         ("string-dictionary-seed", {**TIGHT_8_32, "seed": "7"}, "dictionary key 'seed' has the wrong type: '7'"),
         ("list-kind", {"kind": ["spikes-sines"], "m": 8}, "unknown dictionary kind ['spikes-sines']"),
         ("bool-m", {"kind": "spikes-sines", "m": True}, "dictionary key 'm' has the wrong type: True"),
-        ("random-tight-m-0", {**TIGHT_8_32, "m": 0, "n_atoms": 3}, "a redundant tight frame needs n_atoms > m >= 1"))),
+        ("random-tight-without-seed", {"kind": "random-tight", "m": 8, "n_atoms": 32},
+         "dictionary missing keys: ['seed']"),  # only the dict command's --seed defaults to 0
+        ("spikes-sines-n-atoms", {**SPIKES_8, "n_atoms": 99}, "dictionary: build_spikes_sines does not read ['n_atoms']"),
+        ("spikes-sines-seed", {**SPIKES_8, "seed": 3}, "dictionary: build_spikes_sines does not read ['seed']"),
+        ("path-and-kind", {"path": "absent.sgdict", "kind": "spikes-sines"},
+         "dictionary: load_dictionary does not read ['kind']"),
+        ("path-and-m", {"path": "absent.sgdict", "m": 8}, "dictionary: load_dictionary does not read ['m']"),
+        ("integer-path", {"path": 7}, "dictionary key 'path' has the wrong type: 7"))),
+    # keys that nothing reads, however well typed
+    *(bad_config(f"gap-unread-{key}", {**GAP, key: value}, "config error: ",
+                 f"experiment 'gap': gap_experiment does not read [{key!r}]")
+      for key, value in (("betta", 7), ("d", 16), ("beta", 1.5), ("kind", "spikes-sines"))),
+    bad_config("stats-sweep-unread-trials", stats_sweep({"trials": 5}), "config error: ",
+               "experiment 'stats-sweep': statistics_sweep does not read ['trials']"),
+    # configs rejected by the dictionary builder or by the experiment
+    bad_config("gap-random-tight-m-0", {**GAP, "dictionary": {**TIGHT_8_32, "m": 0, "n_atoms": 3}}, "error: ",
+               "a redundant tight frame needs n_atoms > m >= 1"),
     bad_config("gap-s-above-m", {**GAP, "s": 17}, "error: ",
                "s = 17 exceeds m = 16: no 17 atoms are linearly independent"),
     bad_config("equivalence-index-past-last-atom", {"experiment": "equivalence", "dictionary": {**SPIKES_8, "m": 4},
@@ -465,18 +513,50 @@ EXIT_CONTRACT = [
 ]
 
 
+def record_calls(monkeypatch) -> list:
+    """Names of the dictionary builders, the loader and the experiments called from now on."""
+    calls = []
+    for module, name in [*cli.DICTIONARIES.values(), (dictionary, "load_dictionary"), *cli.EXPERIMENTS.values()]:
+        def recorded(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, functools.wraps(getattr(module, name))(recorded))
+    return calls
+
+
 @pytest.mark.parametrize("argv,config,status,lines,prefix,text", EXIT_CONTRACT)
 def test_exit_contract(argv, config, status, lines, prefix, text, tmp_path, monkeypatch, capsys):
     """``main`` returns ``status`` and prints ``lines`` lines, on stdout for status 0 and on stderr otherwise.
 
-    The tight-frame builder is capped at one iteration in every row; only
-    the two builder-cap rows build a frame far enough to reach it.
+    No row leaves a file, and a config error comes before any dictionary or
+    experiment function is called.  The tight-frame builder is capped at one
+    iteration in every row; only the two builder-cap rows build a frame far
+    enough to reach it.
     """
     monkeypatch.setattr(dictionary, "TIGHT_FRAME_MAX_ITERATIONS", 1)
     monkeypatch.chdir(tmp_path)
+    calls = record_calls(monkeypatch)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))  # NaN, Infinity tokens
     code, stdout, stderr = run(argv, capsys)
     message, silent = (stdout, stderr) if status == 0 else (stderr, stdout)
     assert (code, silent, len(message.splitlines())) == (status, "", lines), message
     assert message.startswith(prefix) and text in message, message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["cfg.json"])
+    assert not (calls and prefix == "config error: "), calls
+
+
+@pytest.mark.parametrize("source,name", [*(("bench", name) for name in BENCH_WORKLOADS["WORKLOADS"]),
+                                         *(("golden", name) for name in CASES)])
+def test_sent_configs_bind_without_computing(source, name, tmp_path, monkeypatch):
+    """Every key of each config the benchmark sends and of each golden config is one that its function reads."""
+    if source == "bench":
+        BENCH_WORKLOADS["prepare"](name, 1, tmp_path)  # the config.json the benchmark writes for seed 1
+        cfg = json.loads((tmp_path / "config.json").read_text())
+    else:
+        cfg = CASES[name]
+    calls = record_calls(monkeypatch)
+    build, experiment = cli.bind_config(cfg)
+    assert calls == []
+    assert experiment.keywords == {k: v for k, v in cfg.items() if k not in ("experiment", "dictionary")}
+    assert build.keywords == {k: v for k, v in cfg["dictionary"].items() if k != "kind"}

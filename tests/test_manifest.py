@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sparsegap.cli import _run_experiment, main
+from sparsegap.cli import bind_config, main
 from sparsegap.manifest import ExperimentReport, build_manifest
 from test_golden import CASES
 
@@ -17,6 +17,11 @@ def indent2(report: ExperimentReport) -> str:
     return json.dumps({k: getattr(report, k) for k in FIELDS}, sort_keys=True, indent=2) + "\n"
 
 
+def run_config(cfg: dict) -> ExperimentReport:
+    build, run = bind_config(cfg)
+    return run(build())
+
+
 def report_with(trials, summary=None) -> ExperimentReport:
     return ExperimentReport(kind="gap", params={"s": 3, "dictionary": {"kind": "x", "m": 4}},
                             master_seed=7, columns=("pair",), trials=trials,
@@ -28,7 +33,7 @@ class TestToJson:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_golden_configs(self, name):
         cfg = CASES[name]
-        report = _run_experiment(cfg, cfg["seed"])
+        report = run_config(cfg)
         report.manifest = build_manifest("sparsegap experiment", cfg, report.params["dictionary"],
                                          cfg["seed"], "0")
         assert report.trials
@@ -59,13 +64,13 @@ class TestRowKeys:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_row_keys_are_the_columns_in_order(self, name):
-        report = _run_experiment(CASES[name], CASES[name]["seed"])
+        report = run_config(CASES[name])
         assert report.trials
         assert all(list(row) == list(report.columns) for row in report.trials)
 
     @pytest.mark.parametrize("name", ["gap-delta0", "equivalence-spikes-sines", "stats-sweep", "weak-rank"])
     def test_zero_rows_write_the_header_and_an_empty_list(self, name, tmp_path):
-        columns = _run_experiment(CASES[name], CASES[name]["seed"]).columns
+        columns = run_config(CASES[name]).columns
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**CASES[name], **ZERO_ROWS[CASES[name]["experiment"]]}))
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "run"), "--format", "both"]) == 0

@@ -1,8 +1,11 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsegap.dictionary import (
     GRAM_EIG_FLOOR,
@@ -105,6 +108,31 @@ class TestRankCondition:
         linalg_calls.clear()
         residual_over(d, AtomSet.of([1, 2, 10]), sig.signal)
         assert linalg_calls == {"svd": 1}  # the range basis of Phi_T
+
+
+class TestTaoPrimeUncertainty:
+    """Tao (2005): for prime p, |supp f| + |supp f^| >= p + 1 for every nonzero f on Z_p.
+
+    So in spikes-and-sines of prime dimension p, any spikes S and sines T
+    with |S| + |T| <= p are linearly independent: the union has full rank,
+    and with S nonempty the rank condition |T| < rank holds.
+    """
+
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    spikes_sines = staticmethod(functools.lru_cache(build_spikes_sines))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_spikes_and_sines_are_independent(self, data):
+        p = data.draw(st.sampled_from(self.PRIMES), label="p")
+        s_set = data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p), label="S")
+        t_set = data.draw(st.sets(st.integers(p, 2 * p - 1), max_size=p - len(s_set)), label="T")
+        size, d = len(s_set) + len(t_set), self.spikes_sines(p)
+        assert numerical_rank(d.subdictionary(AtomSet.of(s_set | t_set))) == size
+        assert rank_condition(d, AtomSet.of(s_set), AtomSet.of(t_set)) == (True, size)
+        summary = equivalence_experiment(d, sorted(s_set), sorted(t_set), trials=3,
+                                         seed=data.draw(st.integers(0, 2**32), label="seed")).summary
+        assert (summary["rank_union"], summary["sound"], summary["complete"]) == (size, True, True)
 
 
 class TestRepresentability:
