@@ -4,8 +4,8 @@
 that reads it; a key or flag it does not read, lacks or cannot take is a usage error.  Exit status contract,
 which ``main`` returns and never raises: 0 = all invariants held, 1 = the experiment set its report's ``failed``
 (a violation or an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame builder its
-iteration cap (one line on stderr, no report), 2 = usage or config error, argparse's included, or an output
-file that cannot be written (``dict`` then writes no file).
+iteration cap (one line on stderr, no report), 2 = usage or config error, argparse's included, an output
+file that cannot be written (``dict`` then writes no file), or a computation too large for memory (MemoryError).
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # DictionaryError and ConfigError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # DictionaryError and ConfigError are ValueErrors
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (RedrawCapExceededError, dictionary.TightFrameConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ measured rank of a random S u V against the weak-incoherence bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -43,19 +44,61 @@ def sample_uniform_subset(n_atoms: int, s: int, seed) -> AtomSet:
     return AtomSet.of(np.random.default_rng(seed).choice(n_atoms, size=s, replace=False))
 
 
-def rng_streams(prefix, count: int):
-    """default_rng([*prefix, i]) for i < count <= 2^32, lazily; ValueError at once on a negative key.
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """(k, 4) uint64: numpy's SeedSequence(row).generate_state(4, np.uint64) for each row of a (k, w) uint32 array.
 
-    Each stream's SeedSequence gets the uint32 words it would make of that list (each key little-endian,
-    0 as one word) and so skips its per-call list coercion: the same streams, cheaper.
+    numpy's arithmetic (numpy/random/bit_generator.pyx) on all rows at once: mix_entropy hashes the words into a
+    4-word pool, the updates one pool word makes to the other three side by side; 8 output words are hashed from it.
+    """
+    def consts(c, mult, n):  # c * mult^j mod 2^32 for j <= n: the multipliers of n hash calls in turn
+        return np.array([c * pow(mult, j, 2**32) % 2**32 for j in range(n + 1)], dtype=np.uint32)
+
+    def hashmix(v, c):  # one hash call per column, v broadcast against the len(c) - 1 calls of multipliers c
+        v = (v ^ c[:-1]) * c[1:]
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return r ^ r >> 16
+
+    entropy = np.hstack([words, np.zeros((len(words), 4 - min(words.shape[1], 4)), dtype=np.uint32)])  # numpy's fill
+    a = consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy.T))
+    pool = hashmix(entropy[:, :4], a[:5])
+    for src, dst in enumerate([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]):
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], a[4 + 3 * src:8 + 3 * src]))
+    for i in range(4, len(entropy.T)):
+        pool = mix(pool, hashmix(entropy[:, i, None], a[4 * i:4 * i + 5]))
+    return hashmix(np.tile(pool, 2), consts(0x8B51F9DD, 0x58F38DED, 8)).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _generator_from_state():
+    """Generator(PCG64(...)) from a _seed_states row.  Made on first call: importing numpy.random takes ms."""
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, np.uint64)
+            return self.state
+
+    return lambda state: np.random.Generator(np.random.PCG64(SeedState(state)))
+
+
+def rng_streams(prefix, *counts: int):
+    """default_rng([*prefix, *i]) for each index tuple i < counts, row-major, lazily; ValueError at once on a
+    negative key or a count outside [0, 2^32].
+
+    The streams are bit for bit those, seeded in one pass: each row of uint32 words default_rng would make of its
+    list (each key little-endian, 0 as one word) takes numpy's SeedSequence hash in _seed_states, all rows at once.
+    Their bit_generator.seed_seq is no SeedSequence, so they neither spawn nor pickle; nothing here does either.
     """
     keys = list(map(operator.index, prefix))
-    if min(keys, default=0) < 0 or count > 2**32:
-        raise ValueError(f"stream keys must be nonnegative, at most 2^32 per prefix: {keys}, {count}")
+    if min(keys, default=0) < 0 or not all(0 <= c <= 2**32 for c in counts):
+        raise ValueError(f"stream keys must be nonnegative, counts in [0, 2^32]: {keys}, {counts}")
     head = [k >> b & 0xFFFFFFFF for k in keys for b in range(0, max(k.bit_length(), 1), 32)]
-    words = np.empty((max(count, 0), len(head) + 1), dtype=np.uint32)
-    words[:, :-1], words[:, -1] = head, np.arange(len(words))
-    return map(np.random.default_rng, words)
+    words = np.empty((math.prod(counts), len(head) + len(counts)), dtype=np.uint32)
+    words[:, :len(head)], words[:, len(head):] = head, np.indices(counts).reshape(len(counts), len(words)).T
+    return map(_generator_from_state(), _seed_states(words))
 
 
 @dataclass(frozen=True)

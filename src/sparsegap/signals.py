@@ -8,7 +8,8 @@ in between inconclusive.  Experiments return a ``manifest.ExperimentReport``; bo
 ``dictionary.certify_gram_floor`` (a Cholesky of G - GRAM_EIG_FLOOR * I) and the certified ones one Cholesky of G,
 so a certified pair costs 3 Cholesky factors of its own blocks; blocks below the floor take SVDs one by one.  The
 SVD functions here are reference code for the tests.  Chunks change no stream: pair p samples from [seed, p] and
-its trial i from [seed, p, i] (``random_subsets.rng_streams``); a trial's x takes one standard_normal call.
+its trial i from [seed, p, i]; ``random_subsets.rng_streams`` seeds each kind for the whole run in one vectorised
+pass, bit for bit ``default_rng`` of those lists.  A trial's x takes one standard_normal call.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ def _sample_overlapping(d: Dictionary, s_sets: Sequence[AtomSet], t: int, delta:
 def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> list[float]:
     """||W x|| / ||Phi_S x|| with W from _pair_range and x drawn from each Generator as draw_generic_signal does.
 
-    residual_over up to rounding (0.0 if W has no rows); S must already be known to be independent.
+    residual_over up to rounding (0.0 if W has no rows); S must already be known to be independent.  The streams
+    come from rng_streams, seeded with the run's others in one pass: the same x as default_rng([seed, p, i]) gives.
     """
     z = np.array([rng.standard_normal(2 * len(s_set)) for rng in streams]).reshape(-1, 2 * len(s_set))
     x = _complex_gaussian(z).T  # column i from stream i
@@ -270,7 +272,7 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     rows = []
     rank_condition_failures = t_redraws_total = 0
     n_pairs = pairs if t and trials_per_pair else 0
-    streams = rng_streams([seed], n_pairs)
+    streams, trial_streams = rng_streams([seed], n_pairs), rng_streams([seed], n_pairs, trials_per_pair)
     for first in range(0, n_pairs, PAIR_CHUNK):
         rngs = list(itertools.islice(streams, PAIR_CHUNK))
         s_sets = _sample_support(d, s, rngs)
@@ -279,7 +281,7 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
             holds = t < rank_union
             rank_condition_failures += not holds
             t_redraws_total += redraws
-            residuals = _trial_residuals(d, s_set, w, rng_streams([seed, p], trials_per_pair))
+            residuals = _trial_residuals(d, s_set, w, itertools.islice(trial_streams, trials_per_pair))
             rows += [{
                 "pair": p,
                 "trial": i,

@@ -88,20 +88,20 @@ def generic_up_threshold(s: int, delta: int, mu: float) -> float:
 
 def weak_gap_threshold(s: int, delta: int, m: int, n_atoms: int) -> float:
     """(s - 2 delta m / N) / (1 - 2 m / N); needs N > 2m."""
+    if not (1 <= m <= n_atoms and 1 <= s and 0 <= delta <= s):
+        raise ValueError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}), 1 <= s ({s}) and 0 <= delta ({delta}) <= s")
     if n_atoms <= 2 * m:
         raise HypothesisViolatedError("requires N > 2m")
-    if not (0 <= delta <= s) or s < 1:
-        raise ValueError("need 1 <= s and 0 <= delta <= s")
     ratio = 2.0 * m / n_atoms
     return (s - delta * ratio) / (1.0 - ratio)
 
 
 def weak_gap_simplified(s: int, delta: int, m: int, n_atoms: int) -> float:
     """s + 2 (s - delta) m / N: the simplified sufficient condition (weak in t)."""
+    if not (1 <= m <= n_atoms and 1 <= s and 0 <= delta <= s):
+        raise ValueError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}), 1 <= s ({s}) and 0 <= delta ({delta}) <= s")
     if n_atoms <= 2 * m:
         raise HypothesisViolatedError("requires N > 2m")
-    if not (0 <= delta <= s) or s < 1:
-        raise ValueError("need 1 <= s and 0 <= delta <= s")
     return s + 2.0 * (s - delta) * m / n_atoms
 
 
@@ -113,7 +113,8 @@ BOUNDS_COLUMNS = ("s", "t", "delta", "mu", "m", "n_atoms", "donoho_elad_lhs", "d
 def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: int) -> dict:
     """One ``bounds`` row over BOUNDS_COLUMNS: the whole threshold family, inapplicable entries None.
 
-    A delta above min(s, t) evaluates nothing: the row holds the parameters and its ``error``.
+    A delta above min(s, t) evaluates nothing: the row holds the parameters and its ``error``.  ValueError unless
+    1 <= m <= N, as from the weak-gap formulas.
     """
     check_coherence(mu)  # whatever delta is, so an invalid mu is an error and never a row
     row = dict.fromkeys(BOUNDS_COLUMNS)

@@ -366,6 +366,25 @@ def test_rejected_dict_writes_nothing(tmp_path, capsys, flags, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["dict", "experiment"])
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+def test_memory_error_is_one_error_line(command, message, tmp_path, monkeypatch, capsys):
+    """A builder that runs out of memory gives exit 2 and one ``error:`` line, never a traceback.
+
+    The builder is replaced by one that raises at once, so nothing large is allocated.
+    """
+    def out_of_memory(m):
+        raise MemoryError(message)
+    monkeypatch.setattr(dictionary, "build_spikes_sines", out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**GAP, "dictionary": {"kind": "spikes-sines", "m": 100000}}))
+    argv = {"dict": ["dict", "--kind", "spikes-sines", "--m", "100000", "--out", "d.sgdict"],
+            "experiment": ["experiment", "--config", "cfg.json", "--out", "report"]}[command]
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message or 'MemoryError'}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def case(case_id, argv, prefix, text, status=2, lines=1, config=None):
     """A row of the exit contract: ``config``, when given, is written to cfg.json first."""
     return pytest.param(argv, config, status, lines, prefix, text, id=case_id)

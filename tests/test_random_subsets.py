@@ -1,10 +1,16 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsegap
 from sparsegap.dictionary import (
     GRAM_EIG_FLOOR,
     AtomSet,
@@ -63,6 +69,47 @@ class TestRngStreams:
         for prefix in ([-1], [3, -2**40]):
             with pytest.raises(ValueError):
                 rng_streams(prefix, 0)
+
+    @staticmethod
+    def assert_default_rng(streams, prefix, counts):
+        """``streams`` are default_rng([*prefix, *i]) for the index tuples i < counts in row-major order."""
+        streams = list(streams)
+        indices = list(itertools.product(*map(range, counts)))
+        assert len(streams) == len(indices)
+        for rng, i in zip(streams, indices):
+            ref = np.random.default_rng([*prefix, *i])
+            assert rng.bit_generator.state == ref.bit_generator.state, i
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5)), i
+
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    def test_counts(self, count):
+        self.assert_default_rng(rng_streams([12, 3], count), [12, 3], (count,))
+
+    @pytest.mark.parametrize("counts", [(3, 4), (2, 3, 2), (4, 0), (0, 4)])
+    def test_axes_are_row_major(self, counts):
+        self.assert_default_rng(rng_streams([5], *counts), [5], counts)
+
+    @pytest.mark.parametrize("n_keys", range(6))
+    def test_entropy_wider_than_the_pool(self, n_keys):
+        # up to 5 keys plus the index: rows of 1 to 11 words against numpy's 4-word pool
+        for prefix in ([7 * k + 1 for k in range(n_keys)], [2**40 + k for k in range(n_keys)]):
+            self.assert_default_rng(rng_streams(prefix, 3), prefix, (3,))
+
+    def test_keys_with_all_bits_set(self):
+        prefix = [2**32 - 1, 2**64 - 1, 2**32 - 1]
+        self.assert_default_rng(rng_streams(prefix, 2, 2), prefix, (2, 2))
+
+    @given(prefix=st.lists(st.integers(0, 2**70), max_size=5),
+           counts=st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_any_prefix_and_counts(self, prefix, counts):
+        self.assert_default_rng(rng_streams(prefix, *counts), prefix, counts)
+
+    def test_cli_import_leaves_numpy_random_unimported(self):
+        # numpy.random costs several ms to import, so the program imports it on first use, inside a run
+        code = "import sys, sparsegap.cli; sys.exit('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(sparsegap.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSubsetStatistics:

@@ -118,6 +118,14 @@ class TestWeakGap:
         with pytest.raises(HypothesisViolatedError):
             weak_gap_threshold(4, 0, 16, 32)
 
+    @pytest.mark.parametrize("fn", [weak_gap_threshold, weak_gap_simplified])
+    @pytest.mark.parametrize("m,n_atoms", [(0, 12), (-1, 12), (4, 3), (4, -5), (1, 0)])
+    def test_no_dictionary_has_this_m_and_n(self, fn, m, n_atoms):
+        # a ValueError, not the HypothesisViolatedError that evaluate_thresholds turns into an empty entry
+        with pytest.raises(ValueError, match=r"need 1 <= m") as info:
+            fn(3, 1, m, n_atoms)
+        assert not isinstance(info.value, HypothesisViolatedError)
+
     def test_simplified_examples(self):
         assert weak_gap_simplified(6, 6, 8, 32) == 6.0
         assert abs(weak_gap_simplified(4, 0, 8, 32) - 6.0) < 1e-12  # (1 + 2/rho) s
@@ -176,6 +184,11 @@ class TestEvaluateThresholds:
         assert row["t_threshold"] is None
         assert row["overlap_vacuous"]  # t mu^2 = 1.62
         assert evaluate_thresholds(4, 4, 0, 0.0, 8, 32)["t_threshold"] is None  # needs mu > 0
+
+    @pytest.mark.parametrize("m,n_atoms", [(0, 12), (4, 3), (4, -5)])
+    def test_no_row_for_an_m_and_n_no_dictionary_has(self, m, n_atoms):
+        with pytest.raises(ValueError, match=r"need 1 <= m"):
+            evaluate_thresholds(1, 1, 0, 0.3, m, n_atoms)
 
 
 MU_FUNCTIONS = {
