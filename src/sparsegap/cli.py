@@ -1,11 +1,12 @@
 """Command-line front end: dictionary construction, threshold tables, experiments.
 
-``_bind`` binds each config object and ``dict`` flag set once, before anything is computed, to the function
-that reads it; a key or flag it does not read, lacks or cannot take is a usage error.  Exit status contract,
-which ``main`` returns and never raises: 0 = all invariants held, 1 = the experiment set its report's ``failed``
-(a violation or an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame builder its
-iteration cap (one line on stderr, no report), 2 = usage or config error, argparse's included, an output
-file that cannot be written (``dict`` then writes no file), or a computation too large for memory (MemoryError).
+``_bind`` binds each config object and ``dict`` flag set once, before anything is computed, to the function that
+reads it, whose signature holds every default (``seed`` 0); ``experiment --seed N`` binds as the config's ``seed``.
+A key or flag it does not read, lacks or cannot take is a usage error.  Exit status contract, which ``main``
+returns and never raises: 0 = all invariants held, 1 = the experiment set its report's ``failed`` (a violation or
+an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame builder its iteration cap (one line on
+stderr, no report), 2 = usage or config error, argparse's included, an output file that cannot be written (``dict``
+then writes no file), or a computation too large for memory (MemoryError).
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _bind(func, obj: dict, where: str, defaults=(), passed=()) -> functools.partial:
-    """``func`` bound to ``obj`` and to the ``defaults`` it takes that ``obj`` lacks; the caller passes ``passed``.
+def _bind(func, obj: dict, where: str, passed=()) -> functools.partial:
+    """``func`` bound to ``obj``; the caller passes ``passed``, and ``func``'s own defaults fill in the rest.
 
     ConfigError on a key that no other parameter reads, on one without a default that nothing sets, or on a
     value of the wrong type: LIST_KEYS hold lists, and bools are not numbers.
@@ -56,7 +57,6 @@ def _bind(func, obj: dict, where: str, defaults=(), passed=()) -> functools.part
     names = params.keys() - set(passed)
     if obj.keys() - names:
         raise ConfigError(f"{where}: {func.__name__} does not read {sorted(obj.keys() - names)}")
-    obj = {**{k: v for k, v in dict(defaults).items() if k in names}, **obj}
     missing = {k for k in names - obj.keys() if params[k].default is params[k].empty}
     if missing:
         raise ConfigError(f"{where} missing keys: {sorted(missing)}")
@@ -72,7 +72,7 @@ def _bind(func, obj: dict, where: str, defaults=(), passed=()) -> functools.part
     return functools.partial(func, **obj)
 
 
-def _bind_dictionary(spec: dict, defaults=()) -> functools.partial:
+def _bind_dictionary(spec: dict) -> functools.partial:
     """``load_dictionary`` bound to a ``{"path": ...}`` object, else the builder its ``kind`` names."""
     if "path" in spec:
         return _bind(dictionary.load_dictionary, spec, "dictionary")
@@ -80,17 +80,7 @@ def _bind_dictionary(spec: dict, defaults=()) -> functools.partial:
     kind = spec.pop("kind", None)
     if not isinstance(kind, str) or kind not in DICTIONARIES:
         raise ConfigError(f"unknown dictionary kind {kind!r}")
-    return _bind(getattr(*DICTIONARIES[kind]), spec, "dictionary", defaults)
-
-
-def _print_metrics(d: dictionary.Dictionary, c: float, check: dictionary.WeakIncoherenceCheck) -> None:
-    print(f"m = {d.m}  N = {d.n_atoms}")
-    print(f"coherence mu = {d.coherence:.12g}")
-    print(f"redundancy rho = {d.redundancy:.12g}  (N/m = {d.n_atoms / d.m:.12g})")
-    print(f"welch bound = {welch_lower_bound(d.m, d.n_atoms):.12g}")
-    print(f"weak incoherence (c = {c:g}): tight = {check.tight} "
-          f"(margin {check.tight_margin:.3e}), "
-          f"coherence <= c/log N = {check.coherent} (margin {check.coherence_margin:.3e})")
+    return _bind(getattr(*DICTIONARIES[kind]), spec, "dictionary")
 
 
 def cmd_dict(args) -> int:
@@ -101,11 +91,17 @@ def cmd_dict(args) -> int:
     elif not args.kind:
         raise ConfigError("--kind is required unless --inspect is given")
     out = None if args.inspect else flags.pop("out", None)
-    d = _bind_dictionary(flags, {"seed": 0})()
+    d = _bind_dictionary(flags)()
     check = is_weakly_incoherent(d, args.c)  # before the save, so a rejected run writes nothing
     if out:  # saved before printing, so a failed save prints no metrics
         save_dictionary(d, out)
-    _print_metrics(d, args.c, check)
+    print(f"m = {d.m}  N = {d.n_atoms}")
+    print(f"coherence mu = {d.coherence:.12g}")
+    print(f"redundancy rho = {d.redundancy:.12g}  (N/m = {d.n_atoms / d.m:.12g})")
+    print(f"welch bound = {welch_lower_bound(d.m, d.n_atoms):.12g}")
+    print(f"weak incoherence (c = {args.c:g}): tight = {check.tight} "
+          f"(margin {check.tight_margin:.3e}), "
+          f"coherence <= c/log N = {check.coherent} (margin {check.coherence_margin:.3e})")
     if out:
         print(f"wrote {out}")
     return EXIT_OK
@@ -135,39 +131,36 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def bind_config(cfg) -> tuple[functools.partial, functools.partial]:
-    """The dictionary's builder or loader and the experiment (seed 0 by default), each bound to its keys of ``cfg``."""
+def bind_config(cfg, seed=None) -> tuple[functools.partial, functools.partial]:
+    """Dictionary builder or loader and experiment, each bound to its keys of ``cfg``; ``seed`` replaces cfg's seed."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    rest = dict(cfg)
+    rest = dict(cfg) if seed is None else {**cfg, "seed": seed}
     name, spec = rest.pop("experiment", None), rest.pop("dictionary", None)
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'dictionary' object")
-    run = _bind(getattr(*EXPERIMENTS[name]), rest, f"experiment {name!r}", {"seed": 0}, passed=("d",))
+    run = _bind(getattr(*EXPERIMENTS[name]), rest, f"experiment {name!r}", passed=("d",))
     return _bind_dictionary(spec), run
 
 
 def cmd_experiment(args) -> int:
-    """Run the configured experiment; ``args.argv`` is recorded as the command line."""
+    """Run the configured experiment, ``--seed`` taken as the config's ``seed``; ``args.argv`` is the command line."""
     if args.format == "both" and not args.out:
         raise ConfigError("--format both needs --out")
     try:
         cfg = json.loads(Path(args.config).read_text())
-        build, run = bind_config(cfg)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must not be negative: {args.seed}")
+        build, run = bind_config(cfg, args.seed)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seed = run.keywords["seed"] if args.seed is None else args.seed
-    report = run(build(), seed=seed)
+    report = run(build())
     report.manifest = build_manifest(
         command_line=" ".join(args.argv),
-        config={**cfg, "seed": seed},
+        config={**cfg, "seed": report.master_seed},
         provenance=report.params["dictionary"],
-        master_seed=seed,
+        master_seed=report.master_seed,
         tool_version=__version__,
     )
     out = args.out and Path(args.out)

@@ -158,12 +158,6 @@ def _frame_spectrum(atoms: np.ndarray) -> np.ndarray:
     return w
 
 
-def _max_off_diagonal(gram: np.ndarray) -> float:
-    off = np.abs(gram)
-    np.fill_diagonal(off, 0.0)
-    return float(off.max())
-
-
 def default_rank_tolerance(singular_values: np.ndarray, shape) -> float:
     """Rank cutoff sigma_max * max(shape) * eps for the given singular values."""
     if singular_values.size == 0:
@@ -209,7 +203,9 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
         if rank_of_singular_values(sv, atoms.shape) < atoms.shape[0]:
             raise DictionaryError("atoms do not span the ambient space")
     gram = _gram(atoms)
-    mu = _max_off_diagonal(gram)  # 0 for a single atom
+    off = np.abs(gram)
+    np.fill_diagonal(off, 0.0)
+    mu = float(off.max())  # 0 for a single atom
     check_coherence(mu)
     d = Dictionary(atoms=atoms, coherence=mu, redundancy=float(w[-1]), provenance=provenance)
     vars(d).update(gram=gram, frame_spectrum=w)  # the cached properties' slots: each is formed once per dictionary
@@ -230,7 +226,7 @@ def build_spikes_sines(m: int) -> Dictionary:
     return _finalize(atoms, {"kind": "spikes-sines", "m": m})
 
 
-def build_random_unit_norm(m: int, n_atoms: int, seed: int) -> Dictionary:
+def build_random_unit_norm(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
     """Independent uniform draws from the complex unit sphere in C^m."""
     if m < 1 or n_atoms < m:
         raise DictionaryError("need n_atoms >= m >= 1")
@@ -240,7 +236,7 @@ def build_random_unit_norm(m: int, n_atoms: int, seed: int) -> Dictionary:
     return _finalize(atoms, {"kind": "random-unit", "m": m, "n_atoms": n_atoms, "seed": seed})
 
 
-def build_random_tight_frame(m: int, n_atoms: int, seed: int) -> Dictionary:
+def build_random_tight_frame(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
     """Random unit-norm tight frame via alternating projections.
 
     Iterates two steps: project onto scaled co-isometries (Phi Phi* =

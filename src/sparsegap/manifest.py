@@ -7,8 +7,8 @@ writes the report as JSON (``indent=2`` bytes, the rows C-encoded) or CSV.
 
 The manifest digest covers the resolved inputs that determine the
 numbers: the config, which the CLI has bound key by key to the functions
-that read it, with ``--seed`` applied, the dictionary provenance, the
-master seed and the tool version.  The command line and the timestamp are
+that read it, with the run's seed as its ``seed``, the dictionary provenance,
+the master seed and the tool version.  The command line and the timestamp are
 recorded but not hashed, so two runs that differ only in where they write
 (``--out``) or when they ran share a digest.
 """

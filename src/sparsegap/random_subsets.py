@@ -107,9 +107,6 @@ class SubsetStatistics:
     gram_deviation: float
     pinv_norm: float
 
-    def passes_gates(self) -> bool:
-        return self.max_cross_correlation <= CROSS_GATE and self.pinv_norm <= PINV_GATE
-
 
 def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     """The three subset statistics from the cached Gram matrix of ``d``."""
@@ -127,13 +124,15 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
                             pinv_norm=pinv_norm)
 
 
-def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int,
+def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0,
                      beta: float = 1.0, c_sparsity: float = 1.0) -> ExperimentReport:
     """Per-s quantiles of the subset statistics and gate-violation fractions.
 
     The reported quantile level is 1 - N^(-beta); an s is in the regime when s <= c_sparsity * m / log N.
     ValueError, before any work, on a repeated s (it would reuse its streams), an s outside [1, N] or c_sparsity <= 0.
     """
+    if seed < 0:
+        raise ValueError(f"seed must not be negative: {seed}")
     beta, c_sparsity = float(beta), float(c_sparsity)
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
@@ -181,7 +180,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int,
 
 
 def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
-                               seed: int) -> ExperimentReport:
+                               seed: int = 0) -> ExperimentReport:
     """Measured rank of Phi_{S u V} versus the weak-incoherence lower bounds, on a tight frame (tightness_margin).
 
     Two candidate bounds are tracked: |S| + 2m|V|/N and |S| + m|V|/(2N)
@@ -189,6 +188,8 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
     the projected-block bound).  Violations are tallied separately for
     trials passing the (1/2, sqrt(2)) gates and for all trials.
     """
+    if min(trials, seed) < 0:
+        raise ValueError(f"trials and seed must not be negative: {trials}, {seed}")
     m, n = d.m, d.n_atoms
     if n <= 2 * m:
         raise HypothesisViolatedError("requires N > 2m")
@@ -209,7 +210,7 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
             "rank": rank,
             "bound_stated": bound_stated,
             "bound_gate_derived": bound_gate_derived,
-            "gated": st.passes_gates(),
+            "gated": st.max_cross_correlation <= CROSS_GATE and st.pinv_norm <= PINV_GATE,
             "max_cross_correlation": st.max_cross_correlation,
             "pinv_norm": st.pinv_norm,
             "violates_stated": rank < bound_stated - 1e-9,

@@ -208,7 +208,7 @@ def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> l
 
 
 def equivalence_experiment(d: Dictionary, s_set: Iterable[int], t_set: Iterable[int],
-                           trials: int, seed: int) -> ExperimentReport:
+                           trials: int, seed: int = 0) -> ExperimentReport:
     """Check the rank-condition dichotomy on repeated generic draws.
 
     Soundness: rank condition true means every residual stays above the
@@ -216,6 +216,8 @@ def equivalence_experiment(d: Dictionary, s_set: Iterable[int], t_set: Iterable[
     means every residual stays at or below the ceiling.  Trial i draws
     from the stream [seed, i].
     """
+    if min(trials, seed) < 0:
+        raise ValueError(f"trials and seed must not be negative: {trials}, {seed}")
     s_set, t_set = AtomSet.of(s_set), AtomSet.of(t_set)
     if max(s_set.indices + t_set.indices, default=-1) >= d.n_atoms:
         raise ValueError(f"atom indices must be below the {d.n_atoms} atoms of the dictionary")
@@ -253,7 +255,7 @@ def equivalence_experiment(d: Dictionary, s_set: Iterable[int], t_set: Iterable[
 
 
 def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
-                   trials_per_pair: int, seed: int) -> ExperimentReport:
+                   trials_per_pair: int, seed: int = 0) -> ExperimentReport:
     """Sample (S, T) pairs with exact overlap and tally verdicts.
 
     A violation is a pair where the overlap condition predicts
@@ -261,6 +263,8 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     Pair p samples S and T from the stream [seed, p] (RedrawCapExceededError
     past the redraw cap); its trial i draws from [seed, p, i].
     """
+    if min(pairs, trials_per_pair, seed) < 0:
+        raise ValueError(f"pairs, trials_per_pair and seed must not be negative: {pairs}, {trials_per_pair}, {seed}")
     if not (0 <= delta <= min(s, t)) or s < 1:
         raise ValueError("need s >= 1 and 0 <= delta <= min(s, t)")
     if s + t - delta > d.n_atoms:

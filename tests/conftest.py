@@ -5,6 +5,7 @@ import numpy as np
 import numpy.linalg._linalg as _linalg
 import pytest
 
+from sparsegap import random_subsets, signals
 from sparsegap.dictionary import _finalize, build_random_tight_frame
 
 # LAPACK factorisation entry points of numpy.linalg.  Each calls LAPACK
@@ -51,6 +52,15 @@ def linalg_calls(monkeypatch):
         monkeypatch.setattr(np.linalg, name, wrapped)
         monkeypatch.setattr(_linalg, name, wrapped)
     return counts
+
+
+@pytest.fixture
+def no_streams(monkeypatch):
+    """The experiments' rng_streams replaced by one that fails the test: no stream may be drawn from here on."""
+    def drawn(*args):
+        raise AssertionError(f"streams drawn: rng_streams{args}")
+    monkeypatch.setattr(signals, "rng_streams", drawn)
+    monkeypatch.setattr(random_subsets, "rng_streams", drawn)
 
 
 @pytest.fixture(scope="module")

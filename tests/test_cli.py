@@ -2,7 +2,9 @@ import csv
 import functools
 import io
 import json
+import inspect
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -456,7 +458,8 @@ EXIT_CONTRACT = [
           ("s-min-above-s-max", ["--s-min", "3", "--s-max", "2"], 4, 12, 3))),
     case("both-formats-without-out", ["experiment", "--config", "absent.json", "--format", "both"], "error: ",
          "--format both needs --out"),  # the flag check comes before the config is read
-    bad_config("negative-seed-flag", GAP, "config error: ", "--seed must not be negative: -1", "--seed", "-1"),
+    bad_config("negative-seed-flag", GAP, "config error: ", "experiment 'gap' key 'seed' must not be negative: -1",
+               "--seed", "-1"),
     # configs rejected before any computation
     bad_config("unknown-experiment", {"experiment": "nope", "dictionary": {}}, "config error: ",
                "unknown experiment 'nope'"),
@@ -496,8 +499,6 @@ EXIT_CONTRACT = [
         ("string-dictionary-seed", {**TIGHT_8_32, "seed": "7"}, "dictionary key 'seed' has the wrong type: '7'"),
         ("list-kind", {"kind": ["spikes-sines"], "m": 8}, "unknown dictionary kind ['spikes-sines']"),
         ("bool-m", {"kind": "spikes-sines", "m": True}, "dictionary key 'm' has the wrong type: True"),
-        ("random-tight-without-seed", {"kind": "random-tight", "m": 8, "n_atoms": 32},
-         "dictionary missing keys: ['seed']"),  # only the dict command's --seed defaults to 0
         ("spikes-sines-n-atoms", {**SPIKES_8, "n_atoms": 99}, "dictionary: build_spikes_sines does not read ['n_atoms']"),
         ("spikes-sines-seed", {**SPIKES_8, "seed": 3}, "dictionary: build_spikes_sines does not read ['seed']"),
         ("path-and-kind", {"path": "absent.sgdict", "kind": "spikes-sines"},
@@ -579,3 +580,42 @@ def test_sent_configs_bind_without_computing(source, name, tmp_path, monkeypatch
     assert calls == []
     assert experiment.keywords == {k: v for k, v in cfg.items() if k not in ("experiment", "dictionary")}
     assert build.keywords == {k: v for k, v in cfg["dictionary"].items() if k != "kind"}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_seed_defaults_to_zero_in_each_signature(name):
+    """Each seeded builder and each experiment, called without ``seed``, gives what it gives with ``seed=0``."""
+    cfg = {k: v for k, v in CASES[name].items() if k != "seed"}
+    build, run = cli.bind_config({**cfg, "dictionary": {k: v for k, v in cfg["dictionary"].items() if k != "seed"}})
+    assert "seed" not in build.keywords and "seed" not in run.keywords
+    d = build()
+    if "seed" in inspect.signature(build.func).parameters:
+        seeded = build.func(**build.keywords, seed=0)
+        assert d.atoms.tobytes() == seeded.atoms.tobytes() and d.provenance == seeded.provenance
+        assert d.provenance["seed"] == 0
+    assert run(d).to_json() == run.func(d, **run.keywords, seed=0).to_json()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_absent_seed_reports_as_seed_zero(name, tmp_path, capsys):
+    """A config without ``seed`` and the same config with ``"seed": 0`` give one report, ``config_digest`` included."""
+    outputs = []
+    for cfg in ({k: v for k, v in CASES[name].items() if k != "seed"}, {**CASES[name], "seed": 0}):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, stdout, stderr = run(["experiment", "--config", str(tmp_path / "cfg.json")], capsys)
+        outputs.append((code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', stdout), stderr))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["manifest"]["master_seed"] == 0
+
+
+def test_dictionary_without_seed_is_built_from_seed_zero(tmp_path, capsys):
+    """A seeded dictionary kind without ``seed`` takes its builder's default, 0, and its provenance records it."""
+    spec = {"kind": "random-tight", "m": 8, "n_atoms": 32}
+    reports = []
+    for dictionary_spec in (spec, {**spec, "seed": 0}):
+        (tmp_path / "cfg.json").write_text(json.dumps({**GAP, "dictionary": dictionary_spec}))
+        code, stdout, _ = run(["experiment", "--config", str(tmp_path / "cfg.json")], capsys)
+        assert code == 0
+        reports.append(json.loads(stdout))
+    assert reports[0]["manifest"]["dictionary_provenance"] == {**spec, "seed": 0}
+    assert reports[0]["trials"] == reports[1]["trials"]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -325,6 +326,12 @@ class TestStatisticsSweep:
             statistics_sweep(d, s_values=s_values, trials_per_s=5, seed=0)
         assert not linalg_calls and not linalg_calls.calls
 
+    @pytest.mark.parametrize("s_values", [[], [2]], ids=["no-s", "one-s"])
+    def test_negative_seed_rejected_before_sampling(self, no_streams, s_values):
+        # with no s, no stream would ever see the seed: this gave a report with master_seed -5
+        with pytest.raises(ValueError, match="seed must not be negative: -5"):
+            statistics_sweep(build_spikes_sines(8), s_values, 3, -5)
+
     def test_quantiles_present(self):
         d = build_random_tight_frame(16, 64, seed=6)
         rep = statistics_sweep(d, s_values=(2, 4), trials_per_s=25, seed=3, beta=1.5)
@@ -334,6 +341,11 @@ class TestStatisticsSweep:
 
 
 class TestWeakRankBoundExperiment:
+    @pytest.mark.parametrize("trials,seed", [(-1, 0), (3, -1)], ids=["trials", "seed"])
+    def test_negative_trials_or_seed_rejected_before_sampling(self, no_streams, trials, seed):
+        with pytest.raises(ValueError, match=re.escape(f"trials and seed must not be negative: {trials}, {seed}")):
+            weak_rank_bound_experiment(build_random_tight_frame(8, 32, seed=7), 2, 2, trials, seed)
+
     def test_spikes_sines_boundary_rejected(self):
         d = build_spikes_sines(8)  # N = 2m exactly
         with pytest.raises(HypothesisViolatedError):

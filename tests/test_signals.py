@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,11 @@ class TestEquivalenceExperiment:
         assert a.to_json() == b.to_json()
         assert a.to_csv() == b.to_csv()
 
+    @pytest.mark.parametrize("trials,seed", [(-1, 0), (3, -1)], ids=["trials", "seed"])
+    def test_negative_trials_or_seed_rejected_before_sampling(self, no_streams, trials, seed):
+        with pytest.raises(ValueError, match=re.escape(f"trials and seed must not be negative: {trials}, {seed}")):
+            equivalence_experiment(build_spikes_sines(8), [0, 1], [2, 3], trials, seed)
+
 
 class TestGapExperiment:
     def test_spikes_sines_no_violations(self):
@@ -231,6 +237,16 @@ class TestGapExperiment:
         with pytest.raises(ValueError, match="exceeds m"):
             gap_experiment(d, 5, 1, 0, pairs=1, trials_per_pair=1, seed=0)
         assert linalg_calls == {}
+
+    @pytest.mark.parametrize("t,pairs,trials_per_pair,seed", [
+        (0, -3, 2, 0),  # t = 0 samples nothing: this gave a report with "pairs": -3
+        (2, 3, -2, 0),  # this raised only from rng_streams, in terms of stream keys
+        (2, 0, 1, -1),  # this too raised only from rng_streams
+    ], ids=["pairs-t-0", "trials-per-pair", "seed-no-pairs"])
+    def test_negative_count_or_seed_rejected_before_sampling(self, no_streams, t, pairs, trials_per_pair, seed):
+        message = f"pairs, trials_per_pair and seed must not be negative: {pairs}, {trials_per_pair}, {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gap_experiment(build_spikes_sines(8), 2, t, 0, pairs, trials_per_pair, seed)
 
     def test_zero_t_vacuous(self):
         d = build_spikes_sines(8)
