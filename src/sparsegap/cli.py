@@ -5,8 +5,8 @@ reads it, whose signature holds every default (``seed`` 0); ``experiment --seed 
 A key or flag it does not read, lacks or cannot take is a usage error.  Exit status contract, which ``main``
 returns and never raises: 0 = all invariants held, 1 = the experiment set its report's ``failed`` (a violation or
 an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame builder its iteration cap (one line on
-stderr, no report), 2 = usage or config error, argparse's included, an output file that cannot be written (``dict``
-then writes no file), or a computation too large for memory (MemoryError).
+stderr, no report), 2 = usage or config error (argparse's; a config file that cannot be read, decoded, parsed at
+any depth or bound), an unwritable output file (``dict`` then writes none), MemoryError, or a number past float range.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from pathlib import Path
 
 from . import __version__, dictionary, random_subsets, signals
 from .dictionary import (
-    is_weakly_incoherent,
+    coherence_constant,
     save_dictionary,
+    tightness_margin,
     welch_lower_bound,
 )
 from .manifest import build_manifest, csv_text
@@ -40,7 +41,7 @@ DICTIONARIES = {"spikes-sines": (dictionary, "build_spikes_sines"),
                 "random-unit": (dictionary, "build_random_unit_norm"),
                 "random-tight": (dictionary, "build_random_tight_frame")}
 LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
-REAL_KEYS = {"beta", "c_sparsity"}           # any finite number; "path" a string; every other key a nonnegative integer
+REAL_KEYS = {"beta"}                         # any finite number; "path" a string; every other key a nonnegative integer
 
 
 class ConfigError(ValueError):
@@ -92,16 +93,13 @@ def cmd_dict(args) -> int:
         raise ConfigError("--kind is required unless --inspect is given")
     out = None if args.inspect else flags.pop("out", None)
     d = _bind_dictionary(flags)()
-    check = is_weakly_incoherent(d, args.c)  # before the save, so a rejected run writes nothing
     if out:  # saved before printing, so a failed save prints no metrics
         save_dictionary(d, out)
     print(f"m = {d.m}  N = {d.n_atoms}")
     print(f"coherence mu = {d.coherence:.12g}")
     print(f"redundancy rho = {d.redundancy:.12g}  (N/m = {d.n_atoms / d.m:.12g})")
     print(f"welch bound = {welch_lower_bound(d.m, d.n_atoms):.12g}")
-    print(f"weak incoherence (c = {args.c:g}): tight = {check.tight} "
-          f"(margin {check.tight_margin:.3e}), "
-          f"coherence <= c/log N = {check.coherent} (margin {check.coherence_margin:.3e})")
+    print(f"tightness margin = {tightness_margin(d):.3e}  coherence constant mu log N = {coherence_constant(d):.12g}")
     if out:
         print(f"wrote {out}")
     return EXIT_OK
@@ -152,7 +150,7 @@ def cmd_experiment(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
         build, run = bind_config(cfg, args.seed)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: ConfigError, JSONDecodeError, UnicodeDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = run(build())
@@ -181,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dict.add_argument("--m", type=int)
     p_dict.add_argument("--n-atoms", type=int, dest="n_atoms")
     p_dict.add_argument("--seed", type=int, help="for the seeded kinds (default 0)")
-    p_dict.add_argument("--c", type=float, default=1.0,
-                        help="constant for the weak-incoherence check")
     p_dict.add_argument("--out")
     p_dict.add_argument("--inspect", metavar="PATH")
     p_dict.set_defaults(func=cmd_dict)
@@ -217,7 +213,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:  # DictionaryError and ConfigError are ValueErrors
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:  # DictionaryError and ConfigError are ValueErrors
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (RedrawCapExceededError, dictionary.TightFrameConvergenceError) as exc:

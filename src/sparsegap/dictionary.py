@@ -273,39 +273,14 @@ def build_random_tight_frame(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
         atoms /= norms
 
 
-@dataclass(frozen=True)
-class WeakIncoherenceCheck:
-    """Outcome of the weakly-incoherent-tight-frame test with margins."""
-
-    tight: bool
-    tight_margin: float          # tightness_margin(d); >= 0 iff tight
-    coherent: bool
-    coherence_margin: float      # c/log N - mu; >= 0 iff coherent enough
-
-    @property
-    def passed(self) -> bool:
-        return self.tight and self.coherent
-
-
 def tightness_margin(d: Dictionary) -> float:
     """TIGHTNESS_TOL - max_i |lambda_i(Phi Phi*) - N/m|: ``d`` is a tight frame iff this is >= 0."""
     return TIGHTNESS_TOL - float(np.abs(d.frame_spectrum - d.n_atoms / d.m).max())
 
 
-def is_weakly_incoherent(d: Dictionary, c: float) -> WeakIncoherenceCheck:
-    """Check Phi Phi* = (N/m) I (every eigenvalue within 1e-8) and mu <= c / log N."""
-    if not 0 < c < math.inf:  # NaN fails too
-        raise ValueError("c must be positive" if not c > 0 else f"c must be finite: {c}")
-    if d.n_atoms < 2:
-        raise DictionaryError("need at least two atoms")
-    tight_margin = tightness_margin(d)
-    bound = c / math.log(d.n_atoms)
-    return WeakIncoherenceCheck(
-        tight=tight_margin >= 0,
-        tight_margin=tight_margin,
-        coherent=d.coherence <= bound,
-        coherence_margin=bound - d.coherence,
-    )
+def coherence_constant(d: Dictionary) -> float:
+    """mu log N: the smallest c with mu <= c / log N, the weak gap's coherence hypothesis (0 for a single atom)."""
+    return d.coherence * math.log(d.n_atoms)
 
 
 def save_dictionary(d: Dictionary, path) -> None:

@@ -11,9 +11,9 @@ when lambda_min < dictionary.GRAM_EIG_FLOOR it comes from the SVD of Phi_S inste
 That includes every s > m: G[S, S] is then singular, while sigma_min(Phi_S),
 the m-th singular value, is not.
 
-A sweep reports empirical quantiles plus how often the (1/2, sqrt(2))
-good-event gates are violated, and the rank experiment compares the
-measured rank of a random S u V against the weak-incoherence bounds.
+A sweep reports empirical quantiles, how often the (1/2, sqrt(2)) good-event
+gates are violated and the smallest weak-gap constants, mu log N and s log N / m;
+the rank experiment compares the rank of a random S u V with the weak bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dictionary import GRAM_EIG_FLOOR, AtomSet, Dictionary, is_weakly_incoherent, tightness_margin
+from .dictionary import GRAM_EIG_FLOOR, AtomSet, Dictionary, coherence_constant, tightness_margin
 from .manifest import ExperimentReport
 from .rank_bounds import numerical_rank
 from .thresholds import HypothesisViolatedError
@@ -125,23 +125,21 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
 
 
 def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0,
-                     beta: float = 1.0, c_sparsity: float = 1.0) -> ExperimentReport:
+                     beta: float = 1.0) -> ExperimentReport:
     """Per-s quantiles of the subset statistics and gate-violation fractions.
 
-    The reported quantile level is 1 - N^(-beta); an s is in the regime when s <= c_sparsity * m / log N.
-    ValueError, before any work, on a repeated s (it would reuse its streams), an s outside [1, N] or c_sparsity <= 0.
+    The reported quantile level is 1 - N^(-beta); mu log N and, per s, s log N / m are the smallest c that pass the
+    weak gap's mu <= c / log N and s <= c m / log N.  ValueError before any work on a repeated s or an s not in [1, N].
     """
     if seed < 0:
         raise ValueError(f"seed must not be negative: {seed}")
-    beta, c_sparsity = float(beta), float(c_sparsity)
+    beta = float(beta)
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
     if trials_per_s < 1:
         raise ValueError("trials_per_s must be positive")
     if len(set(s_values)) < len(s_values):  # a repeat would reuse its streams and count twice
         raise ValueError(f"s_values must not repeat: {list(s_values)}")
-    if not c_sparsity > 0:
-        raise ValueError(f"c_sparsity must be positive: {c_sparsity!r}")
     n = d.n_atoms
     if not all(1 <= s <= n for s in s_values):
         raise ValueError(f"s_values must lie in [1, {n}]: {list(s_values)}")
@@ -159,20 +157,20 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0,
                          for k in names}
         per_s[str(s)]["gate_violation_fraction"] = float(
             np.mean([not (r["cross_gate_ok"] and r["pinv_gate_ok"]) for r in sub]))
+        per_s[str(s)]["sparsity_constant"] = s * math.log(n) / d.m
         rows += sub
-    weak = is_weakly_incoherent(d, c_sparsity)
     return ExperimentReport(
         kind="stats-sweep",
         params={"s_values": list(s_values), "trials_per_s": trials_per_s,
-                "beta": beta, "c_sparsity": c_sparsity,
+                "beta": beta,
                 "dictionary": d.provenance},
         master_seed=seed,
         columns=("s", "trial", *names, "cross_gate_ok", "pinv_gate_ok"),
         trials=rows,
         summary={
             "per_s": per_s,
-            "in_regime_s_values": [s for s in s_values if s <= c_sparsity * d.m / math.log(n)],
-            "weakly_incoherent": weak.passed,
+            "tightness_margin": tightness_margin(d),
+            "coherence_constant": coherence_constant(d),
             "cross_gate": CROSS_GATE,
             "pinv_gate": PINV_GATE,
         },

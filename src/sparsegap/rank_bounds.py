@@ -29,12 +29,6 @@ class NotPsdError(ValueError):
 class SingularBlockError(ValueError):
     """Leading block of a Schur split is numerically singular."""
 
-    def __init__(self, smallest_eigenvalue: float):
-        self.smallest_eigenvalue = smallest_eigenvalue
-        super().__init__(
-            f"leading block is numerically singular (smallest eigenvalue {smallest_eigenvalue:.3e})"
-        )
-
 
 class DependentSetError(ValueError):
     """An atom set required to be linearly independent is not."""
@@ -138,7 +132,7 @@ def verify_schur_rank_identity(x: np.ndarray, split: int) -> SchurRankIdentity:
     c = x[split:, split:]
     w_a = np.linalg.eigvalsh((a + a.conj().T) / 2)
     if w_a[0] <= BLOCK_SINGULARITY_REL_TOL * smax:
-        raise SingularBlockError(float(w_a[0]))
+        raise SingularBlockError(f"leading block is numerically singular (smallest eigenvalue {w_a[0]:.3e})")
     comp = c - b.conj().T @ np.linalg.solve(a, b)
     sv_x, sv_a = (np.sort(np.abs(w))[::-1] for w in (w_x, w_a))
     tol_comp = max(sv_x[0], sv_x[0]**2 / w_a[0]) * x.shape[0] * np.finfo(float).eps * 10

@@ -40,11 +40,11 @@ class TestDictCommand:
         assert out.exists() and (tmp_path / "d.sgdict.bin").exists()
 
     def test_weak_incoherence_constant(self, capsys):
-        code, stdout, _ = run(["dict", "--kind", "spikes-sines", "--m", "16", "--c", "0.5"], capsys)
+        code, stdout, _ = run(["dict", "--kind", "spikes-sines", "--m", "16"], capsys)
         assert code == 0
-        margin = 0.5 / math.log(32) - 0.25  # mu = 1/sqrt(16)
-        assert "weak incoherence (c = 0.5): " in stdout
-        assert f"coherence <= c/log N = {margin >= 0} (margin {margin:.3e})" in stdout
+        margin = float(re.search(r"^tightness margin = (\S+)  ", stdout, re.M).group(1))
+        assert 0 <= margin <= dictionary.TIGHTNESS_TOL  # spikes-sines is tight
+        assert f"  coherence constant mu log N = {0.25 * math.log(32):.12g}\n" in stdout  # mu = 1/sqrt(16)
 
     def test_inspect_round_trips_metrics(self, tmp_path, capsys):
         out = tmp_path / "d.sgdict"
@@ -356,16 +356,23 @@ def test_failed_dict_save_leaves_nothing(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dd"]
 
 
-@pytest.mark.parametrize("flags,message", [
-    (["--m", "2", "--n-atoms", "2", "--c", "0"], "c must be positive"),
-    (["--m", "2", "--n-atoms", "2", "--c", "nan"], "c must be positive"),
-    (["--m", "1", "--n-atoms", "1"], "need at least two atoms"),
-], ids=["c-zero", "c-nan", "one-atom"])
-def test_rejected_dict_writes_nothing(tmp_path, capsys, flags, message):
-    argv = ["dict", "--kind", "random-unit", *flags, "--out", str(tmp_path / "d.sgdict")]
+@pytest.mark.parametrize("value", ["0", "nan"], ids=["c-zero", "c-nan"])
+def test_rejected_dict_writes_nothing(tmp_path, capsys, value):
+    """No weak-incoherence constant is chosen: ``--c`` is argparse's usage error, before anything is built."""
+    argv = ["dict", "--kind", "random-unit", "--m", "2", "--n-atoms", "2", "--c", value, "--out", str(tmp_path / "d")]
     code, stdout, err = run(argv, capsys)
-    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: ") and err.endswith(f"sparsegap: error: unrecognized arguments: --c {value}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_one_atom_dictionary_has_coherence_constant_zero(tmp_path, capsys):
+    """mu log N is 0 at N = 1 (mu = 0, log 1 = 0), so a one-atom dictionary is written and reported."""
+    out = tmp_path / "d.sgdict"
+    code, stdout, err = run(["dict", "--kind", "random-unit", "--m", "1", "--n-atoms", "1", "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    assert "  coherence constant mu log N = 0\n" in stdout and stdout.endswith(f"wrote {out}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.sgdict", "d.sgdict.bin"]
 
 
 @pytest.mark.parametrize("command", ["dict", "experiment"])
@@ -388,7 +395,7 @@ def test_memory_error_is_one_error_line(command, message, tmp_path, monkeypatch,
 
 
 def case(case_id, argv, prefix, text, status=2, lines=1, config=None):
-    """A row of the exit contract: ``config``, when given, is written to cfg.json first."""
+    """A row of the exit contract: ``config``, when given, is written to cfg.json first (bytes as given, else JSON)."""
     return pytest.param(argv, config, status, lines, prefix, text, id=case_id)
 
 
@@ -439,8 +446,8 @@ EXIT_CONTRACT = [
     *(case(f"bounds-dict-{flag[2:]}", ["bounds", "--dict", "absent.sgdict", flag, value, "--s-max", "2"], "error: ",
            "provide --dict or all of --mu/--m/--n-atoms, not both")
       for flag, value in (("--mu", "0.9"), ("--m", "4"), ("--n-atoms", "12"))),
-    case("dict-infinite-c", ["dict", "--kind", "spikes-sines", "--m", "4", "--c", "inf"], "error: ",
-         "c must be finite: inf"),
+    case("dict-infinite-c", ["dict", "--kind", "spikes-sines", "--m", "4", "--c", "inf"], "usage: ",
+         "sparsegap: error: unrecognized arguments: --c inf", lines=2),
     # mu is checked whatever delta is, also when delta > min(s, t) makes every row an error row
     *(bad_bounds(f"bounds-mu-7-delta-{delta}", ["--mu", "7", "--s-max", "2", "--delta", delta],
                  "coherence mu = 7.0 outside [0, 1 + 1e-12]") for delta in ("0", "5")),
@@ -490,7 +497,6 @@ EXIT_CONTRACT = [
                  f"experiment 'stats-sweep' key {text}")
       for case_id, changes, text in (
           ("bool-beta", {"beta": True}, "'beta' has the wrong type: True"),
-          ("nan-c-sparsity", {"c_sparsity": math.nan}, "'c_sparsity' must be a finite float: nan"),
           ("infinite-beta", {"beta": math.inf}, "'beta' must be a finite float: inf"),
           ("nan-beta", {"beta": math.nan}, "'beta' must be a finite float: nan"),
           ("beta-past-float-range", {"beta": 10**400}, "'beta' must be a finite float: 1000"))),
@@ -511,6 +517,18 @@ EXIT_CONTRACT = [
       for key, value in (("betta", 7), ("d", 16), ("beta", 1.5), ("kind", "spikes-sines"))),
     bad_config("stats-sweep-unread-trials", stats_sweep({"trials": 5}), "config error: ",
                "experiment 'stats-sweep': statistics_sweep does not read ['trials']"),
+    # the weak gap's constants are reported, never chosen
+    *(bad_config(f"stats-sweep-{case_id}", stats_sweep({"c_sparsity": value}), "config error: ",
+                 "experiment 'stats-sweep': statistics_sweep does not read ['c_sparsity']")
+      for case_id, value in (("nan-c-sparsity", math.nan), ("c-sparsity-0", 0), ("c-sparsity-negative", -0.5))),
+    # config files that no JSON object can be read from, and numbers past float range
+    bad_config("config-nested-100000-deep", b"[" * 100_000 + b"]" * 100_000, "config error: ",
+               "maximum recursion depth exceeded"),
+    bad_config("config-not-utf-8", b"\xff{}", "config error: ", "'utf-8' codec can't decode byte 0xff"),
+    *(bad_bounds(f"bounds-{name}-past-float-range", ["--mu", "0.3", *flags], "int too large to convert to float")
+      for name, flags in (("n-atoms", ["--n-atoms", str(10**400), "--s-max", "1"]),
+                          ("t", ["--t", str(10**400), "--s-max", "1"]),
+                          ("s", ["--s-min", str(10**400), "--s-max", str(10**400)]))),
     # configs rejected by the dictionary builder or by the experiment
     bad_config("gap-random-tight-m-0", {**GAP, "dictionary": {**TIGHT_8_32, "m": 0, "n_atoms": 3}}, "error: ",
                "a redundant tight frame needs n_atoms > m >= 1"),
@@ -524,10 +542,6 @@ EXIT_CONTRACT = [
                "error: ", "S must be a nonempty linearly independent set"),
     bad_config("stats-sweep-repeated-s", stats_sweep({"s_values": [3, 3]}), "error: ",
                "s_values must not repeat: [3, 3]"),
-    bad_config("stats-sweep-c-sparsity-0", stats_sweep({"c_sparsity": 0}), "error: ",
-               "c_sparsity must be positive: 0"),
-    bad_config("stats-sweep-c-sparsity-negative", stats_sweep({"c_sparsity": -0.5}), "error: ",
-               "c_sparsity must be positive: -0.5"),
     case("experiment-builder-cap", ["experiment", "--config", "cfg.json"], "error: ", TIGHT_FRAME_CAP, status=1,
          config={**GAP, "dictionary": TIGHT_8_32}),
 ]
@@ -556,8 +570,8 @@ def test_exit_contract(argv, config, status, lines, prefix, text, tmp_path, monk
     monkeypatch.setattr(dictionary, "TIGHT_FRAME_MAX_ITERATIONS", 1)
     monkeypatch.chdir(tmp_path)
     calls = record_calls(monkeypatch)
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))  # NaN, Infinity tokens
+    if config is not None:  # JSON with NaN and Infinity tokens
+        (tmp_path / "cfg.json").write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     code, stdout, stderr = run(argv, capsys)
     message, silent = (stdout, stderr) if status == 0 else (stderr, stdout)
     assert (code, silent, len(message.splitlines())) == (status, "", lines), message

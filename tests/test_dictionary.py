@@ -20,7 +20,7 @@ from sparsegap.dictionary import (
     build_random_unit_norm,
     build_spikes_sines,
     certify_gram_floor,
-    is_weakly_incoherent,
+    coherence_constant,
     load_dictionary,
     _finalize,
     save_dictionary,
@@ -408,30 +408,37 @@ class TestGramFloorCertificate:
 
 
 class TestWeakIncoherence:
+    """The weak gap's hypotheses, a tight frame and mu <= c / log N, as tightness_margin and the smallest c."""
+
     def test_spikes_sines_large(self):
         d = build_spikes_sines(256)
-        check = is_weakly_incoherent(d, c=1.0)
-        assert check.tight
-        # mu = 1/16 vs 1/log 512
-        assert check.coherent == (1 / 16 <= 1 / math.log(512))
+        assert tightness_margin(d) >= 0
+        # mu = 1/16, so mu log N = log(512) / 16 = 0.39: within mu <= c / log N for every c >= 0.39
+        assert coherence_constant(d) == pytest.approx(math.log(512) / 16, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [build_random_tight_frame(8, 32, seed=3), build_random_unit_norm(6, 20, seed=2)],
+                             ids=["random-tight", "random-unit"])
+    def test_constant_is_the_smallest_passing_c(self, d):
+        assert coherence_constant(d) / math.log(d.n_atoms) == pytest.approx(d.coherence, rel=1e-15)
 
     def test_non_tight_fails_tightness(self):
         d = build_random_unit_norm(8, 16, seed=1)
-        assert not is_weakly_incoherent(d, c=1.0).tight
+        assert tightness_margin(d) < 0
 
     def test_orthonormal_passes(self):
         atoms = np.eye(8, dtype=complex)
         d = Dictionary(atoms=atoms, coherence=0.0, redundancy=1.0, provenance={})
-        check = is_weakly_incoherent(d, c=1.0)
-        assert check.passed
+        assert tightness_margin(d) >= 0 and coherence_constant(d) == 0.0
+
+    def test_single_atom_has_constant_zero(self):
+        d = _finalize(np.ones((1, 1)), {})  # mu = 0 and log 1 = 0
+        assert (d.coherence, coherence_constant(d), tightness_margin(d)) == (0.0, 0.0, TIGHTNESS_TOL)
 
     def test_low_lower_frame_bound_is_not_tight(self):
         # Phi Phi* = diag(2, 2, 2 - 5e-8): rho = N/m exactly, but one direction falls short
         atoms = np.hstack([np.eye(3), np.diag([1.0, 1.0, math.sqrt(1 - 5e-8)])]).astype(complex)
         d = Dictionary(atoms=atoms, coherence=0.0, redundancy=2.0, provenance={})
         assert abs(tightness_margin(d) - (TIGHTNESS_TOL - 5e-8)) < 1e-15
-        check = is_weakly_incoherent(d, c=1.0)
-        assert not check.tight and check.tight_margin == tightness_margin(d)
 
 
 class TestConstructionInvariants:

@@ -1,0 +1,85 @@
+"""Input guards that no other test reaches: one row per guard, each failing once its guard is deleted.
+
+Without its guard, each call below either returns a value or fails later with another exception or message
+(numpy's own, a ZeroDivisionError, an IndexError), so the exact type and message pin the guard itself.
+``signals._trial_residuals``' zero-signal guard has no row: Gaussian draws over an independent S never
+give the zero signal.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from sparsegap.dictionary import (
+    AtomSet,
+    build_random_tight_frame,
+    build_random_unit_norm,
+    build_spikes_sines,
+    welch_lower_bound,
+)
+from sparsegap.random_subsets import statistics_sweep, subset_statistics, weak_rank_bound_experiment
+from sparsegap.rank_bounds import (
+    NotPsdError,
+    _eigvalsh_checked,
+    numerical_rank,
+    rank_lb_coherence,
+    verify_schur_rank_identity,
+)
+from sparsegap.signals import draw_generic_signal, gap_experiment, make_signal, test_representability
+from sparsegap.thresholds import (
+    HypothesisViolatedError,
+    generic_up_threshold,
+    strong_gap_threshold,
+    weak_gap_simplified,
+)
+
+SPIKES_4 = build_spikes_sines(4)  # m = 4, N = 8
+
+
+def guard(case_id, call, error, message):
+    return pytest.param(call, error, message, id=case_id)
+
+
+GUARDS = [
+    guard("atom-set-negative-index", lambda: AtomSet((-1, 2)), ValueError, "atom indices must be nonnegative"),
+    guard("welch-m-0", lambda: welch_lower_bound(0, 4), ValueError, "m must be positive"),
+    guard("rank-of-empty-matrix", lambda: numerical_rank(np.zeros((0, 3))), ValueError, "empty matrix has no rank"),
+    guard("psd-not-square", lambda: _eigvalsh_checked(np.ones((2, 3))), NotPsdError, "input must be square"),
+    guard("psd-not-hermitian", lambda: _eigvalsh_checked(np.array([[1.0, 1.0], [0.0, 1.0]])), NotPsdError,
+          "input deviates from Hermitian by 1.000e+00"),
+    guard("rank-lb-coherence-r-0", lambda: rank_lb_coherence(0, 0.1), ValueError, "r must be >= 1"),
+    *(guard(f"schur-split-{split}", lambda split=split: verify_schur_rank_identity(np.eye(3), split), ValueError,
+            "split must satisfy 0 < k < n") for split in (0, 3)),
+    guard("signal-length-mismatch", lambda: make_signal(SPIKES_4, AtomSet.of([0, 1]), [1.0]), ValueError,
+          "coefficient length must match the support size"),
+    guard("representability-empty-t",
+          lambda: test_representability(SPIKES_4, AtomSet(()), draw_generic_signal(SPIKES_4, AtomSet.of([0, 5]), 0)),
+          ValueError, "T must be nonempty"),
+    guard("gap-delta-above-min-s-t", lambda: gap_experiment(SPIKES_4, 2, 2, 3, pairs=1, trials_per_pair=1),
+          ValueError, "need s >= 1 and 0 <= delta <= min(s, t)"),
+    guard("gap-union-above-n", lambda: gap_experiment(SPIKES_4, 4, 5, 0, pairs=1, trials_per_pair=1), ValueError,
+          "s + t - delta exceeds the number of atoms"),
+    guard("subset-statistics-empty-s", lambda: subset_statistics(SPIKES_4, AtomSet(())), ValueError,
+          "S must be nonempty"),
+    guard("sweep-beta-below-1", lambda: statistics_sweep(SPIKES_4, [1], 1, beta=0.5), ValueError,
+          "beta must be >= 1"),
+    guard("sweep-no-trials", lambda: statistics_sweep(SPIKES_4, [1], 0), ValueError,
+          "trials_per_s must be positive"),
+    guard("weak-rank-not-tight", lambda: weak_rank_bound_experiment(build_random_unit_norm(4, 12, seed=1), 1, 2, 1),
+          ValueError, "dictionary must be a tight frame"),
+    guard("weak-rank-s-0", lambda: weak_rank_bound_experiment(build_random_tight_frame(4, 12, seed=1), 0, 2, 1),
+          ValueError, "invalid (s, v_size)"),
+    guard("strong-gap-s-0", lambda: strong_gap_threshold(0, 0.1), ValueError, "s must be >= 1"),
+    guard("generic-up-delta-above-s", lambda: generic_up_threshold(2, 3, 0.1), ValueError,
+          "need 1 <= s and 0 <= delta <= s"),
+    guard("weak-gap-simplified-n-2m", lambda: weak_gap_simplified(1, 0, 4, 8), HypothesisViolatedError,
+          "requires N > 2m"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", GUARDS)
+def test_input_guard(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert type(caught.value) is error

@@ -17,7 +17,10 @@ from sparsegap.dictionary import (
     AtomSet,
     Dictionary,
     build_random_tight_frame,
+    build_random_unit_norm,
     build_spikes_sines,
+    coherence_constant,
+    tightness_margin,
 )
 from sparsegap.random_subsets import (
     rng_streams,
@@ -310,13 +313,15 @@ class TestStatisticsSweep:
         with pytest.raises(ValueError, match="repeat"):
             statistics_sweep(build_spikes_sines(4), s_values=(3, 4, 3), trials_per_s=2, seed=0)
 
-    @pytest.mark.parametrize("c_sparsity", [0, -1.5])
-    def test_nonpositive_c_sparsity_rejected_before_any_factorisation(self, linalg_calls, c_sparsity):
-        d = build_random_tight_frame(8, 32, seed=5)
-        linalg_calls.clear()
-        with pytest.raises(ValueError, match="c_sparsity must be positive"):
-            statistics_sweep(d, s_values=(2, 4), trials_per_s=5, seed=0, c_sparsity=c_sparsity)
-        assert not linalg_calls and not linalg_calls.calls
+    @pytest.mark.parametrize("d", [build_random_tight_frame(8, 32, seed=5), build_random_unit_norm(6, 20, seed=2)],
+                             ids=["random-tight", "random-unit"])
+    def test_summary_reports_the_weak_gap_constants(self, d):
+        """No constant c is chosen: the summary gives the smallest c that passes each hypothesis of the weak gap."""
+        summary = statistics_sweep(d, s_values=(1, 3), trials_per_s=2, seed=0).summary
+        assert summary["tightness_margin"] == tightness_margin(d)
+        assert summary["coherence_constant"] == coherence_constant(d) == d.coherence * math.log(d.n_atoms)
+        for s in (1, 3):
+            assert summary["per_s"][str(s)]["sparsity_constant"] == s * math.log(d.n_atoms) / d.m
 
     @pytest.mark.parametrize("s_values", [(4, 8, 33), (0, 4)])
     def test_out_of_range_s_rejected_before_any_factorisation(self, linalg_calls, s_values):
