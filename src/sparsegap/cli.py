@@ -44,32 +44,28 @@ LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
 REAL_KEYS = {"beta"}                         # any finite number; "path" a string; every other key a nonnegative integer
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _bind(func, obj: dict, where: str, passed=()) -> functools.partial:
     """``func`` bound to ``obj``; the caller passes ``passed``, and ``func``'s own defaults fill in the rest.
 
-    ConfigError on a key that no other parameter reads, on one without a default that nothing sets, or on a
+    ValueError on a key that no other parameter reads, on one without a default that nothing sets, or on a
     value of the wrong type: LIST_KEYS hold lists, and bools are not numbers.
     """
     params = inspect.signature(func).parameters
     names = params.keys() - set(passed)
     if obj.keys() - names:
-        raise ConfigError(f"{where}: {func.__name__} does not read {sorted(obj.keys() - names)}")
+        raise ValueError(f"{where}: {func.__name__} does not read {sorted(obj.keys() - names)}")
     missing = {k for k in names - obj.keys() if params[k].default is params[k].empty}
     if missing:
-        raise ConfigError(f"{where} missing keys: {sorted(missing)}")
+        raise ValueError(f"{where} missing keys: {sorted(missing)}")
     for key, value in sorted(obj.items()):
         items = value if key in LIST_KEYS else [value]
         kinds = (int, float) if key in REAL_KEYS else (str,) if key == "path" else (int,)
         if not isinstance(items, list) or not all(type(v) in kinds for v in items):
-            raise ConfigError(f"{where} key {key!r} has the wrong type: {value!r}")
+            raise ValueError(f"{where} key {key!r} has the wrong type: {value!r}")
         if kinds == (int,) and any(v < 0 for v in items):
-            raise ConfigError(f"{where} key {key!r} must not be negative: {value!r}")
+            raise ValueError(f"{where} key {key!r} must not be negative: {value!r}")
         if key in REAL_KEYS and not all(abs(v) <= sys.float_info.max for v in items):  # NaN fails too
-            raise ConfigError(f"{where} key {key!r} must be a finite float: {value!r}")
+            raise ValueError(f"{where} key {key!r} must be a finite float: {value!r}")
     return functools.partial(func, **obj)
 
 
@@ -80,7 +76,7 @@ def _bind_dictionary(spec: dict) -> functools.partial:
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if not isinstance(kind, str) or kind not in DICTIONARIES:
-        raise ConfigError(f"unknown dictionary kind {kind!r}")
+        raise ValueError(f"unknown dictionary kind {kind!r}")
     return _bind(getattr(*DICTIONARIES[kind]), spec, "dictionary")
 
 
@@ -90,7 +86,7 @@ def cmd_dict(args) -> int:
     if args.inspect:
         flags["path"] = args.inspect
     elif not args.kind:
-        raise ConfigError("--kind is required unless --inspect is given")
+        raise ValueError("--kind is required unless --inspect is given")
     out = None if args.inspect else flags.pop("out", None)
     d = _bind_dictionary(flags)()
     if out:  # saved before printing, so a failed save prints no metrics
@@ -115,11 +111,11 @@ def _emit(text: str, out) -> None:
 def cmd_bounds(args) -> int:
     flags = (args.mu, args.m, args.n_atoms)
     if flags.count(None) != (3 if args.dict else 0):
-        raise ConfigError("provide --dict or all of --mu/--m/--n-atoms, not both")
+        raise ValueError("provide --dict or all of --mu/--m/--n-atoms, not both")
     d = args.dict and dictionary.load_dictionary(args.dict)
     mu, m, n_atoms = (d.coherence, d.m, d.n_atoms) if d else flags
     if not 1 <= m <= n_atoms or args.s_min > args.s_max:
-        raise ConfigError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}) and s_min ({args.s_min}) <= s_max ({args.s_max})")
+        raise ValueError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}) and s_min ({args.s_min}) <= s_max ({args.s_max})")
     rows = [evaluate_thresholds(s, s if args.t is None else args.t, args.delta, mu, m, n_atoms)
             for s in range(args.s_min, args.s_max + 1)]
     if args.format == "csv":
@@ -132,13 +128,13 @@ def cmd_bounds(args) -> int:
 def bind_config(cfg, seed=None) -> tuple[functools.partial, functools.partial]:
     """Dictionary builder or loader and experiment, each bound to its keys of ``cfg``; ``seed`` replaces cfg's seed."""
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     rest = dict(cfg) if seed is None else {**cfg, "seed": seed}
     name, spec = rest.pop("experiment", None), rest.pop("dictionary", None)
     if not isinstance(name, str) or name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}")
+        raise ValueError(f"unknown experiment {name!r}")
     if not isinstance(spec, dict):
-        raise ConfigError("config needs a 'dictionary' object")
+        raise ValueError("config needs a 'dictionary' object")
     run = _bind(getattr(*EXPERIMENTS[name]), rest, f"experiment {name!r}", passed=("d",))
     return _bind_dictionary(spec), run
 
@@ -146,21 +142,15 @@ def bind_config(cfg, seed=None) -> tuple[functools.partial, functools.partial]:
 def cmd_experiment(args) -> int:
     """Run the configured experiment, ``--seed`` taken as the config's ``seed``; ``args.argv`` is the command line."""
     if args.format == "both" and not args.out:
-        raise ConfigError("--format both needs --out")
+        raise ValueError("--format both needs --out")
     try:
         cfg = json.loads(Path(args.config).read_text())
         build, run = bind_config(cfg, args.seed)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: ConfigError, JSONDecodeError, UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: a bad key, JSONDecodeError, UnicodeDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = run(build())
-    report.manifest = build_manifest(
-        command_line=" ".join(args.argv),
-        config={**cfg, "seed": report.master_seed},
-        provenance=report.params["dictionary"],
-        master_seed=report.master_seed,
-        tool_version=__version__,
-    )
+    report.manifest = build_manifest(report, cfg, " ".join(args.argv))
     out = args.out and Path(args.out)
     if args.format in ("json", "both"):
         _emit(report.to_json(), out and out.with_suffix(".json"))
@@ -213,7 +203,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError, OverflowError) as exc:  # DictionaryError and ConfigError are ValueErrors
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:  # ValueError: every rejected input
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (RedrawCapExceededError, dictionary.TightFrameConvergenceError) as exc:

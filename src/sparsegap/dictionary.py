@@ -10,7 +10,7 @@ everything downstream:
 Constructors return immutable :class:`Dictionary` instances with both
 metrics, the Gram matrix Phi* Phi (mu is read off it) and the spectrum of
 Phi Phi* (rho is its largest eigenvalue) cached, and all structural
-invariants checked.
+invariants checked: a violated one, like any rejected input, raises ValueError.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ METADATA_TOL = 1e-9    # stored vs recomputed coherence/redundancy in sgdict-1 f
 GRAM_EIG_FLOOR = 1e-2  # lambda_min of a Gram block, or of Phi Phi* over its lambda_max, that certifies without an SVD
 
 FORMAT_VERSION = "sgdict-1"
-
-
-class DictionaryError(ValueError):
-    """Invalid dictionary construction parameters or violated invariants."""
 
 
 class TightFrameConvergenceError(RuntimeError):
@@ -173,9 +169,9 @@ def rank_of_singular_values(singular_values: np.ndarray, shape, tol: Optional[fl
 
 
 def check_coherence(mu: float) -> None:
-    """DictionaryError (a ValueError) unless 0 <= mu <= 1 + COHERENCE_TOL, as unit-norm atoms give."""
+    """ValueError unless 0 <= mu <= 1 + COHERENCE_TOL, as unit-norm atoms give."""
     if not (0.0 <= mu <= 1.0 + COHERENCE_TOL):  # the slack is rounding, e.g. of a repeated atom
-        raise DictionaryError(f"coherence mu = {mu!r} outside [0, 1 + {COHERENCE_TOL:g}]")
+        raise ValueError(f"coherence mu = {mu!r} outside [0, 1 + {COHERENCE_TOL:g}]")
 
 
 def welch_lower_bound(m: int, n_atoms: int) -> float:
@@ -193,15 +189,16 @@ def _finalize(atoms: np.ndarray, provenance: dict) -> Dictionary:
     Checks unit norms, span and mu, not rho >= N/m or the Welch bound (unit norms imply them only to TIGHTNESS_TOL);
     the spectrum certifies the span at lambda_min >= GRAM_EIG_FLOOR * lambda_max, else an SVD of Phi runs for that."""
     atoms = np.ascontiguousarray(atoms, dtype=np.complex128)
-    norms = np.linalg.norm(atoms, axis=0)
+    with np.errstate(over="ignore"):  # an entry past sqrt(float max) gives an infinite norm, not a warning
+        norms = np.linalg.norm(atoms, axis=0)
     worst = float(np.abs(norms - 1.0).max())
     if not worst <= TIGHTNESS_TOL:  # a non-finite atom has a NaN or infinite norm
-        raise DictionaryError(f"atom norms deviate from 1 by {worst:.3e}")
+        raise ValueError(f"atom norms deviate from 1 by {worst:.3e}")
     w = _frame_spectrum(atoms)  # rho = lambda_max, accurate to rounding of lambda_max however conditioned
     if w[0] < GRAM_EIG_FLOOR * w[-1]:  # above the floor sigma_min >= 0.1 sigma_max, far above the rank cutoff
         sv = np.linalg.svd(atoms, compute_uv=False)
         if rank_of_singular_values(sv, atoms.shape) < atoms.shape[0]:
-            raise DictionaryError("atoms do not span the ambient space")
+            raise ValueError("atoms do not span the ambient space")
     gram = _gram(atoms)
     off = np.abs(gram)
     np.fill_diagonal(off, 0.0)
@@ -219,7 +216,7 @@ def build_spikes_sines(m: int) -> Dictionary:
     result is a tight frame with rho = 2 and coherence 1/sqrt(m).
     """
     if m < 2:
-        raise DictionaryError("spikes-and-sines needs m >= 2")
+        raise ValueError("spikes-and-sines needs m >= 2")
     j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     dft = np.exp(-2j * np.pi * j * k / m) / math.sqrt(m)
     atoms = np.hstack([np.eye(m, dtype=np.complex128), dft])
@@ -229,7 +226,7 @@ def build_spikes_sines(m: int) -> Dictionary:
 def build_random_unit_norm(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
     """Independent uniform draws from the complex unit sphere in C^m."""
     if m < 1 or n_atoms < m:
-        raise DictionaryError("need n_atoms >= m >= 1")
+        raise ValueError("need n_atoms >= m >= 1")
     rng = np.random.default_rng(seed)
     atoms = rng.standard_normal((m, n_atoms)) + 1j * rng.standard_normal((m, n_atoms))
     atoms /= np.linalg.norm(atoms, axis=0)
@@ -251,7 +248,7 @@ def build_random_tight_frame(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
     TIGHT_FRAME_MAX_ITERATIONS iterations or at a rank-deficient iterate.
     """
     if m < 1 or n_atoms <= m:
-        raise DictionaryError("a redundant tight frame needs n_atoms > m >= 1")
+        raise ValueError("a redundant tight frame needs n_atoms > m >= 1")
     rng = np.random.default_rng(seed)
     atoms = rng.standard_normal((m, n_atoms)) + 1j * rng.standard_normal((m, n_atoms))
     atoms /= np.linalg.norm(atoms, axis=0)
@@ -316,34 +313,34 @@ def load_dictionary(path) -> Dictionary:
     the stored coherence and redundancy must match the recomputed ones
     within METADATA_TOL.  Unreadable files and missing or mistyped metadata
     (m and n_atoms must be positive integers, provenance an object) raise
-    DictionaryError too.
+    ValueError too.
     """
     try:
         path = Path(path)
         meta = json.loads(path.read_text())
         if meta.get("format") != FORMAT_VERSION:
-            raise DictionaryError(f"unsupported dictionary format {meta.get('format')!r}")
+            raise ValueError(f"unsupported dictionary format {meta.get('format')!r}")
         payload = meta.get("payload")
         if (not isinstance(payload, str) or payload in ("", ".", "..")
                 or any(sep in payload for sep in "/\\")):
-            raise DictionaryError(f"payload {payload!r} is not a file name beside the metadata")
+            raise ValueError(f"payload {payload!r} is not a file name beside the metadata")
         m, n, provenance = meta["m"], meta["n_atoms"], meta["provenance"]
         for name, value in (("m", m), ("n_atoms", n)):
             if type(value) is not int or value < 1:
-                raise DictionaryError(f"metadata field {name!r} must be a positive integer, not {value!r}")
+                raise ValueError(f"metadata field {name!r} must be a positive integer, not {value!r}")
         if not isinstance(provenance, dict):
-            raise DictionaryError(f"metadata field 'provenance' must be an object, not {provenance!r}")
+            raise ValueError(f"metadata field 'provenance' must be an object, not {provenance!r}")
         raw = (path.parent / payload).read_bytes()
-    except (OSError, KeyError, TypeError, AttributeError) as exc:
-        raise DictionaryError(f"cannot read dictionary {path}: {type(exc).__name__}: {exc}") from exc
+    except (OSError, KeyError, TypeError, AttributeError, RecursionError, json.JSONDecodeError, UnicodeError) as exc:
+        raise ValueError(f"cannot read dictionary {path}: {type(exc).__name__}: {exc}") from exc
     if len(raw) != 16 * m * n:  # two little-endian float64 per entry
-        raise DictionaryError("payload size does not match metadata")
+        raise ValueError("payload size does not match metadata")
     buf = np.frombuffer(raw, dtype="<f8")
     if not np.isfinite(buf).all():  # named here, before _finalize reports it as a nan or inf norm
-        raise DictionaryError("payload holds a non-finite value")
+        raise ValueError("payload holds a non-finite value")
     d = _finalize(buf.view("<c16").reshape((m, n), order="F"), provenance)
     for name in ("coherence", "redundancy"):
         stored, actual = meta.get(name), getattr(d, name)
         if not isinstance(stored, (int, float)) or not abs(stored - actual) <= METADATA_TOL:
-            raise DictionaryError(f"stored {name} {stored!r} differs from recomputed {actual!r}")
+            raise ValueError(f"stored {name} {stored!r} differs from recomputed {actual!r}")
     return d

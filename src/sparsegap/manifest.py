@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from . import __version__
+
 
 def csv_text(rows: list[dict], columns) -> str:
     """CSV with a header of ``columns`` and one line per row (missing keys empty)."""
@@ -62,15 +64,15 @@ class ExperimentReport:
         return csv_text(self.trials, self.columns)
 
 
-def build_manifest(command_line: str, config: dict, provenance: dict,
-                   master_seed, tool_version: str) -> dict:
-    """The run manifest embedded in a report, as a JSON-ready dict."""
-    digested = {"config": config, "provenance": provenance, "master_seed": master_seed, "tool_version": tool_version}
+def build_manifest(report: ExperimentReport, config: dict, command_line: str) -> dict:
+    """The run manifest of ``report``, as a JSON-ready dict; ``config`` is digested with the run's seed as its seed."""
+    digested = {"config": {**config, "seed": report.master_seed}, "provenance": report.params["dictionary"],
+                "master_seed": report.master_seed, "tool_version": __version__}
     return {
         "command_line": command_line,
         "config_digest": hashlib.sha256(json.dumps(digested, sort_keys=True, default=str).encode()).hexdigest(),
-        "dictionary_provenance": provenance,
-        "master_seed": master_seed,
-        "tool_version": tool_version,
+        "dictionary_provenance": report.params["dictionary"],
+        "master_seed": report.master_seed,
+        "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

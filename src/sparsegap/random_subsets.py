@@ -120,8 +120,7 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     else:
         sigma_min = float(np.linalg.svd(d.subdictionary(s_set), compute_uv=False)[-1])
         pinv_norm = math.inf if sigma_min == 0.0 else 1.0 / sigma_min
-    return SubsetStatistics(max_cross_correlation=max_cross, gram_deviation=gram_dev,
-                            pinv_norm=pinv_norm)
+    return SubsetStatistics(max_cross, gram_dev, pinv_norm)
 
 
 def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0,

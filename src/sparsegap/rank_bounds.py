@@ -1,10 +1,10 @@
 """Exact numerical rank and the analytic lower bounds that sandwich it.
 
-All bounds are certified against :func:`numerical_rank`, the SVD-based
-ground truth.  The Schatten norm-ratio family works for any matrix; the
-trace/Frobenius form needs a psd input; the coherence form applies to
-subdictionaries of unit-norm atoms.  The Schur rank identity and the
-projected-block decomposition split a rank into the ranks of its parts.
+All bounds are certified against :func:`numerical_rank`, the SVD-based ground truth.  The Schatten norm-ratio
+family works for any matrix; the trace/Frobenius form needs a psd input; the coherence form applies to
+subdictionaries of unit-norm atoms.  The Schur rank identity and the projected-block decomposition split a rank
+into the ranks of its parts.  An input outside a function's hypotheses (not psd, overlapping sets, a dependent S)
+raises ValueError; a numerically singular leading block of a Schur split raises its subclass SingularBlockError.
 """
 
 from __future__ import annotations
@@ -22,16 +22,8 @@ PSD_REL_TOL = 1e-8
 BLOCK_SINGULARITY_REL_TOL = 1e-10
 
 
-class NotPsdError(ValueError):
-    """Input fails the Hermitian positive-semidefinite gate."""
-
-
 class SingularBlockError(ValueError):
     """Leading block of a Schur split is numerically singular."""
-
-
-class DependentSetError(ValueError):
-    """An atom set required to be linearly independent is not."""
 
 
 def numerical_rank(a: np.ndarray, tol: Optional[float] = None) -> int:
@@ -65,18 +57,18 @@ def _norm_ratio_bound(sv: np.ndarray, p, q) -> float:
 
 
 def _eigvalsh_checked(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian psd matrix; NotPsdError for any other input."""
+    """Eigenvalues of a Hermitian psd matrix; ValueError for any other input."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotPsdError("input must be square")
+        raise ValueError("input must be square")
     herm_dev = float(np.abs(a - a.conj().T).max())
     scale = float(np.abs(a).max()) or 1.0
     if herm_dev > HERMITIAN_TOL * max(1.0, scale):
-        raise NotPsdError(f"input deviates from Hermitian by {herm_dev:.3e}")
+        raise ValueError(f"input deviates from Hermitian by {herm_dev:.3e}")
     w = np.linalg.eigvalsh((a + a.conj().T) / 2)
     smax = float(np.abs(w).max()) if w.size else 0.0
     if smax and float(w.min()) < -PSD_REL_TOL * smax:
-        raise NotPsdError(f"most negative eigenvalue {float(w.min()):.3e}")
+        raise ValueError(f"most negative eigenvalue {float(w.min()):.3e}")
     return w
 
 
@@ -143,10 +135,6 @@ def verify_schur_rank_identity(x: np.ndarray, split: int) -> SchurRankIdentity:
     )
 
 
-class OverlappingSetError(ValueError):
-    """Sets required to be disjoint overlap."""
-
-
 def range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of range(A), with numerical_rank(A) columns, and A's singular values."""
     u, sv, _ = np.linalg.svd(a, full_matrices=False)
@@ -156,10 +144,10 @@ def range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_disjoint_independent(d: Dictionary, s_set: AtomSet, v_set: AtomSet):
     """range_basis(Phi_S) for V disjoint from S and S linearly independent (or empty)."""
     if s_set.overlap(v_set):
-        raise OverlappingSetError("V must be disjoint from S")
+        raise ValueError("V must be disjoint from S")
     basis, sv = range_basis(d.subdictionary(s_set))
     if basis.shape[1] < len(s_set):
-        raise DependentSetError("S is not linearly independent")
+        raise ValueError("S is not linearly independent")
     return basis, sv
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .dictionary import AtomSet, Dictionary, certify_gram_floor
 from .manifest import ExperimentReport
 from .random_subsets import rng_streams, sample_uniform_subset
-from .rank_bounds import DependentSetError, numerical_rank, range_basis
+from .rank_bounds import numerical_rank, range_basis
 from .thresholds import overlap_condition
 
 RESIDUAL_CEILING = 1e-10
@@ -78,10 +78,10 @@ def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex]
 
 
 def _independent_subdictionary(d: Dictionary, s_set: AtomSet) -> np.ndarray:
-    """Phi_S; DependentSetError unless S is nonempty and linearly independent."""
+    """Phi_S; ValueError unless S is nonempty and linearly independent."""
     phi_s = d.subdictionary(s_set)
     if len(s_set) == 0 or numerical_rank(phi_s) < len(s_set):
-        raise DependentSetError("S must be a nonempty linearly independent set")
+        raise ValueError("S must be a nonempty linearly independent set")
     return phi_s
 
 
@@ -130,16 +130,16 @@ def test_representability(d: Dictionary, t_set: AtomSet,
 test_representability.__test__ = False  # not a pytest case despite the name
 
 
-def _redraw_rounds(count: int, step, error: str) -> list:
+def _redraw_rounds(d: Dictionary, count: int, step, error: str) -> list:
     """The accepted result per stream j < count.  Round r calls step(js, r), which draws one candidate for each
-    open stream j and returns a result for it, None to redraw; RedrawCapExceededError(error) past the cap."""
+    open stream j and returns a result for it, None to redraw; past the cap RedrawCapExceededError, naming d."""
     found, open_ = [None] * count, range(count)
     for redraws in range(INDEPENDENCE_REDRAW_CAP):
         for j, res in zip(open_, step(open_, redraws)):
             found[j] = res
         if not (open_ := [j for j in open_ if found[j] is None]):
             return found
-    raise RedrawCapExceededError(error)
+    raise RedrawCapExceededError(f"{error} found in {INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})")
 
 
 def _sample_support(d: Dictionary, s: int, rngs: Sequence[np.random.Generator]) -> list[AtomSet]:
@@ -149,8 +149,7 @@ def _sample_support(d: Dictionary, s: int, rngs: Sequence[np.random.Generator]) 
         return [c if ok or numerical_rank(d.subdictionary(c)) == s else None
                 for c, ok in zip(cands, certify_gram_floor(d.gram_blocks([c.indices for c in cands])))]
 
-    return _redraw_rounds(len(rngs), step, f"no linearly independent support of size {s} found in "
-                                           f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})")
+    return _redraw_rounds(d, len(rngs), step, f"no linearly independent support of size {s}")
 
 
 def _pair_range(d: Dictionary, s_sets: Sequence[AtomSet],
@@ -189,8 +188,7 @@ def _sample_overlapping(d: Dictionary, s_sets: Sequence[AtomSet], t: int, delta:
         return [(t_set, w, redraws, rank_union) if sv_t is None or sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP
                 else None for t_set, (w, rank_union, _, sv_t) in zip(cands, ranges)]
 
-    return _redraw_rounds(len(rngs), step, f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g} found in "
-                                           f"{INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})")
+    return _redraw_rounds(d, len(rngs), step, f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g}")
 
 
 def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> list[float]:

@@ -1,9 +1,9 @@
 """Closed-form uncertainty-principle thresholds.
 
 Pure formula objects in the parameters (s, t, delta, mu, m, N); nothing here touches a concrete dictionary.
-Each formula in mu accepts mu up to 1 + COHERENCE_TOL (``dictionary.check_coherence``), the rounded coherence
-of a repeated atom.  Each docstring states whether the comparison it encodes is strict or weak, matching the
-inequality in the underlying statement.
+Each formula in mu accepts mu up to 1 + COHERENCE_TOL (``dictionary.check_coherence``), the rounded coherence of
+a repeated atom.  A rejected parameter raises ValueError; the weak gap, outside N > 2m, HypothesisViolatedError.
+Each docstring states whether the comparison it encodes is strict or weak, as the underlying inequality is.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from .dictionary import check_coherence
 
 class HypothesisViolatedError(ValueError):
     """The formula's standing hypothesis (e.g. N > 2m) does not hold."""
-
-
-class FormulaInapplicableError(ValueError):
-    """Parameters leave the formula with a nonpositive leading factor."""
 
 
 def donoho_elad_threshold(mu: float) -> float:
@@ -70,7 +66,7 @@ def t_threshold_given_overlap(s: int, delta: int, mu: float) -> float:
         raise ValueError("the t threshold needs mu > 0")
     k = s - delta - 1
     if k < 1:
-        raise FormulaInapplicableError("requires s - delta >= 2")
+        raise ValueError("requires s - delta >= 2")
     return k * (math.sqrt((1.0 + 1.0 / k) * (mu**-2) / k + 0.25) - 1.0)
 
 
@@ -127,7 +123,7 @@ def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: 
                overlap_vacuous=decision.vacuous, generic_up_rhs=generic_up_threshold(s, delta, mu))
     try:
         row["t_threshold"] = t_threshold_given_overlap(s, delta, mu)
-    except ValueError:  # mu = 0, or FormulaInapplicableError
+    except ValueError:  # mu = 0, or s - delta < 2
         pass
     try:
         row.update(weak_gap_rhs=weak_gap_threshold(s, delta, m, n_atoms),

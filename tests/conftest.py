@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import math
+import re
 
 import numpy as np
 import numpy.linalg._linalg as _linalg
@@ -12,6 +14,14 @@ from sparsegap.dictionary import _finalize, build_random_tight_frame
 # directly, so counting them counts factorisations once; norm(x, 2),
 # pinv and matrix_rank reach svd through the _linalg module namespace.
 FACTORIZATIONS = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "cholesky")
+
+
+@contextlib.contextmanager
+def raises_value_error(message):
+    """pytest.raises for a ValueError, and not a subclass of it, whose message is exactly ``message``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        yield caught
+    assert type(caught.value) is ValueError
 
 
 def gram_coherence(atoms):

@@ -4,8 +4,12 @@ import io
 import json
 import inspect
 import math
+import os
 import re
 import runpy
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +337,19 @@ class TestExperimentCommand:
         assert set(report["summary"]["per_s"]) == {"1", "2"}
 
 
+@pytest.mark.parametrize("argv,status,stdout,stderr", [
+    (["--version"], 0, f"{__version__}\n", ""),
+    (["dict"], 2, "", "error: --kind is required unless --inspect is given\n"),
+], ids=["version", "dict-without-kind"])
+def test_module_entry_point_exits_with_the_status_of_main(argv, status, stdout, stderr):
+    """``python -m sparsegap.cli`` runs ``sys.exit(main())`` in a fresh interpreter, this package first on its path."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "sparsegap.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (status, stdout, stderr)
+
+
 @pytest.mark.parametrize("command", ["experiment", "bounds", "dict"])
 def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -394,9 +411,10 @@ def test_memory_error_is_one_error_line(command, message, tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def case(case_id, argv, prefix, text, status=2, lines=1, config=None):
-    """A row of the exit contract: ``config``, when given, is written to cfg.json first (bytes as given, else JSON)."""
-    return pytest.param(argv, config, status, lines, prefix, text, id=case_id)
+def case(case_id, argv, prefix, text, status=2, lines=1, config=None, files=None):
+    """A row of the exit contract: ``config``, when given, is written to cfg.json first (bytes as given, else JSON),
+    and each of ``files`` (a name and its bytes)."""
+    return pytest.param(argv, config, files or {}, status, lines, prefix, text, id=case_id)
 
 
 def bad_config(case_id, config, prefix, text, *flags):
@@ -413,6 +431,20 @@ def stats_sweep(changes):
 
 
 TIGHT_FRAME_CAP = "tight-frame construction did not converge in 1 iterations"
+UNREADABLE_METADATA = {  # sgdict-1 metadata that no JSON object can be read from
+    "nested-100000-deep": (b"[" * 100_000 + b"]" * 100_000, "RecursionError: maximum recursion depth exceeded"),
+    "not-json": (b"sgdict-1", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+    "not-utf-8": (b"\xff{}", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0"),
+}
+HUGE_ENTRY = {  # a 1 x 1 dictionary whose one entry's square overflows
+    "d.sgdict": b'{"format": "sgdict-1", "m": 1, "n_atoms": 1, "provenance": {}, "payload": "d.sgdict.bin"}',
+    "d.sgdict.bin": struct.pack("<2d", 1e200, 0.0),
+}
+READ_DICTIONARY = {  # each command that reads an sgdict-1 file, on d.sgdict
+    "dict-inspect": (["dict", "--inspect", "d.sgdict"], None),
+    "bounds-dict": (["bounds", "--dict", "d.sgdict", "--s-max", "2"], None),
+    "experiment-path": (["experiment", "--config", "cfg.json"], {**GAP, "dictionary": {"path": "d.sgdict"}}),
+}
 
 EXIT_CONTRACT = [
     # argparse's own exits
@@ -544,6 +576,13 @@ EXIT_CONTRACT = [
                "s_values must not repeat: [3, 3]"),
     case("experiment-builder-cap", ["experiment", "--config", "cfg.json"], "error: ", TIGHT_FRAME_CAP, status=1,
          config={**GAP, "dictionary": TIGHT_8_32}),
+    # sgdict-1 metadata that cannot be read, through each command that reads it
+    *(case(f"{command}-metadata-{name}", argv, "error: ", f"cannot read dictionary d.sgdict: {text}", config=config,
+           files={"d.sgdict": data})
+      for command, (argv, config) in READ_DICTIONARY.items() for name, (data, text) in UNREADABLE_METADATA.items()),
+    # an entry whose square overflows: an infinite norm, and no overflow warning on stderr
+    case("dict-inspect-entry-past-square-root-of-float-max", ["dict", "--inspect", "d.sgdict"], "error: ",
+         "atom norms deviate from 1 by inf", files=HUGE_ENTRY),
 ]
 
 
@@ -558,11 +597,11 @@ def record_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("argv,config,status,lines,prefix,text", EXIT_CONTRACT)
-def test_exit_contract(argv, config, status, lines, prefix, text, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv,config,files,status,lines,prefix,text", EXIT_CONTRACT)
+def test_exit_contract(argv, config, files, status, lines, prefix, text, tmp_path, monkeypatch, capsys):
     """``main`` returns ``status`` and prints ``lines`` lines, on stdout for status 0 and on stderr otherwise.
 
-    No row leaves a file, and a config error comes before any dictionary or
+    No row leaves a file but its inputs, and a config error comes before any dictionary or
     experiment function is called.  The tight-frame builder is capped at one
     iteration in every row; only the two builder-cap rows build a frame far
     enough to reach it.
@@ -572,11 +611,13 @@ def test_exit_contract(argv, config, status, lines, prefix, text, tmp_path, monk
     calls = record_calls(monkeypatch)
     if config is not None:  # JSON with NaN and Infinity tokens
         (tmp_path / "cfg.json").write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
     code, stdout, stderr = run(argv, capsys)
     message, silent = (stdout, stderr) if status == 0 else (stderr, stdout)
     assert (code, silent, len(message.splitlines())) == (status, "", lines), message
     assert message.startswith(prefix) and text in message, message
-    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["cfg.json"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json"] * (config is not None) + [*files])
     assert not (calls and prefix == "config error: "), calls
 
 

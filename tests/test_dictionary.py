@@ -8,13 +8,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gram_coherence
+from conftest import gram_coherence, raises_value_error
 from sparsegap.dictionary import (
     GRAM_EIG_FLOOR,
     TIGHTNESS_TOL,
     AtomSet,
     Dictionary,
-    DictionaryError,
     TightFrameConvergenceError,
     build_random_tight_frame,
     build_random_unit_norm,
@@ -65,7 +64,7 @@ class TestSpikesSines:
         assert abs(np.vdot(d.atoms[:, 0], d.atoms[:, 1])) < 1e-14
 
     def test_rejects_small_m(self):
-        with pytest.raises(DictionaryError):
+        with raises_value_error("spikes-and-sines needs m >= 2"):
             build_spikes_sines(1)
 
 
@@ -86,7 +85,7 @@ class TestRandomUnitNorm:
         assert a.coherence != b.coherence
 
     def test_rejects_too_few_atoms(self):
-        with pytest.raises(DictionaryError):
+        with raises_value_error("need n_atoms >= m >= 1"):
             build_random_unit_norm(8, 4, seed=0)
 
 
@@ -310,7 +309,7 @@ class TestFrameSpectrum:
 
     @pytest.mark.parametrize("atoms", [np.array([[1, 1], [0, 0]]), np.eye(3)[:, [0, 1, 1, 0]]], ids=["2x2", "3x4"])
     def test_rank_deficient_atoms_do_not_span(self, atoms, linalg_calls):
-        with pytest.raises(DictionaryError, match="atoms do not span"):
+        with raises_value_error("atoms do not span the ambient space"):
             _finalize(atoms, {})
         assert linalg_calls == {"eigvalsh": 1, "svd": 1}
 
@@ -473,8 +472,13 @@ class TestConstructionInvariants:
     def test_rejects_nan_atom(self, entry):
         atoms = np.eye(3, dtype=complex)
         atoms[2, 1] = entry  # its norm is NaN, which is not above the tolerance either
-        with pytest.raises(DictionaryError, match="atom norms deviate from 1 by nan"):
+        with raises_value_error("atom norms deviate from 1 by nan"):
             _finalize(atoms, {})
+
+    def test_rejects_atom_past_the_square_root_of_float_max(self):
+        # its squared norm overflows: an infinite norm and no overflow warning, which this suite makes an error
+        with raises_value_error("atom norms deviate from 1 by inf"):
+            _finalize(np.array([[1e200, 0.0], [0.0, 1.0]]), {})
 
 
 class TestSerialization:
@@ -532,29 +536,31 @@ class TestLoadValidation:
         data = (path.parent / "d.sgdict.bin").read_bytes()
         (path.parent.parent / "d.sgdict.bin").write_bytes(data)
         tamper(path, payload=payload)
-        with pytest.raises(DictionaryError, match="payload"):
+        with raises_value_error(f"payload {payload!r} is not a file name beside the metadata"):
             load_dictionary(path)
 
     def test_rejects_absolute_payload(self, saved_frame):
         _, path = saved_frame
-        tamper(path, payload=str((path.parent / "d.sgdict.bin").resolve()))
-        with pytest.raises(DictionaryError, match="payload"):
+        payload = str((path.parent / "d.sgdict.bin").resolve())
+        tamper(path, payload=payload)
+        with raises_value_error(f"payload {payload!r} is not a file name beside the metadata"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("name", ["coherence", "redundancy"])
     @pytest.mark.parametrize("offset", [1e-6, -2e-9])
     def test_rejects_stored_metric_mismatch(self, saved_frame, name, offset):
         d, path = saved_frame
-        tamper(path, **{name: getattr(d, name) + offset})
-        with pytest.raises(DictionaryError, match=f"stored {name}"):
+        stored = getattr(d, name) + offset
+        tamper(path, **{name: stored})
+        with raises_value_error(f"stored {name} {stored!r} differs from recomputed {getattr(d, name)!r}"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("name", ["coherence", "redundancy"])
     @pytest.mark.parametrize("value", [None, "0.5", float("nan")])
     def test_rejects_missing_or_non_numeric_metric(self, saved_frame, name, value):
-        _, path = saved_frame
+        d, path = saved_frame
         tamper(path, **{name: value})
-        with pytest.raises(DictionaryError, match=f"stored {name}"):
+        with raises_value_error(f"stored {name} {value!r} differs from recomputed {getattr(d, name)!r}"):
             load_dictionary(path)
 
     def test_accepts_drift_within_tolerance(self, saved_frame):
@@ -563,21 +569,24 @@ class TestLoadValidation:
         loaded = load_dictionary(path)
         assert loaded.coherence == d.coherence and loaded.redundancy == d.redundancy
 
-    @pytest.mark.parametrize("changes,field", [
-        ({"m": "8"}, "m"), ({"m": 8.7}, "m"), ({"n_atoms": True}, "n_atoms"),
-        ({"m": -8, "n_atoms": -32}, "m"),  # 2 m N still matches the payload size
-        ({"provenance": [["kind", "random-tight"], ["m", 8]]}, "provenance"),
+    @pytest.mark.parametrize("changes,message", [
+        ({"m": "8"}, "'m' must be a positive integer, not '8'"),
+        ({"m": 8.7}, "'m' must be a positive integer, not 8.7"),
+        ({"n_atoms": True}, "'n_atoms' must be a positive integer, not True"),
+        ({"m": -8, "n_atoms": -32}, "'m' must be a positive integer, not -8"),  # 2 m N still matches the payload size
+        ({"provenance": [["kind", "random-tight"], ["m", 8]]},
+         "'provenance' must be an object, not [['kind', 'random-tight'], ['m', 8]]"),
     ], ids=["string-m", "fractional-m", "bool-n-atoms", "negative-shape", "provenance-pairs"])
-    def test_rejects_mistyped_shape_or_provenance(self, saved_frame, changes, field):
+    def test_rejects_mistyped_shape_or_provenance(self, saved_frame, changes, message):
         _, path = saved_frame
         tamper(path, **changes)
-        with pytest.raises(DictionaryError, match=f"metadata field '{field}'"):
+        with raises_value_error(f"metadata field {message}"):
             load_dictionary(path)
 
     def test_rejects_other_format_version(self, saved_frame):
         _, path = saved_frame
         tamper(path, format="sgdict-2")
-        with pytest.raises(DictionaryError, match="unsupported dictionary format 'sgdict-2'"):
+        with raises_value_error("unsupported dictionary format 'sgdict-2'"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("cut", [lambda b: b[:-16], lambda b: b + b"\0", lambda b: b[:-1]],
@@ -586,7 +595,7 @@ class TestLoadValidation:
         _, path = saved_frame
         payload = path.parent / "d.sgdict.bin"
         payload.write_bytes(cut(payload.read_bytes()))
-        with pytest.raises(DictionaryError, match="payload size does not match metadata"):
+        with raises_value_error("payload size does not match metadata"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("index,value", [(0, math.inf), (1, -math.inf), (2, math.nan)],
@@ -598,5 +607,5 @@ class TestLoadValidation:
         buf = np.frombuffer(payload.read_bytes(), dtype="<f8").copy()
         buf[index] = value  # even indices are real parts, odd ones imaginary parts
         payload.write_bytes(buf.tobytes())
-        with pytest.raises(DictionaryError, match="payload holds a non-finite value"):
+        with raises_value_error("payload holds a non-finite value"):
             load_dictionary(path)

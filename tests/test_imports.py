@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses, no private
-module-level helper goes unreferenced, no dataclass field goes unread, and
-no public function or class exists only for its own unit tests (stdlib
-ast, no linter)."""
+module-level helper goes unreferenced, no dataclass field goes unread, no
+public function or class exists only for its own unit tests, and no
+exception class exists that nothing catches (stdlib ast, no linter)."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -173,3 +174,59 @@ def test_no_public_exists_only_for_its_own_tests():
     users = [(REPO / "tests" / "test_acceptance.py").read_text()]
     users += [p.read_text() for p in (REPO / "bench").glob("*.py")]
     assert unexercised_publics(package, users) == []
+
+
+def _caught(handler_type) -> set:
+    """Names an ``except`` clause's type catches: a name, an attribute or a tuple of them."""
+    elements = handler_type.elts if isinstance(handler_type, ast.Tuple) else [handler_type]
+    return {getattr(e, "id", getattr(e, "attr", None)) for e in elements}
+
+
+def _is_exception_class(node) -> bool:
+    """Whether a class statement derives from a builtin exception or from a class named ``...Error``."""
+    bases = {getattr(base, "id", getattr(base, "attr", "")) for base in node.bases}
+    return any(name.endswith("Error") or isinstance(getattr(builtins, name, None), type)
+               and issubclass(getattr(builtins, name), BaseException) for name in bases)
+
+
+def uncaught_exceptions(package_sources: list[str], user_sources: list[str]) -> list[str]:
+    """Public exception classes of the package that no ``except`` clause of the package catches by name and no
+    user source (the acceptance tests, the benchmark) names.  Raise sites and docstrings do not count: a class that
+    only its own raisers and unit tests mention is a ``ValueError`` or ``RuntimeError`` under another name.
+    """
+    exceptions, caught = set(), set()
+    for source in package_sources:
+        tree = ast.parse(source)
+        exceptions |= {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                       and not node.name.startswith("_") and _is_exception_class(node)}
+        caught |= {name for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type
+                   for name in _caught(node.type)}
+    for source in user_sources:
+        caught |= _names_in(ast.parse(source))
+    return sorted(exceptions - caught)
+
+
+def test_finds_an_uncaught_exception():
+    package = (
+        "import lib\n"
+        "class CaughtError(ValueError):\n    pass\n"
+        "class AttributeCaughtError(RuntimeError):\n    pass\n"
+        "class AcceptanceError(ValueError):\n    pass\n"
+        "class RaisedOnlyError(ValueError):\n    \"\"\"Named in its docstring: RaisedOnlyError.\"\"\"\n"
+        "class SubError(CaughtError):\n    pass\n"
+        "class Plain:\n    pass\n"
+        "def run(x):\n"
+        "    if x:\n        raise RaisedOnlyError('RaisedOnlyError') if x > 1 else SubError()\n"
+        "    try:\n        return lib.f()\n"
+        "    except (CaughtError, lib.AttributeCaughtError):\n        return Plain()\n"
+    )
+    users = ["from package import AcceptanceError\n"]
+    assert uncaught_exceptions([package], users) == ["RaisedOnlyError", "SubError"]
+    assert uncaught_exceptions([package], []) == ["AcceptanceError", "RaisedOnlyError", "SubError"]
+
+
+def test_every_exception_class_is_caught():
+    package = [p.read_text() for p in Path(sparsegap.__file__).parent.glob("*.py")]
+    users = [(REPO / "tests" / "test_acceptance.py").read_text()]
+    users += [p.read_text() for p in (REPO / "bench").glob("*.py")]
+    assert uncaught_exceptions(package, users) == []

@@ -20,7 +20,6 @@ from sparsegap.dictionary import (
 )
 from sparsegap.random_subsets import statistics_sweep, subset_statistics, weak_rank_bound_experiment
 from sparsegap.rank_bounds import (
-    NotPsdError,
     _eigvalsh_checked,
     numerical_rank,
     rank_lb_coherence,
@@ -45,8 +44,8 @@ GUARDS = [
     guard("atom-set-negative-index", lambda: AtomSet((-1, 2)), ValueError, "atom indices must be nonnegative"),
     guard("welch-m-0", lambda: welch_lower_bound(0, 4), ValueError, "m must be positive"),
     guard("rank-of-empty-matrix", lambda: numerical_rank(np.zeros((0, 3))), ValueError, "empty matrix has no rank"),
-    guard("psd-not-square", lambda: _eigvalsh_checked(np.ones((2, 3))), NotPsdError, "input must be square"),
-    guard("psd-not-hermitian", lambda: _eigvalsh_checked(np.array([[1.0, 1.0], [0.0, 1.0]])), NotPsdError,
+    guard("psd-not-square", lambda: _eigvalsh_checked(np.ones((2, 3))), ValueError, "input must be square"),
+    guard("psd-not-hermitian", lambda: _eigvalsh_checked(np.array([[1.0, 1.0], [0.0, 1.0]])), ValueError,
           "input deviates from Hermitian by 1.000e+00"),
     guard("rank-lb-coherence-r-0", lambda: rank_lb_coherence(0, 0.1), ValueError, "r must be >= 1"),
     *(guard(f"schur-split-{split}", lambda split=split: verify_schur_rank_identity(np.eye(3), split), ValueError,

@@ -34,8 +34,7 @@ class TestToJson:
     def test_golden_configs(self, name):
         cfg = CASES[name]
         report = run_config(cfg)
-        report.manifest = build_manifest("sparsegap experiment", cfg, report.params["dictionary"],
-                                         cfg["seed"], "0")
+        report.manifest = build_manifest(report, cfg, "sparsegap experiment")
         assert report.trials
         assert report.to_json() == indent2(report)
 

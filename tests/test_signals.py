@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import raises_value_error
 from sparsegap.dictionary import (
     GRAM_EIG_FLOOR,
     AtomSet,
@@ -18,7 +19,7 @@ from sparsegap.dictionary import (
     certify_gram_floor,
 )
 from sparsegap import signals
-from sparsegap.rank_bounds import DependentSetError, numerical_rank
+from sparsegap.rank_bounds import numerical_rank
 from sparsegap.signals import (
     INDEPENDENCE_REDRAW_CAP,
     RedrawCapExceededError,
@@ -73,7 +74,7 @@ class TestDrawGenericSignal:
 
     def test_rejects_dependent_support(self):
         d = build_spikes_sines(4)
-        with pytest.raises(DependentSetError):
+        with raises_value_error("S must be a nonempty linearly independent set"):
             draw_generic_signal(d, AtomSet.of([0, 1, 2, 3, 4]), seed=0)
 
 
@@ -481,7 +482,7 @@ class TestSingleEngine:
     def test_empty_support_rejected(self, t_indices):
         d = build_spikes_sines(8)
         assert certify_gram_floor(d.gram_blocks([t_indices])).tolist() == [True]  # G[T, T] passes the floor
-        with pytest.raises(DependentSetError):
+        with raises_value_error("S must be a nonempty linearly independent set"):
             equivalence_experiment(d, AtomSet.of([]), AtomSet.of(t_indices), trials=1, seed=0)
 
 

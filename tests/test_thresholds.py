@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import raises_value_error
 from sparsegap.rank_bounds import rank_lb_coherence
 from sparsegap.thresholds import (
     BOUNDS_COLUMNS,
-    FormulaInapplicableError,
     HypothesisViolatedError,
     donoho_elad_threshold,
     evaluate_thresholds,
@@ -77,7 +77,7 @@ class TestTThreshold:
         assert abs(t_threshold_given_overlap(s, delta, mu) - expected) < 1e-12
 
     def test_inapplicable(self):
-        with pytest.raises(FormulaInapplicableError):
+        with raises_value_error("requires s - delta >= 2"):
             t_threshold_given_overlap(3, 2, 0.1)
 
     def test_reversion_soundness(self):
