@@ -2,7 +2,8 @@
 
 ``_bind`` binds each config object and ``dict`` flag set once, before anything is computed, to the function that
 reads it, whose signature holds every default (``seed`` 0); ``experiment --seed N`` binds as the config's ``seed``.
-A key or flag it does not read, lacks or cannot take is a usage error.  Exit status contract, which ``main``
+Every config value is a nonnegative JSON integer, a list of them (LIST_KEYS), or the dictionary's ``path`` string;
+a key or flag it does not read, lacks or cannot take is a usage error.  Exit status contract, which ``main``
 returns and never raises: 0 = all invariants held, 1 = the experiment set its report's ``failed`` (a violation or
 an INCONCLUSIVE verdict), or a sampler hit its redraw cap or the tight-frame builder its iteration cap (one line on
 stderr, no report), 2 = usage or config error (argparse's; a config file that cannot be read, decoded, parsed at
@@ -40,8 +41,7 @@ EXPERIMENTS = {"gap": (signals, "gap_experiment"), "equivalence": (signals, "equ
 DICTIONARIES = {"spikes-sines": (dictionary, "build_spikes_sines"),
                 "random-unit": (dictionary, "build_random_unit_norm"),
                 "random-tight": (dictionary, "build_random_tight_frame")}
-LIST_KEYS = {"s_set", "t_set", "s_values"}   # lists of integers
-REAL_KEYS = {"beta"}                         # any finite number; "path" a string; every other key a nonnegative integer
+LIST_KEYS = {"s_set", "t_set", "s_values"}  # lists of integers
 
 
 def _bind(func, obj: dict, where: str, passed=()) -> functools.partial:
@@ -59,13 +59,11 @@ def _bind(func, obj: dict, where: str, passed=()) -> functools.partial:
         raise ValueError(f"{where} missing keys: {sorted(missing)}")
     for key, value in sorted(obj.items()):
         items = value if key in LIST_KEYS else [value]
-        kinds = (int, float) if key in REAL_KEYS else (str,) if key == "path" else (int,)
-        if not isinstance(items, list) or not all(type(v) in kinds for v in items):
+        kind = str if key == "path" else int
+        if not isinstance(items, list) or not all(type(v) is kind for v in items):
             raise ValueError(f"{where} key {key!r} has the wrong type: {value!r}")
-        if kinds == (int,) and any(v < 0 for v in items):
+        if kind is int and any(v < 0 for v in items):
             raise ValueError(f"{where} key {key!r} must not be negative: {value!r}")
-        if key in REAL_KEYS and not all(abs(v) <= sys.float_info.max for v in items):  # NaN fails too
-            raise ValueError(f"{where} key {key!r} must be a finite float: {value!r}")
     return functools.partial(func, **obj)
 
 
@@ -114,8 +112,9 @@ def cmd_bounds(args) -> int:
         raise ValueError("provide --dict or all of --mu/--m/--n-atoms, not both")
     d = args.dict and dictionary.load_dictionary(args.dict)
     mu, m, n_atoms = (d.coherence, d.m, d.n_atoms) if d else flags
-    if not 1 <= m <= n_atoms or args.s_min > args.s_max:
-        raise ValueError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}) and s_min ({args.s_min}) <= s_max ({args.s_max})")
+    if not (1 <= m <= n_atoms and args.s_min <= args.s_max <= m):  # no s > m atoms are independent
+        raise ValueError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}) and s_min ({args.s_min}) <= s_max ({args.s_max})"
+                         " <= m")
     rows = [evaluate_thresholds(s, s if args.t is None else args.t, args.delta, mu, m, n_atoms)
             for s in range(args.s_min, args.s_max + 1)]
     if args.format == "csv":

@@ -36,15 +36,6 @@ FORMAT_VERSION = "sgdict-1"
 class TightFrameConvergenceError(RuntimeError):
     """Alternating projections failed to reach the requested tolerances."""
 
-    def __init__(self, iterations: int, rho_residual: float, norm_residual: float):
-        self.iterations = iterations
-        self.rho_residual = rho_residual
-        self.norm_residual = norm_residual
-        super().__init__(
-            f"tight-frame construction did not converge in {iterations} iterations "
-            f"(rho residual {rho_residual:.3e}, column-norm residual {norm_residual:.3e})"
-        )
-
 
 @dataclass(frozen=True)
 class AtomSet:
@@ -263,7 +254,8 @@ def build_random_tight_frame(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
                 {"kind": "random-tight", "m": m, "n_atoms": n_atoms, "seed": seed},
             )
         if iteration == TIGHT_FRAME_MAX_ITERATIONS or not w[0] > 0:  # no (Phi Phi*)^(-1/2); NaN fails too
-            raise TightFrameConvergenceError(iteration, rho_res, norm_res)
+            raise TightFrameConvergenceError(f"tight-frame construction did not converge in {iteration} iterations "
+                                             f"(rho residual {rho_res:.3e}, column-norm residual {norm_res:.3e})")
         atoms = (v * np.sqrt(target / w)) @ (v.conj().T @ atoms)
         norms = np.linalg.norm(atoms, axis=0)
         norm_res = float(np.abs(norms - 1.0).max())

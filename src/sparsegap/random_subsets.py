@@ -11,9 +11,10 @@ when lambda_min < dictionary.GRAM_EIG_FLOOR it comes from the SVD of Phi_S inste
 That includes every s > m: G[S, S] is then singular, while sigma_min(Phi_S),
 the m-th singular value, is not.
 
-A sweep reports empirical quantiles, how often the (1/2, sqrt(2)) good-event
-gates are violated and the smallest weak-gap constants, mu log N and s log N / m;
-the rank experiment compares the rank of a random S u V with the weak bounds.
+A sweep reports per s the median and 1 - 1/N quantile of each statistic, how
+often the (1/2, sqrt(2)) good-event gates are violated and the smallest weak-gap
+constants, mu log N and s log N / m; the rank experiment compares the rank of a
+random S u V with the weak bounds.
 """
 
 from __future__ import annotations
@@ -123,18 +124,14 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     return SubsetStatistics(max_cross, gram_dev, pinv_norm)
 
 
-def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0,
-                     beta: float = 1.0) -> ExperimentReport:
-    """Per-s quantiles of the subset statistics and gate-violation fractions.
+def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0) -> ExperimentReport:
+    """Per-s median and 1 - 1/N quantile of the subset statistics, and gate-violation fractions.
 
-    The reported quantile level is 1 - N^(-beta); mu log N and, per s, s log N / m are the smallest c that pass the
-    weak gap's mu <= c / log N and s <= c m / log N.  ValueError before any work on a repeated s or an s not in [1, N].
+    mu log N and, per s, s log N / m are the smallest c that pass the weak gap's mu <= c / log N and s <= c m / log N.
+    ValueError before any work on a repeated s or an s not in [1, N].
     """
     if seed < 0:
         raise ValueError(f"seed must not be negative: {seed}")
-    beta = float(beta)
-    if beta < 1.0:
-        raise ValueError("beta must be >= 1")
     if trials_per_s < 1:
         raise ValueError("trials_per_s must be positive")
     if len(set(s_values)) < len(s_values):  # a repeat would reuse its streams and count twice
@@ -143,7 +140,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0,
     if not all(1 <= s <= n for s in s_values):
         raise ValueError(f"s_values must lie in [1, {n}]: {list(s_values)}")
     names = tuple(f.name for f in fields(SubsetStatistics))
-    levels = {"median": 0.5, "q_1_minus_1_over_n": 1.0 - 1.0 / n, "q_beta": 1.0 - n ** (-beta)}
+    levels = {"median": 0.5, "q_1_minus_1_over_n": 1.0 - 1.0 / n}
     rows, per_s = [], {}
     for s in s_values:
         sub = []
@@ -160,9 +157,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0,
         rows += sub
     return ExperimentReport(
         kind="stats-sweep",
-        params={"s_values": list(s_values), "trials_per_s": trials_per_s,
-                "beta": beta,
-                "dictionary": d.provenance},
+        params={"s_values": list(s_values), "trials_per_s": trials_per_s, "dictionary": d.provenance},
         master_seed=seed,
         columns=("s", "trial", *names, "cross_gate_ok", "pinv_gate_ok"),
         trials=rows,
@@ -199,7 +194,7 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
     rows = []
     for trial, rng in enumerate(rng_streams([seed], trials)):
         s_set = sample_uniform_subset(n, s, rng)
-        v_set = AtomSet.of(rng.choice(d.complement(s_set), size=v_size, replace=False) if v_size else ())
+        v_set = AtomSet.of(rng.choice(d.complement(s_set), size=v_size, replace=False))
         st = subset_statistics(d, s_set)
         rank = numerical_rank(d.subdictionary(s_set.union(v_set)))
         rows.append({

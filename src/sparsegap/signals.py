@@ -181,8 +181,8 @@ def _sample_overlapping(d: Dictionary, s_sets: Sequence[AtomSet], t: int, delta:
     the cap: T, the residual operator W, the redraw count and rank(Phi_{S u T}) from _pair_range."""
     def step(js, redraws):
         cands = [AtomSet.of(np.concatenate([
-            rngs[j].choice(s_sets[j].indices, size=delta, replace=False) if delta else np.empty(0, int),
-            rngs[j].choice(d.complement(s_sets[j]), size=t - delta, replace=False) if t - delta else np.empty(0, int),
+            rngs[j].choice(s_sets[j].indices, size=delta, replace=False),
+            rngs[j].choice(d.complement(s_sets[j]), size=t - delta, replace=False),
         ])) for j in js]
         ranges = _pair_range(d, [s_sets[j] for j in js], cands)
         return [(t_set, w, redraws, rank_union) if sv_t is None or sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP

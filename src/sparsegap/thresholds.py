@@ -67,7 +67,7 @@ def t_threshold_given_overlap(s: int, delta: int, mu: float) -> float:
     k = s - delta - 1
     if k < 1:
         raise ValueError("requires s - delta >= 2")
-    return k * (math.sqrt((1.0 + 1.0 / k) * (mu**-2) / k + 0.25) - 1.0)
+    return math.sqrt(k + 1 + (k * mu / 2) ** 2) / mu - k
 
 
 def generic_up_threshold(s: int, delta: int, mu: float) -> float:

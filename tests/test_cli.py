@@ -181,6 +181,13 @@ class TestBoundsCommand:
         assert sorted(k for k, v in boundary_row.items() if v is None) == [
             "error", "t_threshold", "weak_gap_rhs", "weak_gap_simplified_rhs"]
 
+    def test_t_threshold_of_a_tiny_mu(self, capsys):
+        # mu**-2 overflows below mu ~ 1.5e-154; the threshold itself, about sqrt(s - delta)/mu, is a float
+        code, stdout, _ = run(["bounds", "--mu", "1e-160", "--m", "4", "--n-atoms", "12", "--s-max", "3"], capsys)
+        assert code == 0
+        assert [r["t_threshold"] for r in json.loads(stdout)["rows"]] == [None, 1.414213562373095e+160,
+                                                                         1.7320508075688774e+160]
+
     def test_json_and_csv_agree(self, tmp_path, capsys):
         args = ["bounds", "--mu", "0.125", "--m", "16", "--n-atoms", "64",
                 "--s-max", "4", "--delta", "0"]
@@ -495,6 +502,10 @@ EXIT_CONTRACT = [
           ("negative-n-atoms", ["--n-atoms", "-5", "--s-max", "1"], 4, -5, 1),
           ("n-atoms-below-m", ["--n-atoms", "3", "--s-max", "1"], 4, 3, 1),
           ("s-min-above-s-max", ["--s-min", "3", "--s-max", "2"], 4, 12, 3))),
+    # a sweep past s = m, where no s atoms are independent: a table has at most m rows, so none runs out of memory
+    *(bad_bounds(f"bounds-s-max-{name}", ["--mu", "0.3", "--s-max", s_max],
+                 f"need 1 <= m (4) <= n_atoms (12) and s_min (1) <= s_max ({s_max}) <= m")
+      for name, s_max in (("5", "5"), ("10-to-the-400", str(10**400)))),
     case("both-formats-without-out", ["experiment", "--config", "absent.json", "--format", "both"], "error: ",
          "--format both needs --out"),  # the flag check comes before the config is read
     bad_config("negative-seed-flag", GAP, "config error: ", "experiment 'gap' key 'seed' must not be negative: -1",
@@ -517,7 +528,10 @@ EXIT_CONTRACT = [
           ("bool-seed", "seed", True, "has the wrong type"), ("negative-pairs", "pairs", -3, "must not be negative"),
           ("negative-trials", "trials_per_pair", -1, "must not be negative"),
           ("negative-seed", "seed", -1, "must not be negative"),
-          ("negative-delta", "delta", -1, "must not be negative"))),
+          ("negative-delta", "delta", -1, "must not be negative"),
+          # every config value is an integer: no key takes a float, even an integral or a non-finite one
+          ("float-s", "s", 2.0, "has the wrong type"), ("infinite-pairs", "pairs", math.inf, "has the wrong type"),
+          ("nan-trials", "trials_per_pair", math.nan, "has the wrong type"))),
     *(bad_config(case_id, {**config, "dictionary": SPIKES_8}, "config error: ", text) for case_id, config, text in (
         ("equivalence-bool-in-list", {"experiment": "equivalence", "s_set": [0, True], "t_set": [3], "trials": 2},
          "experiment 'equivalence' key 's_set' has the wrong type: [0, True]"),
@@ -525,13 +539,6 @@ EXIT_CONTRACT = [
          "experiment 'equivalence' key 'trials' must not be negative: -5"),
         ("weak-rank-negative-trials", {"experiment": "weak-rank", "s": 1, "v_size": 2, "trials": -1},
          "experiment 'weak-rank' key 'trials' must not be negative: -1"))),
-    *(bad_config(f"stats-sweep-{case_id}", stats_sweep(changes), "config error: ",
-                 f"experiment 'stats-sweep' key {text}")
-      for case_id, changes, text in (
-          ("bool-beta", {"beta": True}, "'beta' has the wrong type: True"),
-          ("infinite-beta", {"beta": math.inf}, "'beta' must be a finite float: inf"),
-          ("nan-beta", {"beta": math.nan}, "'beta' must be a finite float: nan"),
-          ("beta-past-float-range", {"beta": 10**400}, "'beta' must be a finite float: 1000"))),
     *(bad_config(f"gap-{case_id}", {**GAP, "dictionary": spec}, "config error: ", text) for case_id, spec, text in (
         ("dictionary-without-m", {"kind": "spikes-sines"}, "dictionary missing keys: ['m']"),
         ("string-dictionary-seed", {**TIGHT_8_32, "seed": "7"}, "dictionary key 'seed' has the wrong type: '7'"),
@@ -553,6 +560,11 @@ EXIT_CONTRACT = [
     *(bad_config(f"stats-sweep-{case_id}", stats_sweep({"c_sparsity": value}), "config error: ",
                  "experiment 'stats-sweep': statistics_sweep does not read ['c_sparsity']")
       for case_id, value in (("nan-c-sparsity", math.nan), ("c-sparsity-0", 0), ("c-sparsity-negative", -0.5))),
+    # nor is a quantile level: the per-s gate_violation_fraction answers for every level at once
+    *(bad_config(f"stats-sweep-{case_id}", stats_sweep({"beta": value}), "config error: ",
+                 "experiment 'stats-sweep': statistics_sweep does not read ['beta']")
+      for case_id, value in (("beta-1", 1), ("bool-beta", True), ("infinite-beta", math.inf), ("nan-beta", math.nan),
+                             ("beta-past-float-range", 10**400))),
     # config files that no JSON object can be read from, and numbers past float range
     bad_config("config-nested-100000-deep", b"[" * 100_000 + b"]" * 100_000, "config error: ",
                "maximum recursion depth exceeded"),
@@ -560,7 +572,8 @@ EXIT_CONTRACT = [
     *(bad_bounds(f"bounds-{name}-past-float-range", ["--mu", "0.3", *flags], "int too large to convert to float")
       for name, flags in (("n-atoms", ["--n-atoms", str(10**400), "--s-max", "1"]),
                           ("t", ["--t", str(10**400), "--s-max", "1"]),
-                          ("s", ["--s-min", str(10**400), "--s-max", str(10**400)]))),
+                          ("s", ["--s-min", str(10**400), "--s-max", str(10**400), "--m", str(10**400),
+                                 "--n-atoms", str(10**400)]))),
     # configs rejected by the dictionary builder or by the experiment
     bad_config("gap-random-tight-m-0", {**GAP, "dictionary": {**TIGHT_8_32, "m": 0, "n_atoms": 3}}, "error: ",
                "a redundant tight frame needs n_atoms > m >= 1"),
@@ -635,6 +648,16 @@ def test_sent_configs_bind_without_computing(source, name, tmp_path, monkeypatch
     assert calls == []
     assert experiment.keywords == {k: v for k, v in cfg.items() if k not in ("experiment", "dictionary")}
     assert build.keywords == {k: v for k, v in cfg["dictionary"].items() if k != "kind"}
+
+
+@pytest.mark.parametrize("module,name", [*cli.EXPERIMENTS.values(), *cli.DICTIONARIES.values()],
+                         ids=[*cli.EXPERIMENTS, *cli.DICTIONARIES])
+def test_every_bound_parameter_is_an_integer(module, name):
+    """Each parameter a config or ``dict`` flag can set, but the dictionary ``d`` and the LIST_KEYS, is an ``int``:
+    ``_bind`` takes nothing else there, so a parameter of another type would be one that no config can set."""
+    params = inspect.signature(getattr(module, name), eval_str=True).parameters.values()
+    types = {p.name: p.annotation for p in params if p.name != "d" and p.name not in cli.LIST_KEYS}
+    assert types == dict.fromkeys(types, int)
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -49,7 +49,7 @@ CASES = {
     "stats-sweep": {
         "experiment": "stats-sweep",
         "dictionary": {"kind": "random-tight", "m": 6, "n_atoms": 16, "seed": 2}, "seed": 3,
-        "s_values": [1, 3, 6, 9], "trials_per_s": 3, "beta": 1.5,
+        "s_values": [1, 3, 6, 9], "trials_per_s": 3,
     },
     "weak-rank": {
         "experiment": "weak-rank",

@@ -61,8 +61,6 @@ GUARDS = [
           "s + t - delta exceeds the number of atoms"),
     guard("subset-statistics-empty-s", lambda: subset_statistics(SPIKES_4, AtomSet(())), ValueError,
           "S must be nonempty"),
-    guard("sweep-beta-below-1", lambda: statistics_sweep(SPIKES_4, [1], 1, beta=0.5), ValueError,
-          "beta must be >= 1"),
     guard("sweep-no-trials", lambda: statistics_sweep(SPIKES_4, [1], 0), ValueError,
           "trials_per_s must be positive"),
     guard("weak-rank-not-tight", lambda: weak_rank_bound_experiment(build_random_unit_norm(4, 12, seed=1), 1, 2, 1),

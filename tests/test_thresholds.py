@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -79,6 +80,23 @@ class TestTThreshold:
     def test_inapplicable(self):
         with raises_value_error("requires s - delta >= 2"):
             t_threshold_given_overlap(3, 2, 0.1)
+
+    @pytest.mark.parametrize("mu", [1e-300, 1e-160, 1.5e-154, 1e-8, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0, 1 + 1e-12])
+    def test_matches_decimal_reference(self, mu):
+        # k (sqrt((1 + 1/k) mu^-2 / k + 1/4) - 1), k = s - delta - 1, to 60 digits; mu^-2 overflows a float below
+        # mu ~ 1.5e-154, the threshold only below mu ~ 1e-308.  Near its root the threshold is a difference of two
+        # terms of size about k, so it is checked to 1e-14 of k + |threshold|, not of the threshold alone.
+        with decimal.localcontext(decimal.Context(prec=60)):
+            for s in (2, 3, 5, 17, 60, 1000):
+                for delta in sorted({0, (s - 2) // 2, s - 2}):
+                    k, m = decimal.Decimal(s - delta - 1), decimal.Decimal(mu)
+                    reference = k * (((1 + 1 / k) / (m * m) / k + decimal.Decimal("0.25")).sqrt() - 1)
+                    value = t_threshold_given_overlap(s, delta, mu)
+                    assert math.isfinite(value)
+                    assert abs(decimal.Decimal(value) - reference) <= decimal.Decimal(1e-14) * (k + abs(reference))
+
+    def test_subnormal_mu_gives_an_infinite_threshold(self):
+        assert t_threshold_given_overlap(3, 0, 5e-324) == math.inf
 
     def test_reversion_soundness(self):
         # any integer t strictly below the threshold satisfies the quadratic
