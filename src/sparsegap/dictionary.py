@@ -232,9 +232,9 @@ def build_random_tight_frame(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
     max_i |w_i - N/m| over the eigenvalues w of the renormalized frame's
     Phi Phi* falls below TIGHTNESS_TOL, so it is tight in every direction.
     One Hermitian eigendecomposition Phi Phi* = V diag(w) V* per iterate
-    serves both steps: it gives the residual and the
-    projection sqrt(N/m) (Phi Phi*)^(-1/2) Phi, the scaled polar factor of
-    Phi.  Raises TightFrameConvergenceError, with the projection's worst
+    gives the residual and P = sqrt(N/m) (Phi Phi*)^(-1/2) = V diag(sqrt(N/(m w))) V*,
+    formed from V and applied once: P Phi is Phi's scaled polar factor.
+    Raises TightFrameConvergenceError, with the projection's worst
     column-norm deviation |norm - 1| before renormalization, after
     TIGHT_FRAME_MAX_ITERATIONS iterations or at a rank-deficient iterate.
     """
@@ -256,7 +256,7 @@ def build_random_tight_frame(m: int, n_atoms: int, seed: int = 0) -> Dictionary:
         if iteration == TIGHT_FRAME_MAX_ITERATIONS or not w[0] > 0:  # no (Phi Phi*)^(-1/2); NaN fails too
             raise TightFrameConvergenceError(f"tight-frame construction did not converge in {iteration} iterations "
                                              f"(rho residual {rho_res:.3e}, column-norm residual {norm_res:.3e})")
-        atoms = (v * np.sqrt(target / w)) @ (v.conj().T @ atoms)
+        atoms = ((v * np.sqrt(target / w)) @ v.conj().T) @ atoms
         norms = np.linalg.norm(atoms, axis=0)
         norm_res = float(np.abs(norms - 1.0).max())
         atoms /= norms

@@ -189,6 +189,8 @@ def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
         raise ValueError("dictionary must be a tight frame")
     if s < 1 or v_size < 0 or s + v_size > n:
         raise ValueError("invalid (s, v_size)")
+    if s > m:
+        raise ValueError(f"s = {s} exceeds m = {m}: no {s} atoms are linearly independent")
     bound_stated = s + 2.0 * m * v_size / n
     bound_gate_derived = s + m * v_size / (2.0 * n)
     rows = []

@@ -119,19 +119,19 @@ def convergence_failure(err: TightFrameConvergenceError) -> tuple[int, float, fl
 
 
 class TestRandomTightFrame:
-    @pytest.mark.parametrize("m,n_atoms,seed", [(8, 32, 7), (32, 128, 7), (2, 3, 0)])
+    @pytest.mark.parametrize("m,n_atoms,seed", [(8, 32, 7), (32, 128, 7), (2, 3, 0), (128, 512, 3)])
     def test_matches_svd_reference(self, m, n_atoms, seed):
         ref, _ = svd_tight_frame(m, n_atoms, seed)
         d = build_random_tight_frame(m, n_atoms, seed)
         assert np.abs(d.atoms - ref).max() <= 1e-12
 
-    @pytest.mark.parametrize("m,n_atoms,seed", [(8, 32, 7), (2, 3, 0)])
+    @pytest.mark.parametrize("m,n_atoms,seed", [(8, 32, 7), (32, 128, 7), (2, 3, 0), (128, 512, 3)])
     def test_one_factorization_per_iteration(self, m, n_atoms, seed, linalg_calls):
         _, iterations = svd_tight_frame(m, n_atoms, seed)
         linalg_calls.clear()
         build_random_tight_frame(m, n_atoms, seed)
-        # the start, one per iteration, and the validation SVD in _finalize
-        assert sum(linalg_calls.values()) <= iterations + 2
+        # one eigh for the start and one per iteration, and _finalize's spectrum
+        assert linalg_calls == {"eigh": iterations + 1, "eigvalsh": 1}
 
     def test_iteration_cap_raises_with_finite_residuals(self, monkeypatch):
         monkeypatch.setattr("sparsegap.dictionary.TIGHT_FRAME_MAX_ITERATIONS", 1)

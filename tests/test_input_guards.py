@@ -67,6 +67,8 @@ GUARDS = [
           ValueError, "dictionary must be a tight frame"),
     guard("weak-rank-s-0", lambda: weak_rank_bound_experiment(build_random_tight_frame(4, 12, seed=1), 0, 2, 1),
           ValueError, "invalid (s, v_size)"),
+    guard("weak-rank-s-above-m", lambda: weak_rank_bound_experiment(build_random_tight_frame(2, 5, seed=1), 5, 0, 3),
+          ValueError, "s = 5 exceeds m = 2: no 5 atoms are linearly independent"),
     guard("strong-gap-s-0", lambda: strong_gap_threshold(0, 0.1), ValueError, "s must be >= 1"),
     guard("generic-up-delta-above-s", lambda: generic_up_threshold(2, 3, 0.1), ValueError,
           "need 1 <= s and 0 <= delta <= s"),
