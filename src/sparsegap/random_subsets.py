@@ -102,6 +102,16 @@ def rng_streams(prefix, *counts: int):
     return map(_generator_from_state(), _seed_states(words))
 
 
+def _quantiles(samples, levels) -> list[float]:
+    """np.quantile's linear values of samples without NaN, except where an infinite neighbour makes one NaN
+    (inf * 0 or inf - inf): there the lower order statistic if it has all the weight ((n - 1) q is whole), else inf."""
+    with np.errstate(invalid="ignore"):
+        values = np.quantile(samples, levels).tolist()
+    ranked = sorted(samples)
+    return [v if not math.isnan(v) else ranked[int(h)] if h == int(h) else math.inf
+            for v, h in zip(values, ((len(ranked) - 1) * q for q in levels))]
+
+
 @dataclass(frozen=True)
 class SubsetStatistics:
     max_cross_correlation: float
@@ -149,8 +159,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0) 
             sub.append({"s": s, "trial": trial, **{k: getattr(st, k) for k in names},
                         "cross_gate_ok": st.max_cross_correlation <= CROSS_GATE,
                         "pinv_gate_ok": st.pinv_norm <= PINV_GATE})
-        per_s[str(s)] = {k: dict(zip(levels, map(float, np.quantile([r[k] for r in sub], list(levels.values())))))
-                         for k in names}
+        per_s[str(s)] = {k: dict(zip(levels, _quantiles([r[k] for r in sub], list(levels.values())))) for k in names}
         per_s[str(s)]["gate_violation_fraction"] = float(
             np.mean([not (r["cross_gate_ok"] and r["pinv_gate_ok"]) for r in sub]))
         per_s[str(s)]["sparsity_constant"] = s * math.log(n) / d.m

@@ -4,12 +4,14 @@ A generic signal is u = Phi_S x with x drawn i.i.d. standard complex Gaussian.  
 over an alternative atom set T is decided through the relative least-squares residual of u against range(Phi_T),
 with a two-threshold verdict policy: at or below the ceiling representable, above the floor not representable,
 in between inconclusive.  Experiments return a ``manifest.ExperimentReport``; both decide pairs (S, T) with
-``_pair_range``.  ``gap`` samples and decides its pairs PAIR_CHUNK at a time: a round's Gram blocks share one
-``dictionary.certify_gram_floor`` (a Cholesky of G - GRAM_EIG_FLOOR * I) and the certified ones one Cholesky of G,
-so a certified pair costs 3 Cholesky factors of its own blocks; blocks below the floor take SVDs one by one.  The
-SVD functions here are reference code for the tests.  Chunks change no stream: pair p samples from [seed, p] and
-its trial i from [seed, p, i]; ``random_subsets.rng_streams`` seeds each kind for the whole run in one vectorised
-pass, bit for bit ``default_rng`` of those lists.  A trial's x takes one standard_normal call.
+``_pair_range``, which takes S and T as sorted integer index rows, a (k, s) and a (k, t) array; ``AtomSet`` is
+the public type of the reference functions.  ``gap`` samples and decides its pairs PAIR_CHUNK at a time: a round's
+Gram blocks share one ``dictionary.certify_gram_floor`` (a Cholesky of G - GRAM_EIG_FLOOR * I) and the certified
+ones one Cholesky of G, so a certified pair costs 3 Cholesky factors of its own blocks; blocks below the floor take
+SVDs one by one.  The SVD functions here are reference code for the tests.  Chunks change no stream: pair p
+samples from [seed, p] and its trial i from [seed, p, i]; ``random_subsets.rng_streams`` seeds each kind for the
+whole run in one vectorised pass, bit for bit ``default_rng`` of those lists.  A trial's x takes one
+standard_normal call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .dictionary import AtomSet, Dictionary, certify_gram_floor
 from .manifest import ExperimentReport
-from .random_subsets import rng_streams, sample_uniform_subset
+from .random_subsets import rng_streams
 from .rank_bounds import numerical_rank, range_basis
 from .thresholds import overlap_condition
 
@@ -142,64 +144,75 @@ def _redraw_rounds(d: Dictionary, count: int, step, error: str) -> list:
     raise RedrawCapExceededError(f"{error} found in {INDEPENDENCE_REDRAW_CAP} draws ({d.provenance})")
 
 
-def _sample_support(d: Dictionary, s: int, rngs: Sequence[np.random.Generator]) -> list[AtomSet]:
-    """One linearly independent s-subset per Generator: G[S, S] passes the floor, else numerical_rank(Phi_S) == s."""
+def _sample_support(d: Dictionary, s: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(k, s) sorted index rows, one linearly independent S per Generator, each drawn as rng.choice(N, s,
+    replace=False) and accepted if G[S, S] passes the floor, else if numerical_rank(Phi_S) == s."""
     def step(js, _):
-        cands = [sample_uniform_subset(d.n_atoms, s, rngs[j]) for j in js]
-        return [c if ok or numerical_rank(d.subdictionary(c)) == s else None
-                for c, ok in zip(cands, certify_gram_floor(d.gram_blocks([c.indices for c in cands])))]
+        cands = [sorted(rngs[j].choice(d.n_atoms, s, replace=False).tolist()) for j in js]
+        return [c if ok or numerical_rank(d.atoms[:, c]) == s else None
+                for c, ok in zip(cands, certify_gram_floor(d.gram_blocks(cands)))]
 
-    return _redraw_rounds(d, len(rngs), step, f"no linearly independent support of size {s}")
+    return np.array(_redraw_rounds(d, len(rngs), step, f"no linearly independent support of size {s}"), dtype=np.intp)
 
 
-def _pair_range(d: Dictionary, s_sets: Sequence[AtomSet],
-                t_sets: Sequence[AtomSet]) -> Iterator[tuple[np.ndarray, int, int, Optional[np.ndarray]]]:
-    """Per pair (all of one |S u T| and |T|): W with ||W x|| = ||(I - P_T) Phi_S x||, rank(Phi_R) for R = S u T,
-    rank(Phi_T) and Phi_T's singular values.  Each G[R, R] is gathered in the order (T, X), X = S minus T, into one
-    stack for one certify_gram_floor; the certified blocks take one Cholesky of G (the stack itself if all pass),
-    whose trailing block has L22 L22* = G_XX - G_XT G_TT^-1 G_TX.  There W is L22* on X's entries of x (no rows if S
-    is in T), the ranks are |R| and |T|, the values None (cond(Phi_T) <= sqrt(|T| / floor) by interlacing).  Else
-    W = Phi_S - Q (Q* Phi_S), Q the range_basis of Phi_T, and numerical_rank.
+def _pair_range(d: Dictionary, s_rows: np.ndarray,
+                t_rows: np.ndarray) -> Iterator[tuple[np.ndarray, int, int, Optional[np.ndarray]]]:
+    """Per pair of (k, s) and (k, t) sorted index rows, all with one |X|, X = S minus T: W with ||W x|| =
+    ||(I - P_T) Phi_S x||, rank(Phi_R) for R = S u T, rank(Phi_T) and Phi_T's singular values.  Each G[R, R] is
+    gathered in the order (T, X) into one stack for one certify_gram_floor; the certified blocks take one Cholesky
+    of G (the stack itself if all pass), whose trailing block has L22 L22* = G_XX - G_XT G_TT^-1 G_TX.  There W is
+    L22* on X's entries of x (no rows if S is in T), scattered into one (k_pass, |X|, s) stack, the ranks are |R| and
+    |T|, the values None (cond(Phi_T) <= sqrt(|T| / floor) by interlacing).  Else W = Phi_S - Q (Q* Phi_S), Q the
+    range_basis of Phi_T, and numerical_rank.
     """
-    x_pos = [[k for k, i in enumerate(s.indices) if i not in t.indices] for s, t in zip(s_sets, t_sets)]
-    g = d.gram_blocks([t.indices + tuple(s.indices[k] for k in xp) for s, t, xp in zip(s_sets, t_sets, x_pos)])
+    k, t = t_rows.shape
+    outside_t = np.ones((k, d.n_atoms), dtype=bool)  # comparing index rows would page in unused integer ufunc loops
+    np.put_along_axis(outside_t, t_rows, False, axis=1)
+    x_pos = np.nonzero(np.take_along_axis(outside_t, s_rows, axis=1))[1].reshape(k, -1)
+    r_rows = np.concatenate([t_rows, np.take_along_axis(s_rows, x_pos, axis=1)], axis=1)
+    g = d.gram_blocks(r_rows)
     passes = certify_gram_floor(g)
-    factors = iter(np.linalg.cholesky(g if passes.all() else g[passes]) if passes.any() else ())
-    for s_set, t_set, xp, ok in zip(s_sets, t_sets, x_pos, passes):
+    l22 = (np.linalg.cholesky(g if passes.all() else g[passes]) if passes.any() else g[:0])[:, t:, t:]
+    w = np.zeros((len(l22), x_pos.shape[1], s_rows.shape[1]), dtype=np.complex128)
+    np.put_along_axis(w, x_pos[passes][:, None, :], l22.conj().transpose(0, 2, 1), axis=2)
+    certified = iter(w)
+    for s_row, t_row, r_row, ok in zip(s_rows, t_rows, r_rows, passes):
         if ok:
-            w = np.zeros((len(xp), len(s_set)), dtype=np.complex128)
-            w[:, xp] = next(factors)[len(t_set):, len(t_set):].conj().T
-            yield w, len(t_set) + len(xp), len(t_set), None
+            yield next(certified), len(r_row), t, None
             continue
-        phi_s, (q, sv_t) = d.subdictionary(s_set), range_basis(d.subdictionary(t_set))
-        yield phi_s - q @ (q.conj().T @ phi_s), numerical_rank(d.subdictionary(s_set.union(t_set))), q.shape[1], sv_t
+        phi_s, (q, sv_t) = d.atoms[:, s_row], range_basis(d.atoms[:, t_row])
+        yield phi_s - q @ (q.conj().T @ phi_s), numerical_rank(d.atoms[:, sorted(r_row.tolist())]), q.shape[1], sv_t
 
 
-def _sample_overlapping(d: Dictionary, s_sets: Sequence[AtomSet], t: int, delta: int,
-                        rngs: Sequence[np.random.Generator]) -> list[tuple[AtomSet, np.ndarray, int, int]]:
-    """Per S and Generator, T = delta atoms of S plus t - delta of its complement, redrawn while cond(Phi_T) exceeds
-    the cap: T, the residual operator W, the redraw count and rank(Phi_{S u T}) from _pair_range."""
+def _sample_overlapping(d: Dictionary, s_rows: np.ndarray, t: int, delta: int,
+                        rngs: Sequence[np.random.Generator]) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Per S row and Generator, T = rng.choice(S, delta) plus rng.choice(complement of S, t - delta), redrawn while
+    cond(Phi_T) exceeds the cap: T's sorted index row, the residual operator W, the redraw count and
+    rank(Phi_{S u T}) from _pair_range."""
+    outside = np.ones((len(s_rows), d.n_atoms), dtype=bool)
+    np.put_along_axis(outside, s_rows, False, axis=1)
+
     def step(js, redraws):
-        cands = [AtomSet.of(np.concatenate([
-            rngs[j].choice(s_sets[j].indices, size=delta, replace=False),
-            rngs[j].choice(d.complement(s_sets[j]), size=t - delta, replace=False),
-        ])) for j in js]
-        ranges = _pair_range(d, [s_sets[j] for j in js], cands)
-        return [(t_set, w, redraws, rank_union) if sv_t is None or sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP
-                else None for t_set, (w, rank_union, _, sv_t) in zip(cands, ranges)]
+        cands = np.array([sorted(rngs[j].choice(s_rows[j], delta, replace=False).tolist()
+                                 + rngs[j].choice(np.flatnonzero(outside[j]), t - delta, replace=False).tolist())
+                          for j in js], dtype=np.intp)
+        ranges = _pair_range(d, s_rows[list(js)], cands)
+        return [(t_row, w, redraws, rank_union) if sv_t is None or sv_t[-1] > 0 and sv_t[0] / sv_t[-1] <= CONDITION_CAP
+                else None for t_row, (w, rank_union, _, sv_t) in zip(cands, ranges)]
 
     return _redraw_rounds(d, len(rngs), step, f"no T of size {t} with cond(Phi_T) <= {CONDITION_CAP:g}")
 
 
-def _trial_residuals(d: Dictionary, s_set: AtomSet, w: np.ndarray, streams) -> list[float]:
+def _trial_residuals(d: Dictionary, s_row: np.ndarray, w: np.ndarray, streams) -> list[float]:
     """||W x|| / ||Phi_S x|| with W from _pair_range and x drawn from each Generator as draw_generic_signal does.
 
-    residual_over up to rounding (0.0 if W has no rows); S must already be known to be independent.  The streams
-    come from rng_streams, seeded with the run's others in one pass: the same x as default_rng([seed, p, i]) gives.
+    S is an index row, already known to be independent; residual_over up to rounding (0.0 if W has no rows).  The
+    streams come from rng_streams, seeded with the run's others in one pass: the same x as default_rng([seed, p, i])
+    gives.
     """
-    z = np.array([rng.standard_normal(2 * len(s_set)) for rng in streams]).reshape(-1, 2 * len(s_set))
+    z = np.array([rng.standard_normal(2 * len(s_row)) for rng in streams]).reshape(-1, 2 * len(s_row))
     x = _complex_gaussian(z).T  # column i from stream i
-    norm_u = np.linalg.norm(d.subdictionary(s_set) @ x, axis=0)
+    norm_u = np.linalg.norm(d.atoms[:, s_row] @ x, axis=0)
     if not norm_u.all():
         raise ValueError("zero signal has no meaningful residual")
     return (np.linalg.norm(w @ x, axis=0) / norm_u).tolist()
@@ -219,12 +232,13 @@ def equivalence_experiment(d: Dictionary, s_set: Iterable[int], t_set: Iterable[
     s_set, t_set = AtomSet.of(s_set), AtomSet.of(t_set)
     if max(s_set.indices + t_set.indices, default=-1) >= d.n_atoms:
         raise ValueError(f"atom indices must be below the {d.n_atoms} atoms of the dictionary")
-    (w, rank_union, rank_t, sv_t), = _pair_range(d, [s_set], [t_set])
+    s_rows, t_rows = (np.array([a.indices], dtype=np.intp) for a in (s_set, t_set))
+    (w, rank_union, rank_t, sv_t), = _pair_range(d, s_rows, t_rows)
     if sv_t is not None or not len(s_set):  # no Gram block certified S, or S is empty
         _independent_subdictionary(d, s_set)
     holds = len(t_set) < rank_union
     containment = rank_union == rank_t
-    residuals = _trial_residuals(d, s_set, w, rng_streams([seed], trials))
+    residuals = _trial_residuals(d, s_rows[0], w, rng_streams([seed], trials))
     rows = [{"trial": i, "residual": res, "verdict": classify_residual(res).value}
             for i, res in enumerate(residuals)]
     verdicts = [r["verdict"] for r in rows]
@@ -277,13 +291,13 @@ def gap_experiment(d: Dictionary, s: int, t: int, delta: int, pairs: int,
     streams, trial_streams = rng_streams([seed], n_pairs), rng_streams([seed], n_pairs, trials_per_pair)
     for first in range(0, n_pairs, PAIR_CHUNK):
         rngs = list(itertools.islice(streams, PAIR_CHUNK))
-        s_sets = _sample_support(d, s, rngs)
-        picks = _sample_overlapping(d, s_sets, t, delta, rngs)  # rank_condition, S already certified
-        for p, (s_set, (_, w, redraws, rank_union)) in enumerate(zip(s_sets, picks), first):
+        s_rows = _sample_support(d, s, rngs)
+        picks = _sample_overlapping(d, s_rows, t, delta, rngs)  # rank_condition, S already certified
+        for p, (s_row, (_, w, redraws, rank_union)) in enumerate(zip(s_rows, picks), first):
             holds = t < rank_union
             rank_condition_failures += not holds
             t_redraws_total += redraws
-            residuals = _trial_residuals(d, s_set, w, itertools.islice(trial_streams, trials_per_pair))
+            residuals = _trial_residuals(d, s_row, w, itertools.islice(trial_streams, trials_per_pair))
             rows += [{
                 "pair": p,
                 "trial": i,

@@ -1,11 +1,20 @@
 import collections
 import contextlib
 import math
+import os
 import re
+import sys
 
-import numpy as np
-import numpy.linalg._linalg as _linalg
-import pytest
+# One BLAS thread, as bench/run.py pins it: with a thread per core, a second process on the host slowed the
+# 128 x 512 SVD reference nearly twentyfold.  The variables are read when numpy loads, so numpy must not be loaded yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py could pin its BLAS threads"
+
+import numpy as np  # noqa: E402
+import numpy.linalg._linalg as _linalg  # noqa: E402
+import pytest  # noqa: E402
 
 from sparsegap import random_subsets, signals
 from sparsegap.dictionary import _finalize, build_random_tight_frame

@@ -422,6 +422,21 @@ def test_infinite_fields_are_bare_infinity_tokens(argv, where, keys, tmp_path, m
         assert row[key] == math.inf and f'"{key}": Infinity' in stdout
 
 
+def test_sweep_quantiles_next_to_an_infinite_sample(tmp_path, monkeypatch, capsys):
+    """A sweep whose pinv_norm samples hold inf reports their median and 1 - 1/N quantile, never NaN, and numpy
+    prints no warning: np.quantile gives 1 + inf * 0 = NaN for the median of [1, 1, inf]."""
+    monkeypatch.chdir(tmp_path)
+    save_dictionary(_finalize(np.eye(2, dtype=complex)[:, [0, 0, 1]], {}), tmp_path / "d.sgdict")  # [e1, e1, e2]
+    (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"path": "d.sgdict"},
+                                                   "s_values": [2], "trials_per_s": 3}))
+    code, stdout, err = run(["experiment", "--config", "cfg.json", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(stdout)
+    assert sorted(r["pinv_norm"] for r in report["trials"]) == [1.0, 1.0, math.inf]
+    assert report["summary"]["per_s"]["2"]["pinv_norm"] == {"median": 1.0, "q_1_minus_1_over_n": math.inf}
+    assert '"q_1_minus_1_over_n": Infinity' in stdout
+
+
 @pytest.mark.parametrize("command", ["dict", "experiment"])
 @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
 def test_memory_error_is_one_error_line(command, message, tmp_path, monkeypatch, capsys):

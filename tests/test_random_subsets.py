@@ -23,6 +23,7 @@ from sparsegap.dictionary import (
     tightness_margin,
 )
 from sparsegap.random_subsets import (
+    _quantiles,
     rng_streams,
     sample_uniform_subset,
     statistics_sweep,
@@ -346,6 +347,28 @@ class TestStatisticsSweep:
         # with no s, no stream would ever see the seed: this gave a report with master_seed -5
         with pytest.raises(ValueError, match="seed must not be negative: -5"):
             statistics_sweep(build_spikes_sines(8), s_values, 3, -5)
+
+    @pytest.mark.parametrize("samples,q,expected", [
+        ([1.0, 1.0, math.inf], 0.5, 1.0),  # all the weight on 1: numpy gives 1 + inf * 0
+        ([math.inf, 1.0, 1.0], 0.5, 1.0),
+        ([1.0, math.inf, math.inf], 0.5, math.inf),  # between two infinite neighbours: b - a = inf - inf
+        ([1.0, 1.0, math.inf], 0.75, math.inf),  # numpy's weight >= 0.5 branch: inf - inf * 0.5
+        ([1.0, math.inf, math.inf, math.inf], 0.5, math.inf),
+    ])
+    def test_quantile_nan_next_to_an_infinite_sample(self, samples, q, expected):
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(np.quantile(samples, q))
+        assert _quantiles(samples, [q]) == [expected]
+
+    @given(st.lists(st.one_of(st.floats(0, 1e6), st.just(math.inf)), min_size=1, max_size=9),
+           st.lists(st.floats(0, 1), min_size=1, max_size=3))
+    def test_quantiles_keep_numpys_values_where_not_nan(self, samples, levels):
+        with np.errstate(invalid="ignore"):
+            ref = np.quantile(samples, levels).tolist()
+        got = _quantiles(samples, levels)
+        assert [v for v, r in zip(got, ref) if not math.isnan(r)] == [r for r in ref if not math.isnan(r)]
+        assert not any(map(math.isnan, got))
+        assert all(min(samples) <= v <= max(samples) for v in got)
 
     def test_quantiles_present(self):
         d = build_random_tight_frame(16, 64, seed=6)

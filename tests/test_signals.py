@@ -297,8 +297,8 @@ def tight_24_64():
 def resampled_pair(d, seed, p, s, t, delta):
     """Pair p's S and T, sampled again from its stream [seed, p] as gap_experiment does."""
     rng = np.random.default_rng([seed, p])
-    s_set, = _sample_support(d, s, [rng])
-    return s_set, _sample_overlapping(d, [s_set], t, delta, [rng])[0][0]
+    s_rows = _sample_support(d, s, [rng])
+    return AtomSet.of(s_rows[0]), AtomSet.of(_sample_overlapping(d, s_rows, t, delta, [rng])[0][0])
 
 
 class TestEngineMatchesReference:
@@ -345,9 +345,9 @@ class TestEngineMatchesReference:
 
         trial_residuals = signals._trial_residuals
 
-        def spy(d, s_set, w, streams):
-            seen.append([s_set])
-            return trial_residuals(d, s_set, RecordingW(w), streams)
+        def spy(d, s_row, w, streams):
+            seen.append([AtomSet.of(s_row)])
+            return trial_residuals(d, s_row, RecordingW(w), streams)
 
         monkeypatch.setattr(signals, "_trial_residuals", spy)
         rep = gap_experiment(tight_24_64, 4, 6, 2, pairs=3, trials_per_pair=5, seed=41)
@@ -393,6 +393,48 @@ class TestEngineMatchesReference:
         assert linalg_calls == {"cholesky": 3 * 7}
         # one chunk: one stacked certificate for the S blocks, one for the S u T blocks and one Cholesky of the latter
         assert linalg_calls.calls == {"cholesky": 3}
+
+    def test_chunk_loop_builds_no_atom_set_and_sorts_nothing(self, linalg_calls, monkeypatch):
+        # the gap-pairs-file shape (128 x 512 frame, s = 16, t = 24, delta = 8) at a quarter of its size: S and T stay
+        # index rows from the draw to the residuals, sorted by Python, whose first np.sort would page in numpy's
+        # sort kernels and raise the peak resident set
+        d = build_random_tight_frame(32, 128, seed=7)
+        built, sorted_ = [], []
+        post_init, np_sort = AtomSet.__post_init__, np.sort
+        monkeypatch.setattr(AtomSet, "__post_init__", lambda self: built.append(self) or post_init(self))
+        monkeypatch.setattr(np, "sort", lambda *args, **kwargs: sorted_.append(args) or np_sort(*args, **kwargs))
+        pairs = signals.PAIR_CHUNK + 8
+        linalg_calls.clear()
+        rep = gap_experiment(d, 4, 6, 2, pairs=pairs, trials_per_pair=2, seed=5)
+        assert rep.summary["n_trials"] == 2 * pairs and rep.summary["t_redraws_total"] == 0
+        assert (built, sorted_) == ([], [])
+        # every Gram block passes the floor: per chunk one certificate of the S blocks, one of the S u T blocks and
+        # one Cholesky of the latter
+        assert linalg_calls == {"cholesky": 3 * pairs}
+        assert linalg_calls.calls == {"cholesky": 3 * 2}
+
+    def test_mixed_chunk_matches_reference(self, near_duplicates_6_16, monkeypatch):
+        # one chunk's S u T blocks split between the stacked Cholesky and the SVD path, so the certified subset's
+        # L22* blocks are scattered into W at its own positions; each pair must still match its reference
+        union_verdicts = []
+        certify = signals.certify_gram_floor
+
+        def spy(g):
+            passes = certify(g)
+            if g.shape[-1] == 4:  # |S u T| = 2 + 3 - 1; the support blocks are 2 x 2
+                union_verdicts.append(passes)
+            return passes
+
+        monkeypatch.setattr(signals, "certify_gram_floor", spy)
+        d = near_duplicates_6_16
+        rep = gap_experiment(d, 2, 3, 1, pairs=signals.PAIR_CHUNK, trials_per_pair=2, seed=37)
+        assert any(v.any() and not v.all() for v in union_verdicts)
+        pair_sets = {p: resampled_pair(d, 37, p, 2, 3, 1) for p in range(signals.PAIR_CHUNK)}
+        below_floor = [np.linalg.eigvalsh(d.gram[np.ix_(idx, idx)])[0] < GRAM_EIG_FLOOR
+                       for idx in (list(s_set.union(t_set).indices) for s_set, t_set in pair_sets.values())]
+        assert any(below_floor) and not all(below_floor)  # accepted pairs of both paths
+        assert_rows_match_reference(d, rep.trials, lambda r: pair_sets[r["pair"]],
+                                    lambda r: [37, r["pair"], r["trial"]])
 
     @pytest.mark.parametrize("kind,s,t,delta", [("tight", 5, 24, 1), ("near-duplicates", 2, 3, 1)])
     def test_chunk_boundaries(self, kind, s, t, delta, tight_24_64, near_duplicates_6_16):
@@ -495,7 +537,7 @@ class TestRedrawCap:
         atoms[1, 1:] = 1.0
         d = Dictionary(atoms=atoms, coherence=1.0, redundancy=4.0)
         with pytest.raises(RedrawCapExceededError):
-            _sample_overlapping(d, [AtomSet.of([0, 1])], 2, 0, [np.random.default_rng(0)])
+            _sample_overlapping(d, np.array([[0, 1]]), 2, 0, [np.random.default_rng(0)])
         # per T draw: the Gram block of S u T is singular, so the SVDs of Phi_T and Phi_{S u T} follow
         assert linalg_calls == {"cholesky": INDEPENDENCE_REDRAW_CAP, "svd": 2 * INDEPENDENCE_REDRAW_CAP}
         with pytest.raises(RedrawCapExceededError):
