@@ -36,8 +36,7 @@ EXIT_USAGE = 2
 
 # Each kind's function as (module, name), read when bound: a wrapper bound to that name (bench/child.py) is what runs.
 EXPERIMENTS = {"gap": (signals, "gap_experiment"), "equivalence": (signals, "equivalence_experiment"),
-               "stats-sweep": (random_subsets, "statistics_sweep"),
-               "weak-rank": (random_subsets, "weak_rank_bound_experiment")}
+               "stats-sweep": (random_subsets, "statistics_sweep")}
 DICTIONARIES = {"spikes-sines": (dictionary, "build_spikes_sines"),
                 "random-unit": (dictionary, "build_random_unit_norm"),
                 "random-tight": (dictionary, "build_random_tight_frame")}

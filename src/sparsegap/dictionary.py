@@ -93,12 +93,6 @@ class Dictionary:
         """Column submatrix Phi_S for the given atom set (IndexError past the last atom)."""
         return self.atoms[:, list(atom_set.indices)]
 
-    def complement(self, atom_set: AtomSet) -> np.ndarray:
-        """Sorted index array of the atoms not in ``atom_set``."""
-        keep = np.ones(self.n_atoms, dtype=bool)
-        keep[list(atom_set.indices)] = False
-        return np.flatnonzero(keep)
-
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Read-only N x N Gram matrix Phi* Phi; set by the constructors, else formed on first use."""

@@ -13,8 +13,7 @@ the m-th singular value, is not.
 
 A sweep reports per s the median and 1 - 1/N quantile of each statistic, how
 often the (1/2, sqrt(2)) good-event gates are violated and the smallest weak-gap
-constants, mu log N and s log N / m; the rank experiment compares the rank of a
-random S u V with the weak bounds.
+constants, mu log N and s log N / m.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ import numpy as np
 
 from .dictionary import GRAM_EIG_FLOOR, AtomSet, Dictionary, coherence_constant, tightness_margin
 from .manifest import ExperimentReport
-from .rank_bounds import numerical_rank
-from .thresholds import HypothesisViolatedError
 
 CROSS_GATE = 0.5
 PINV_GATE = math.sqrt(2.0)
@@ -179,63 +176,3 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0) 
         },
     )
 
-
-def weak_rank_bound_experiment(d: Dictionary, s: int, v_size: int, trials: int,
-                               seed: int = 0) -> ExperimentReport:
-    """Measured rank of Phi_{S u V} versus the weak-incoherence lower bounds, on a tight frame (tightness_margin).
-
-    Two candidate bounds are tracked: |S| + 2m|V|/N and |S| + m|V|/(2N)
-    (the latter is what the good-event gate values give when plugged into
-    the projected-block bound).  Violations are tallied separately for
-    trials passing the (1/2, sqrt(2)) gates and for all trials.
-    """
-    if min(trials, seed) < 0:
-        raise ValueError(f"trials and seed must not be negative: {trials}, {seed}")
-    m, n = d.m, d.n_atoms
-    if n <= 2 * m:
-        raise HypothesisViolatedError("requires N > 2m")
-    if tightness_margin(d) < 0:
-        raise ValueError("dictionary must be a tight frame")
-    if s < 1 or v_size < 0 or s + v_size > n:
-        raise ValueError("invalid (s, v_size)")
-    if s > m:
-        raise ValueError(f"s = {s} exceeds m = {m}: no {s} atoms are linearly independent")
-    bound_stated = s + 2.0 * m * v_size / n
-    bound_gate_derived = s + m * v_size / (2.0 * n)
-    rows = []
-    for trial, rng in enumerate(rng_streams([seed], trials)):
-        s_set = sample_uniform_subset(n, s, rng)
-        v_set = AtomSet.of(rng.choice(d.complement(s_set), size=v_size, replace=False))
-        st = subset_statistics(d, s_set)
-        rank = numerical_rank(d.subdictionary(s_set.union(v_set)))
-        rows.append({
-            "trial": trial,
-            "rank": rank,
-            "bound_stated": bound_stated,
-            "bound_gate_derived": bound_gate_derived,
-            "gated": st.max_cross_correlation <= CROSS_GATE and st.pinv_norm <= PINV_GATE,
-            "max_cross_correlation": st.max_cross_correlation,
-            "pinv_norm": st.pinv_norm,
-            "violates_stated": rank < bound_stated - 1e-9,
-            "violates_gate_derived": rank < bound_gate_derived - 1e-9,
-        })
-    gated = [r for r in rows if r["gated"]]
-    return ExperimentReport(
-        kind="weak-rank",
-        params={"s": s, "v_size": v_size, "trials": trials, "dictionary": d.provenance},
-        master_seed=seed,
-        columns=("trial", "rank", "bound_stated", "bound_gate_derived", "gated",
-                 "max_cross_correlation", "pinv_norm", "violates_stated",
-                 "violates_gate_derived"),
-        trials=rows,
-        summary={
-            "bound_stated": bound_stated,
-            "bound_gate_derived": bound_gate_derived,
-            "n_gated": len(gated),
-            "gated_violations_stated": sum(r["violates_stated"] for r in gated),
-            "gated_violations_gate_derived": sum(r["violates_gate_derived"] for r in gated),
-            "all_violations_stated": sum(r["violates_stated"] for r in rows),
-            "all_violations_gate_derived": sum(r["violates_gate_derived"] for r in rows),
-        },
-        failed=any(r["violates_gate_derived"] for r in gated),
-    )

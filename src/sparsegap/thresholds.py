@@ -2,7 +2,8 @@
 
 Pure formula objects in the parameters (s, t, delta, mu, m, N); nothing here touches a concrete dictionary.
 Each formula in mu accepts mu up to 1 + COHERENCE_TOL (``dictionary.check_coherence``), the rounded coherence of
-a repeated atom.  A rejected parameter raises ValueError; the weak gap, outside N > 2m, HypothesisViolatedError.
+a repeated atom.  A rejected parameter raises ValueError; a formula whose hypothesis fails (the weak gap outside
+N > 2m, say) returns None.
 Each docstring states whether the comparison it encodes is strict or weak, as the underlying inequality is.
 """
 
@@ -13,10 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dictionary import check_coherence
-
-
-class HypothesisViolatedError(ValueError):
-    """The formula's standing hypothesis (e.g. N > 2m) does not hold."""
 
 
 def donoho_elad_threshold(mu: float) -> float:
@@ -59,14 +56,12 @@ def overlap_condition(s: int, t: int, delta: int, mu: float) -> OverlapDecision:
     return OverlapDecision(rhs=rhs, holds=delta < rhs, vacuous=False)
 
 
-def t_threshold_given_overlap(s: int, delta: int, mu: float) -> float:
-    """Reverted quadratic: a t strictly below this satisfies the overlap bound."""
+def t_threshold_given_overlap(s: int, delta: int, mu: float) -> Optional[float]:
+    """Reverted quadratic: any t strictly below it satisfies the overlap bound; None unless mu > 0 and s - delta > 1."""
     check_coherence(mu)
-    if mu == 0.0:
-        raise ValueError("the t threshold needs mu > 0")
     k = s - delta - 1
-    if k < 1:
-        raise ValueError("requires s - delta >= 2")
+    if mu == 0.0 or k < 1:
+        return None
     return math.sqrt(k + 1 + (k * mu / 2) ** 2) / mu - k
 
 
@@ -82,22 +77,22 @@ def generic_up_threshold(s: int, delta: int, mu: float) -> float:
     return delta + math.sqrt(s - delta) / mu
 
 
-def weak_gap_threshold(s: int, delta: int, m: int, n_atoms: int) -> float:
-    """(s - 2 delta m / N) / (1 - 2 m / N); needs N > 2m."""
+def weak_gap_threshold(s: int, delta: int, m: int, n_atoms: int) -> Optional[float]:
+    """(s - 2 delta m / N) / (1 - 2 m / N); None unless N > 2m."""
     if not (1 <= m <= n_atoms and 1 <= s and 0 <= delta <= s):
         raise ValueError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}), 1 <= s ({s}) and 0 <= delta ({delta}) <= s")
     if n_atoms <= 2 * m:
-        raise HypothesisViolatedError("requires N > 2m")
+        return None
     ratio = 2.0 * m / n_atoms
     return (s - delta * ratio) / (1.0 - ratio)
 
 
-def weak_gap_simplified(s: int, delta: int, m: int, n_atoms: int) -> float:
-    """s + 2 (s - delta) m / N: the simplified sufficient condition (weak in t)."""
+def weak_gap_simplified(s: int, delta: int, m: int, n_atoms: int) -> Optional[float]:
+    """s + 2 (s - delta) m / N: the simplified sufficient condition (weak in t); None unless N > 2m."""
     if not (1 <= m <= n_atoms and 1 <= s and 0 <= delta <= s):
         raise ValueError(f"need 1 <= m ({m}) <= n_atoms ({n_atoms}), 1 <= s ({s}) and 0 <= delta ({delta}) <= s")
     if n_atoms <= 2 * m:
-        raise HypothesisViolatedError("requires N > 2m")
+        return None
     return s + 2.0 * (s - delta) * m / n_atoms
 
 
@@ -120,14 +115,8 @@ def evaluate_thresholds(s: int, t: int, delta: int, mu: float, m: int, n_atoms: 
     decision = overlap_condition(s, t, delta, mu)  # checks s, t and delta for the calls below
     row.update(donoho_elad_lhs=float(s + t), donoho_elad_rhs=donoho_elad_threshold(mu),
                strong_gap_rhs=strong_gap_threshold(s, mu), overlap_rhs=decision.rhs,
-               overlap_vacuous=decision.vacuous, generic_up_rhs=generic_up_threshold(s, delta, mu))
-    try:
-        row["t_threshold"] = t_threshold_given_overlap(s, delta, mu)
-    except ValueError:  # mu = 0, or s - delta < 2
-        pass
-    try:
-        row.update(weak_gap_rhs=weak_gap_threshold(s, delta, m, n_atoms),
-                   weak_gap_simplified_rhs=weak_gap_simplified(s, delta, m, n_atoms))
-    except HypothesisViolatedError:
-        pass
+               overlap_vacuous=decision.vacuous, t_threshold=t_threshold_given_overlap(s, delta, mu),
+               generic_up_rhs=generic_up_threshold(s, delta, mu),
+               weak_gap_rhs=weak_gap_threshold(s, delta, m, n_atoms),
+               weak_gap_simplified_rhs=weak_gap_simplified(s, delta, m, n_atoms))
     return row

@@ -10,7 +10,6 @@ import runpy
 import struct
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 
 from sparsegap import __version__, cli, dictionary
 from sparsegap.cli import main
-from sparsegap.dictionary import Dictionary, _finalize, build_random_tight_frame, save_dictionary
+from sparsegap.dictionary import Dictionary, _finalize, save_dictionary
 from test_golden import CASES
 
 GAP = {"experiment": "gap", "dictionary": {"kind": "spikes-sines", "m": 16}, "seed": 5,
@@ -404,15 +403,15 @@ def test_one_atom_dictionary_has_coherence_constant_zero(tmp_path, capsys):
     (["bounds", "--mu", "0", "--m", "4", "--n-atoms", "12", "--s-max", "1"], ("rows", 0),
      ("donoho_elad_rhs", "strong_gap_rhs", "generic_up_rhs")),
     (["bounds", "--mu", "5e-324", "--m", "4", "--n-atoms", "12", "--s-max", "2"], ("rows", 1), ("t_threshold",)),
-    # trial 2 draws two copies of one atom: Phi_S has a zero singular value
-    (["experiment", "--config", "cfg.json"], ("trials", 2), ("pinv_norm",)),
-], ids=["bounds-mu-0", "bounds-subnormal-mu", "weak-rank-rank-deficient-s"])
+    # trial 0 draws two copies of one atom: Phi_S has a zero singular value
+    (["experiment", "--config", "cfg.json"], ("trials", 0), ("pinv_norm",)),
+], ids=["bounds-mu-0", "bounds-subnormal-mu", "stats-sweep-rank-deficient-s"])
 def test_infinite_fields_are_bare_infinity_tokens(argv, where, keys, tmp_path, monkeypatch, capsys):
     """JSON output is Python's json dialect: an infinite float is the bare token Infinity, which json.loads reads."""
     monkeypatch.chdir(tmp_path)
     save_dictionary(_finalize(np.tile(np.eye(2, dtype=complex), 3), {}), tmp_path / "d.sgdict")  # tight, N = 3m
-    (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "weak-rank", "dictionary": {"path": "d.sgdict"},
-                                                   "s": 2, "v_size": 0, "trials": 4}))
+    (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"path": "d.sgdict"},
+                                                   "s_values": [2], "trials_per_s": 4}))
     code, stdout, err = run([*argv, "--format", "json"], capsys)
     assert (code, err) == (0, "")
     row = json.loads(stdout)
@@ -486,15 +485,6 @@ HUGE_ENTRY = {  # a 1 x 1 dictionary whose one entry's square overflows
     "d.sgdict.bin": struct.pack("<2d", 1e200, 0.0),
 }
 
-
-def sgdict_files(d: Dictionary) -> dict:
-    """``d`` written by the program's sgdict-1 writer as d.sgdict: each file's name and bytes."""
-    with tempfile.TemporaryDirectory() as work:
-        save_dictionary(d, Path(work) / "d.sgdict")
-        return {p.name: p.read_bytes() for p in Path(work).iterdir()}
-
-
-TIGHT_2_5 = sgdict_files(build_random_tight_frame(2, 5, seed=1))  # built here: the contract caps the builder
 READ_DICTIONARY = {  # each command that reads an sgdict-1 file, on d.sgdict
     "dict-inspect": (["dict", "--inspect", "d.sgdict"], None),
     "bounds-dict": (["bounds", "--dict", "d.sgdict", "--s-max", "2"], None),
@@ -561,6 +551,9 @@ EXIT_CONTRACT = [
     # configs rejected before any computation
     bad_config("unknown-experiment", {"experiment": "nope", "dictionary": {}}, "config error: ",
                "unknown experiment 'nope'"),
+    # retired: its bound s + 2m|V|/N exceeds every rank (at most m) once |V| > (m - s)N/(2m)
+    bad_config("weak-rank-retired", {"experiment": "weak-rank", "dictionary": SPIKES_8, "s": 1, "v_size": 2,
+                                     "trials": 1}, "config error: ", "unknown experiment 'weak-rank'"),
     bad_config("list-experiment", {**GAP, "experiment": ["gap"]}, "config error: ",
                "unknown experiment ['gap']"),
     bad_config("list-config", [GAP], "config error: ", "config must be a JSON object"),
@@ -584,9 +577,7 @@ EXIT_CONTRACT = [
         ("equivalence-bool-in-list", {"experiment": "equivalence", "s_set": [0, True], "t_set": [3], "trials": 2},
          "experiment 'equivalence' key 's_set' has the wrong type: [0, True]"),
         ("equivalence-negative-trials", {"experiment": "equivalence", "s_set": [0], "t_set": [3], "trials": -5},
-         "experiment 'equivalence' key 'trials' must not be negative: -5"),
-        ("weak-rank-negative-trials", {"experiment": "weak-rank", "s": 1, "v_size": 2, "trials": -1},
-         "experiment 'weak-rank' key 'trials' must not be negative: -1"))),
+         "experiment 'equivalence' key 'trials' must not be negative: -5"))),
     *(bad_config(f"gap-{case_id}", {**GAP, "dictionary": spec}, "config error: ", text) for case_id, spec, text in (
         ("dictionary-without-m", {"kind": "spikes-sines"}, "dictionary missing keys: ['m']"),
         ("string-dictionary-seed", {**TIGHT_8_32, "seed": "7"}, "dictionary key 'seed' has the wrong type: '7'"),
@@ -627,9 +618,6 @@ EXIT_CONTRACT = [
                "a redundant tight frame needs n_atoms > m >= 1"),
     bad_config("gap-s-above-m", {**GAP, "s": 17}, "error: ",
                "s = 17 exceeds m = 16: no 17 atoms are linearly independent"),
-    case("weak-rank-s-above-m", ["experiment", "--config", "cfg.json"], "error: ",
-         "s = 5 exceeds m = 2: no 5 atoms are linearly independent", files=TIGHT_2_5,
-         config={"experiment": "weak-rank", "dictionary": {"path": "d.sgdict"}, "s": 5, "v_size": 0, "trials": 3}),
     bad_config("equivalence-index-past-last-atom", {"experiment": "equivalence", "dictionary": {**SPIKES_8, "m": 4},
                                                     "s_set": [0, 99], "t_set": [1], "trials": 2},
                "error: ", "atom indices must be below the 8 atoms of the dictionary"),

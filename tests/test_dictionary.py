@@ -225,13 +225,6 @@ class TestMetrics:
         assert abs(scaled.coherence - d.coherence) < 1e-12
         assert abs(scaled.redundancy - d.redundancy) < 1e-10
 
-    def test_complement_lists_the_other_atoms(self):
-        d = build_spikes_sines(8)
-        for indices in [(), (0,), (3, 7, 15), tuple(range(1, 16)), tuple(range(16))]:
-            comp = d.complement(AtomSet(indices))
-            assert np.array_equal(comp, [i for i in range(16) if i not in indices])
-            assert comp.dtype.kind == "i"
-
     def test_two_basis_union_coherence_is_cross_term(self):
         d = build_spikes_sines(8)
         cross = np.abs(d.atoms[:, :8].conj().T @ d.atoms[:, 8:]).max()

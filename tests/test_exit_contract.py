@@ -45,7 +45,6 @@ KEYS = {
     "equivalence": {"s_set": st.lists(COUNTS | DIMENSIONS, max_size=3), "t_set": st.lists(COUNTS, max_size=3),
                     "trials": COUNTS},
     "stats-sweep": {"s_values": st.lists(COUNTS, max_size=3), "trials_per_s": COUNTS},
-    "weak-rank": {"s": COUNTS, "v_size": COUNTS, "trials": COUNTS},
 }
 KINDS = st.sampled_from(["spikes-sines", "random-unit", "random-tight"]) | JSON
 

@@ -51,16 +51,6 @@ CASES = {
         "dictionary": {"kind": "random-tight", "m": 6, "n_atoms": 16, "seed": 2}, "seed": 3,
         "s_values": [1, 3, 6, 9], "trials_per_s": 3,
     },
-    "weak-rank": {
-        "experiment": "weak-rank",
-        "dictionary": {"kind": "random-tight", "m": 8, "n_atoms": 32, "seed": 1}, "seed": 6,
-        "s": 3, "v_size": 5, "trials": 6,
-    },
-    "weak-rank-gated": {
-        "experiment": "weak-rank",
-        "dictionary": {"kind": "random-tight", "m": 24, "n_atoms": 64, "seed": 1}, "seed": 6,
-        "s": 2, "v_size": 5, "trials": 6,
-    },
 }
 
 

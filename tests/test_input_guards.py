@@ -11,14 +11,8 @@ import re
 import numpy as np
 import pytest
 
-from sparsegap.dictionary import (
-    AtomSet,
-    build_random_tight_frame,
-    build_random_unit_norm,
-    build_spikes_sines,
-    welch_lower_bound,
-)
-from sparsegap.random_subsets import statistics_sweep, subset_statistics, weak_rank_bound_experiment
+from sparsegap.dictionary import AtomSet, build_spikes_sines, welch_lower_bound
+from sparsegap.random_subsets import statistics_sweep, subset_statistics
 from sparsegap.rank_bounds import (
     _eigvalsh_checked,
     numerical_rank,
@@ -26,12 +20,7 @@ from sparsegap.rank_bounds import (
     verify_schur_rank_identity,
 )
 from sparsegap.signals import draw_generic_signal, gap_experiment, make_signal, test_representability
-from sparsegap.thresholds import (
-    HypothesisViolatedError,
-    generic_up_threshold,
-    strong_gap_threshold,
-    weak_gap_simplified,
-)
+from sparsegap.thresholds import generic_up_threshold, strong_gap_threshold
 
 SPIKES_4 = build_spikes_sines(4)  # m = 4, N = 8
 
@@ -63,17 +52,9 @@ GUARDS = [
           "S must be nonempty"),
     guard("sweep-no-trials", lambda: statistics_sweep(SPIKES_4, [1], 0), ValueError,
           "trials_per_s must be positive"),
-    guard("weak-rank-not-tight", lambda: weak_rank_bound_experiment(build_random_unit_norm(4, 12, seed=1), 1, 2, 1),
-          ValueError, "dictionary must be a tight frame"),
-    guard("weak-rank-s-0", lambda: weak_rank_bound_experiment(build_random_tight_frame(4, 12, seed=1), 0, 2, 1),
-          ValueError, "invalid (s, v_size)"),
-    guard("weak-rank-s-above-m", lambda: weak_rank_bound_experiment(build_random_tight_frame(2, 5, seed=1), 5, 0, 3),
-          ValueError, "s = 5 exceeds m = 2: no 5 atoms are linearly independent"),
     guard("strong-gap-s-0", lambda: strong_gap_threshold(0, 0.1), ValueError, "s must be >= 1"),
     guard("generic-up-delta-above-s", lambda: generic_up_threshold(2, 3, 0.1), ValueError,
           "need 1 <= s and 0 <= delta <= s"),
-    guard("weak-gap-simplified-n-2m", lambda: weak_gap_simplified(1, 0, 4, 8), HypothesisViolatedError,
-          "requires N > 2m"),
 ]
 
 

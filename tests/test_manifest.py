@@ -8,8 +8,8 @@ from sparsegap.manifest import ExperimentReport, build_manifest
 from test_golden import CASES
 
 FIELDS = ("kind", "params", "master_seed", "summary", "trials", "manifest")
-ZERO_ROWS = {"gap": {"pairs": 0}, "equivalence": {"trials": 0}, "stats-sweep": {"s_values": []},
-             "weak-rank": {"trials": 0}}  # the change to a config of each experiment that leaves no rows
+ZERO_ROWS = {"gap": {"pairs": 0}, "equivalence": {"trials": 0},
+             "stats-sweep": {"s_values": []}}  # the change to a config of each experiment that leaves no rows
 
 
 def indent2(report: ExperimentReport) -> str:
@@ -67,7 +67,7 @@ class TestRowKeys:
         assert report.trials
         assert all(list(row) == list(report.columns) for row in report.trials)
 
-    @pytest.mark.parametrize("name", ["gap-delta0", "equivalence-spikes-sines", "stats-sweep", "weak-rank"])
+    @pytest.mark.parametrize("name", ["gap-delta0", "equivalence-spikes-sines", "stats-sweep"])
     def test_zero_rows_write_the_header_and_an_empty_list(self, name, tmp_path):
         columns = run_config(CASES[name]).columns
         path = tmp_path / "cfg.json"

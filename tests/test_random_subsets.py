@@ -1,7 +1,6 @@
 import itertools
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,10 +27,8 @@ from sparsegap.random_subsets import (
     sample_uniform_subset,
     statistics_sweep,
     subset_statistics,
-    weak_rank_bound_experiment,
 )
 from sparsegap.rank_bounds import numerical_rank
-from sparsegap.thresholds import HypothesisViolatedError
 
 
 class TestSampleUniformSubset:
@@ -215,7 +212,7 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 def reference_statistics(d, s_set):
     """(cross term, Gram deviation, sigma_min) from Phi_S* Phi_rest, the spectral norm and the SVD."""
     phi_s = d.subdictionary(s_set)
-    rest = d.complement(s_set)
+    rest = np.delete(np.arange(d.n_atoms), s_set.indices)
     cross = phi_s.conj().T @ d.atoms[:, rest]
     max_cross = float(np.sqrt(np.max(np.sum(np.abs(cross) ** 2, axis=0)))) if len(rest) else 0.0
     gram_dev = float(np.linalg.norm(phi_s.conj().T @ phi_s - np.eye(len(s_set)), 2))
@@ -284,13 +281,6 @@ class TestGramPath:
         linalg_calls.clear()
         statistics_sweep(d, s_values=(2, 4, 8), trials_per_s=5, seed=4)
         assert linalg_calls == {"eigvalsh": 15}  # one per subset; the tightness check reads d.frame_spectrum
-
-    def test_weak_rank_one_eigvalsh_per_trial(self, linalg_calls):
-        d = build_random_tight_frame(32, 128, seed=8)
-        linalg_calls.clear()
-        weak_rank_bound_experiment(d, 8, 16, 5, seed=3)
-        # one eigvalsh per trial (the tightness check reads d.frame_spectrum); the svd is numerical_rank(Phi_{S u V})
-        assert linalg_calls == {"eigvalsh": 5, "svd": 5}
 
     def test_gram_is_formed_once_on_first_use(self):
         d = build_random_tight_frame(8, 32, seed=4)
@@ -377,36 +367,3 @@ class TestStatisticsSweep:
         assert set(stats) == {"median", "q_1_minus_1_over_n"}
         assert 0 <= rep.summary["per_s"]["2"]["gate_violation_fraction"] <= 1
 
-
-class TestWeakRankBoundExperiment:
-    @pytest.mark.parametrize("trials,seed", [(-1, 0), (3, -1)], ids=["trials", "seed"])
-    def test_negative_trials_or_seed_rejected_before_sampling(self, no_streams, trials, seed):
-        with pytest.raises(ValueError, match=re.escape(f"trials and seed must not be negative: {trials}, {seed}")):
-            weak_rank_bound_experiment(build_random_tight_frame(8, 32, seed=7), 2, 2, trials, seed)
-
-    def test_spikes_sines_boundary_rejected(self):
-        d = build_spikes_sines(8)  # N = 2m exactly
-        with pytest.raises(HypothesisViolatedError):
-            weak_rank_bound_experiment(d, 2, 2, 5, seed=0)
-
-    def test_empty_v_reduces_to_independence(self):
-        d = build_random_tight_frame(8, 32, seed=7)
-        rep = weak_rank_bound_experiment(d, 4, 0, 20, seed=1)
-        for r in rep.trials:
-            assert r["rank"] >= 4
-
-    def test_gate_derived_bound_value(self):
-        # gate values (1/2, sqrt 2) plugged into the projected-block bound
-        # give |S| + m|V|/(2N), a factor 4 below the stated |S| + 2m|V|/N
-        d = build_random_tight_frame(32, 128, seed=8)
-        rep = weak_rank_bound_experiment(d, 8, 16, 5, seed=2)
-        rho = 128 / 32
-        lemma_at_gates = 8 + (1 / rho) * 16 * (1 - 2 * 0.25)
-        assert abs(rep.summary["bound_gate_derived"] - lemma_at_gates) < 1e-12
-        assert abs(rep.summary["bound_stated"] - (8 + 2 * 32 * 16 / 128)) < 1e-12
-
-    def test_no_rank_violations_small_run(self):
-        d = build_random_tight_frame(32, 128, seed=8)
-        rep = weak_rank_bound_experiment(d, 8, 16, 25, seed=3)
-        assert rep.summary["all_violations_stated"] == 0
-        assert rep.summary["all_violations_gate_derived"] == 0

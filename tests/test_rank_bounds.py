@@ -460,7 +460,7 @@ class TestSchurRankIdentityProperties:
 def old_rank_lb_weak(d, s_set, v_set):
     """rank_lb_weak with the cross term from Phi_S* Phi_rest, the formula before the Gram path."""
     phi_s = d.subdictionary(s_set)
-    cross = phi_s.conj().T @ d.atoms[:, d.complement(s_set)]
+    cross = phi_s.conj().T @ d.atoms[:, np.delete(np.arange(d.n_atoms), s_set.indices)]
     max_cross_sq = float(np.max(np.sum(np.abs(cross) ** 2, axis=0)))
     pinv_norm_sq = 1.0 / float(np.linalg.svd(phi_s, compute_uv=False)[-1]) ** 2 if len(s_set) else 0.0
     return len(v_set) / d.redundancy * (1.0 - pinv_norm_sq * max_cross_sq), pinv_norm_sq * max_cross_sq
