@@ -578,6 +578,12 @@ EXIT_CONTRACT = [
          "experiment 'equivalence' key 's_set' has the wrong type: [0, True]"),
         ("equivalence-negative-trials", {"experiment": "equivalence", "s_set": [0], "t_set": [3], "trials": -5},
          "experiment 'equivalence' key 'trials' must not be negative: -5"))),
+    *(bad_config(f"stats-sweep-{case_id}", stats_sweep({key: value}), "config error: ",
+                 f"experiment 'stats-sweep' key {key!r} {reason}: {value!r}")
+      for case_id, key, value, reason in (
+          ("negative-trials", "trials_per_s", -1, "must not be negative"),
+          ("negative-seed", "seed", -2, "must not be negative"),
+          ("bool-in-list", "s_values", [1, True], "has the wrong type"))),
     *(bad_config(f"gap-{case_id}", {**GAP, "dictionary": spec}, "config error: ", text) for case_id, spec, text in (
         ("dictionary-without-m", {"kind": "spikes-sines"}, "dictionary missing keys: ['m']"),
         ("string-dictionary-seed", {**TIGHT_8_32, "seed": "7"}, "dictionary key 'seed' has the wrong type: '7'"),
@@ -626,6 +632,12 @@ EXIT_CONTRACT = [
                "error: ", "S must be a nonempty linearly independent set"),
     bad_config("stats-sweep-repeated-s", stats_sweep({"s_values": [3, 3]}), "error: ",
                "s_values must not repeat: [3, 3]"),
+    bad_config("stats-sweep-no-trials", stats_sweep({"trials_per_s": 0}), "error: ",
+               "trials_per_s must be positive"),
+    # s above m is measured on purpose; only an s outside [1, N] names no subset
+    *(bad_config(f"stats-sweep-s-{name}", stats_sweep({"s_values": s_values}), "error: ",
+                 f"s_values must lie in [1, 16]: {s_values}")
+      for name, s_values in (("0", [0, 2]), ("above-n", [1, 17]))),
     case("experiment-builder-cap", ["experiment", "--config", "cfg.json"], "error: ", TIGHT_FRAME_CAP, status=1,
          config={**GAP, "dictionary": TIGHT_8_32}),
     # sgdict-1 metadata that cannot be read, through each command that reads it

@@ -51,6 +51,20 @@ CASES = {
         "dictionary": {"kind": "random-tight", "m": 6, "n_atoms": 16, "seed": 2}, "seed": 3,
         "s_values": [1, 3, 6, 9], "trials_per_s": 3,
     },
+    "gap-random-unit": {  # a frame that is not tight, and a vacuous overlap bound
+        "experiment": "gap",
+        "dictionary": {"kind": "random-unit", "m": 8, "n_atoms": 20, "seed": 2}, "seed": 7,
+        "s": 2, "t": 3, "delta": 1, "pairs": 3, "trials_per_pair": 2,
+    },
+    "equivalence-random-tight": {
+        "experiment": "equivalence",
+        "dictionary": {"kind": "random-tight", "m": 6, "n_atoms": 14, "seed": 5}, "seed": 9,
+        "s_set": [0, 4], "t_set": [2, 7, 11], "trials": 4,
+    },
+    "stats-sweep-spikes-sines": {  # N = 2m, and s = 12 > m, where no s atoms are independent
+        "experiment": "stats-sweep", "dictionary": {"kind": "spikes-sines", "m": 8}, "seed": 4,
+        "s_values": [4, 8, 12], "trials_per_s": 3,
+    },
 }
 
 
