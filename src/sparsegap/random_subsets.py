@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .manifest import ExperimentReport
 
 CROSS_GATE = 0.5
 PINV_GATE = math.sqrt(2.0)
+STATISTICS = ("max_cross_correlation", "gram_deviation", "pinv_norm")
 
 
 def sample_uniform_subset(n_atoms: int, s: int, seed) -> AtomSet:
@@ -109,15 +109,8 @@ def _quantiles(samples, levels) -> list[float]:
             for v, h in zip(values, ((len(ranked) - 1) * q for q in levels))]
 
 
-@dataclass(frozen=True)
-class SubsetStatistics:
-    max_cross_correlation: float
-    gram_deviation: float
-    pinv_norm: float
-
-
-def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
-    """The three subset statistics from the cached Gram matrix of ``d``."""
+def subset_statistics(d: Dictionary, s_set: AtomSet) -> dict[str, float]:
+    """The STATISTICS of S, by name, from the cached Gram matrix of ``d``."""
     if len(s_set) == 0:
         raise ValueError("S must be nonempty")
     max_cross = math.sqrt(d.max_cross_sq(s_set))
@@ -128,7 +121,7 @@ def subset_statistics(d: Dictionary, s_set: AtomSet) -> SubsetStatistics:
     else:
         sigma_min = float(np.linalg.svd(d.subdictionary(s_set), compute_uv=False)[-1])
         pinv_norm = math.inf if sigma_min == 0.0 else 1.0 / sigma_min
-    return SubsetStatistics(max_cross, gram_dev, pinv_norm)
+    return dict(zip(STATISTICS, (max_cross, gram_dev, pinv_norm)))
 
 
 def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0) -> ExperimentReport:
@@ -146,17 +139,16 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0) 
     n = d.n_atoms
     if not all(1 <= s <= n for s in s_values):
         raise ValueError(f"s_values must lie in [1, {n}]: {list(s_values)}")
-    names = tuple(f.name for f in fields(SubsetStatistics))
     levels = {"median": 0.5, "q_1_minus_1_over_n": 1.0 - 1.0 / n}
     rows, per_s = [], {}
     for s in s_values:
         sub = []
         for trial, rng in enumerate(rng_streams([seed, s], trials_per_s)):
             st = subset_statistics(d, sample_uniform_subset(n, s, rng))
-            sub.append({"s": s, "trial": trial, **{k: getattr(st, k) for k in names},
-                        "cross_gate_ok": st.max_cross_correlation <= CROSS_GATE,
-                        "pinv_gate_ok": st.pinv_norm <= PINV_GATE})
-        per_s[str(s)] = {k: dict(zip(levels, _quantiles([r[k] for r in sub], list(levels.values())))) for k in names}
+            sub.append({"s": s, "trial": trial, **st, "cross_gate_ok": st["max_cross_correlation"] <= CROSS_GATE,
+                        "pinv_gate_ok": st["pinv_norm"] <= PINV_GATE})
+        per_s[str(s)] = {k: dict(zip(levels, _quantiles([r[k] for r in sub], list(levels.values()))))
+                         for k in STATISTICS}
         per_s[str(s)]["gate_violation_fraction"] = float(
             np.mean([not (r["cross_gate_ok"] and r["pinv_gate_ok"]) for r in sub]))
         per_s[str(s)]["sparsity_constant"] = s * math.log(n) / d.m
@@ -165,7 +157,7 @@ def statistics_sweep(d: Dictionary, s_values, trials_per_s: int, seed: int = 0) 
         kind="stats-sweep",
         params={"s_values": list(s_values), "trials_per_s": trials_per_s, "dictionary": d.provenance},
         master_seed=seed,
-        columns=("s", "trial", *names, "cross_gate_ok", "pinv_gate_ok"),
+        columns=("s", "trial", *STATISTICS, "cross_gate_ok", "pinv_gate_ok"),
         trials=rows,
         summary={
             "per_s": per_s,

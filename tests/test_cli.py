@@ -436,6 +436,21 @@ def test_sweep_quantiles_next_to_an_infinite_sample(tmp_path, monkeypatch, capsy
     assert '"q_1_minus_1_over_n": Infinity' in stdout
 
 
+def test_relative_dictionary_path_is_read_from_the_working_directory(tmp_path, monkeypatch, capsys):
+    """A config's relative ``path`` is opened from the working directory, not from the config file's directory."""
+    (tmp_path / "sub").mkdir()
+    save_dictionary(_finalize(np.tile(np.eye(2, dtype=complex), 3), {}), tmp_path / "sub" / "d.sgdict")
+    (tmp_path / "sub" / "c.json").write_text(json.dumps({"experiment": "stats-sweep", "dictionary": {"path": "d.sgdict"},
+                                                         "s_values": [2], "trials_per_s": 2}))
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(["experiment", "--config", "sub/c.json"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: cannot read dictionary d.sgdict: FileNotFoundError") and err.count("\n") == 1
+    monkeypatch.chdir(tmp_path / "sub")
+    code, stdout, err = run(["experiment", "--config", "c.json"], capsys)
+    assert (code, err) == (0, "") and json.loads(stdout)["kind"] == "stats-sweep"
+
+
 @pytest.mark.parametrize("command", ["dict", "experiment"])
 @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
 def test_memory_error_is_one_error_line(command, message, tmp_path, monkeypatch, capsys):

@@ -84,8 +84,8 @@ def _calls(tree, names):
 def unread_dataclass_fields(package_sources: list[str], reader_sources: list[str]) -> list[str]:
     """Class.field for each dataclass field in the package that no source loads as an attribute.
 
-    A class whose fields are enumerated by fields() or asdict(), or read
-    with getattr(self, ...), is exempt.
+    Only a class that reads its own fields with getattr(self, ...) is exempt:
+    a field enumerated by fields() or asdict() still needs a reader that names it.
     """
     fields_of, exempt, read = {}, set(), set()
     for source in package_sources:
@@ -95,14 +95,11 @@ def unread_dataclass_fields(package_sources: list[str], reader_sources: list[str
                 continue
             fields_of[node.name] = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
             if any(getattr(call.args[0], "id", None) == "self"
-                   for call in _calls(node, {"fields", "asdict", "getattr"}) if call.args):
+                   for call in _calls(node, {"getattr"}) if call.args):
                 exempt.add(node.name)
     for source in package_sources + reader_sources:
-        tree = ast.parse(source)
-        read |= {node.attr for node in ast.walk(tree)
+        read |= {node.attr for node in ast.walk(ast.parse(source))
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-        exempt |= {call.args[0].id for call in _calls(tree, {"fields", "asdict"})
-                   if call.args and isinstance(call.args[0], ast.Name)}
     return sorted(f"{cls}.{name}" for cls, names in fields_of.items() if cls not in exempt
                   for name in names if name not in read)
 
@@ -113,9 +110,12 @@ def test_finds_an_unread_field():
         "@dataclass(frozen=True)\nclass Point:\n    x: float\n    y: float\n    label: str = ''\n"
         "@dataclass\nclass Row:\n    a: int\n    def to_dict(self):\n        return asdict(self)\n"
         "@dataclass\nclass Table:\n    b: int\nCOLUMNS = [f.name for f in fields(Table)]\n"
+        "@dataclass\nclass Report:\n    c: int\n    def to_json(self):\n        return getattr(self, 'c')\n"
         "def norm(p):\n    return p.x\n"
     )
-    assert unread_dataclass_fields([package], ["def test(p):\n    p.label = p.y\n"]) == ["Point.label"]
+    # fields() and asdict() exempt nothing; only getattr(self, ...) inside the class does
+    assert unread_dataclass_fields([package], ["def test(p):\n    p.label = p.y\n"]) == [
+        "Point.label", "Row.a", "Table.b"]
 
 
 def test_no_unread_dataclass_fields():

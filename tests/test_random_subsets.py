@@ -22,6 +22,7 @@ from sparsegap.dictionary import (
     tightness_margin,
 )
 from sparsegap.random_subsets import (
+    STATISTICS,
     _quantiles,
     rng_streams,
     sample_uniform_subset,
@@ -129,22 +130,22 @@ class TestSubsetStatistics:
         atoms = np.eye(6, dtype=complex)
         d = Dictionary(atoms=atoms, coherence=0.0, redundancy=1.0, provenance={})
         st = subset_statistics(d, AtomSet.of([0, 2, 4]))
-        assert st.max_cross_correlation == 0.0
-        assert st.gram_deviation < 1e-14
-        assert abs(st.pinv_norm - 1.0) < 1e-12
+        assert st["max_cross_correlation"] == 0.0
+        assert st["gram_deviation"] < 1e-14
+        assert abs(st["pinv_norm"] - 1.0) < 1e-12
 
     def test_spikes_sines_closed_form(self):
         d = build_spikes_sines(16)
         st = subset_statistics(d, AtomSet.of([0, 1, 2, 3]))
-        assert abs(st.max_cross_correlation - 0.5) < 1e-12
-        assert st.gram_deviation < 1e-12
-        assert abs(st.pinv_norm - 1.0) < 1e-12
+        assert abs(st["max_cross_correlation"] - 0.5) < 1e-12
+        assert st["gram_deviation"] < 1e-12
+        assert abs(st["pinv_norm"] - 1.0) < 1e-12
 
     def test_duplicate_atom_detected(self):
         atoms = np.hstack([np.eye(4, dtype=complex), np.eye(4, dtype=complex)[:, :1]])
         d = Dictionary(atoms=atoms, coherence=1.0, redundancy=2.0, provenance={})
         st = subset_statistics(d, AtomSet.of([0, 4]))
-        assert st.gram_deviation >= 1.0 - 1e-12
+        assert st["gram_deviation"] >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("s", [1, 4, 16, 17, 30])
     def test_gram_deviation_matches_spectral_norm(self, s, linalg_calls):
@@ -158,39 +159,39 @@ class TestSubsetStatistics:
             phi_s = d.subdictionary(s_set)
             ref = np.linalg.norm(phi_s.conj().T @ phi_s - np.eye(s), 2)
             # Gram eigenvalues are O(1), so rounding is relative to max(ref, 1)
-            assert abs(st.gram_deviation - ref) <= 1e-13 * max(ref, 1.0)
-            assert st.gram_deviation >= 1.0 or s <= 16
+            assert abs(st["gram_deviation"] - ref) <= 1e-13 * max(ref, 1.0)
+            assert st["gram_deviation"] >= 1.0 or s <= 16
             sigma_min = np.linalg.svd(phi_s, compute_uv=False)[-1]
             if s > 16 or sigma_min**2 < GRAM_EIG_FLOOR:  # the SVD fallback
                 assert calls == {"eigvalsh": 1, "svd": 1}
-                assert st.pinv_norm == 1.0 / sigma_min
+                assert st["pinv_norm"] == 1.0 / sigma_min
             else:
                 assert calls == {"eigvalsh": 1}
-                assert abs(st.pinv_norm * sigma_min - 1.0) <= 1e-13
+                assert abs(st["pinv_norm"] * sigma_min - 1.0) <= 1e-13
 
     def test_gram_deviation_counts_zero_eigenvalues(self):
         # all 17 atoms of a tight frame in C^16: every sigma^2 is 17/16, but
         # the 17 x 17 Gram matrix is singular, so the deviation is 1
         d = build_random_tight_frame(16, 17, seed=1)
         st = subset_statistics(d, AtomSet(tuple(range(17))))
-        assert abs(st.gram_deviation - 1.0) < 1e-12
+        assert abs(st["gram_deviation"] - 1.0) < 1e-12
 
     def test_cross_correlation_entrywise_bound(self):
         d = build_random_tight_frame(16, 64, seed=2)
         for seed in range(20):
             s_set = sample_uniform_subset(64, 6, seed)
             st = subset_statistics(d, s_set)
-            assert st.max_cross_correlation <= math.sqrt(6) * d.coherence + 1e-12
-            assert st.pinv_norm >= 1.0 - 1e-12
+            assert st["max_cross_correlation"] <= math.sqrt(6) * d.coherence + 1e-12
+            assert st["pinv_norm"] >= 1.0 - 1e-12
 
     def test_gram_deviation_controls_pinv(self):
         d = build_random_tight_frame(16, 64, seed=3)
         for seed in range(50):
             s_set = sample_uniform_subset(64, 4, seed)
             st = subset_statistics(d, s_set)
-            if st.gram_deviation < 1:
+            if st["gram_deviation"] < 1:
                 assert numerical_rank(d.subdictionary(s_set)) == len(s_set)
-                assert st.pinv_norm <= (1 - st.gram_deviation) ** -0.5 + 1e-9
+                assert st["pinv_norm"] <= (1 - st["gram_deviation"]) ** -0.5 + 1e-9
 
     def test_unitary_invariance(self):
         d = build_random_tight_frame(8, 32, seed=4)
@@ -201,9 +202,9 @@ class TestSubsetStatistics:
         s_set = sample_uniform_subset(32, 5, 7)
         a = subset_statistics(d, s_set)
         b = subset_statistics(rotated, s_set)
-        assert abs(a.max_cross_correlation - b.max_cross_correlation) < 1e-10
-        assert abs(a.gram_deviation - b.gram_deviation) < 1e-10
-        assert abs(a.pinv_norm - b.pinv_norm) < 1e-10
+        assert abs(a["max_cross_correlation"] - b["max_cross_correlation"]) < 1e-10
+        assert abs(a["gram_deviation"] - b["gram_deviation"]) < 1e-10
+        assert abs(a["pinv_norm"] - b["pinv_norm"]) < 1e-10
 
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -223,14 +224,14 @@ def assert_matches_reference(d, s_set):
     """subset_statistics against the definitions; returns it and whether the SVD gave pinv_norm."""
     st_ = subset_statistics(d, s_set)
     max_cross, gram_dev, sigma_min = reference_statistics(d, s_set)
-    assert abs(st_.max_cross_correlation - max_cross) <= 1e-13 * max(max_cross, 1.0)
-    assert abs(st_.gram_deviation - gram_dev) <= 1e-13 * max(gram_dev, 1.0)
+    assert abs(st_["max_cross_correlation"] - max_cross) <= 1e-13 * max(max_cross, 1.0)
+    assert abs(st_["gram_deviation"] - gram_dev) <= 1e-13 * max(gram_dev, 1.0)
     fallback = len(s_set) > d.m or sigma_min**2 < GRAM_EIG_FLOOR
     if fallback:
-        assert st_.pinv_norm == (math.inf if sigma_min == 0.0 else 1.0 / sigma_min)
+        assert st_["pinv_norm"] == (math.inf if sigma_min == 0.0 else 1.0 / sigma_min)
     else:
         # 1/sqrt(lambda_min) is accurate to about kappa^2 * eps, and kappa^2 <= s / GRAM_EIG_FLOOR
-        assert abs(st_.pinv_norm * sigma_min - 1.0) <= 1e-13
+        assert abs(st_["pinv_norm"] * sigma_min - 1.0) <= 1e-13
     return st_, fallback
 
 
@@ -269,7 +270,7 @@ class TestGramPath:
     def test_more_atoms_than_dimensions(self, case):
         stats, fallback = assert_matches_reference(*case)
         assert fallback
-        assert math.isfinite(stats.pinv_norm)  # sigma_m(Phi_S) > 0
+        assert math.isfinite(stats["pinv_norm"])  # sigma_m(Phi_S) > 0
 
     @PROPERTY_SETTINGS
     @given(near_duplicate_subsets())
@@ -363,7 +364,11 @@ class TestStatisticsSweep:
     def test_quantiles_present(self):
         d = build_random_tight_frame(16, 64, seed=6)
         rep = statistics_sweep(d, s_values=(2, 4), trials_per_s=25, seed=3)
-        stats = rep.summary["per_s"]["4"]["max_cross_correlation"]
-        assert set(stats) == {"median", "q_1_minus_1_over_n"}
+        # one tuple names the statistics of each row, the columns and the per-s quantiles
+        assert rep.columns == ("s", "trial", *STATISTICS, "cross_gate_ok", "pinv_gate_ok")
+        assert all(tuple(r) == rep.columns for r in rep.trials)
+        for entry in rep.summary["per_s"].values():
+            assert set(entry) == {*STATISTICS, "gate_violation_fraction", "sparsity_constant"}
+            assert all(set(entry[k]) == {"median", "q_1_minus_1_over_n"} for k in STATISTICS)
         assert 0 <= rep.summary["per_s"]["2"]["gate_violation_fraction"] <= 1
 

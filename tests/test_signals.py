@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import re
@@ -19,9 +20,12 @@ from sparsegap.dictionary import (
     certify_gram_floor,
 )
 from sparsegap import signals
-from sparsegap.rank_bounds import numerical_rank
+from sparsegap.random_subsets import sample_uniform_subset
+from sparsegap.rank_bounds import numerical_rank, rank_decompose_projected
 from sparsegap.signals import (
     INDEPENDENCE_REDRAW_CAP,
+    RESIDUAL_CEILING,
+    RESIDUAL_FLOOR,
     RedrawCapExceededError,
     Verdict,
     _sample_overlapping,
@@ -135,6 +139,50 @@ class TestTaoPrimeUncertainty:
         summary = equivalence_experiment(d, sorted(s_set), sorted(t_set), trials=3,
                                          seed=data.draw(st.integers(0, 2**32), label="seed")).summary
         assert (summary["rank_union"], summary["sound"], summary["complete"]) == (size, True, True)
+
+
+class TestDiracCombDeficits:
+    """Donoho & Stark (1989): for a divisor q of m, the m/q spikes on qZ_m and the q sines at the multiples of m/q
+    share exactly one direction, the Dirac comb on qZ_m, so rank(Phi_{S u T}) = m/q + q - 1.
+
+    Criterion 3 (m = 16, q = 4, rank 7) is one instance.
+    """
+
+    CASES = [(m, q) for m in (12, 18, 30, 36, 64) for q in range(2, m) if m % q == 0]
+
+    @pytest.mark.parametrize("m,q", CASES, ids=[f"m{m}-q{q}" for m, q in CASES])
+    def test_comb_rank_deficit(self, m, q):
+        d = build_spikes_sines(m)
+        spikes, sines = AtomSet.of(range(0, m, q)), AtomSet.of(range(m, 2 * m, m // q))
+        rank = m // q + q - 1
+        assert numerical_rank(d.subdictionary(spikes.union(sines))) == rank
+        assert rank_condition(d, spikes, sines) == (True, rank)
+        projected = rank_decompose_projected(d, spikes, sines)
+        assert (projected.s_size, projected.projected_rank, projected.rank_union) == (m // q, q - 1, rank)
+        assert projected.holds
+        rep = equivalence_experiment(d, spikes.indices, sines.indices, trials=3, seed=m)
+        assert (rep.summary["rank_union"], rep.summary["rank_t"]) == (rank, q)
+        assert rep.summary["consistent"] and rep.summary["n_inconclusive"] == 0 and not rep.failed
+
+
+class TestFullSpark:
+    """Spikes-and-sines of prime dimension p is full spark (Tao 2005): any p of its atoms are independent.
+
+    So for independent S and generic x, no T of p - 1 atoms that misses an atom of S represents u = Phi_S x: that
+    would put Phi_{S - T} x_{S - T} in span(Phi_T), which for Gaussian x needs range(Phi_{S - T}) in span(Phi_T),
+    p dependent atoms.  The p spikes, a basis, do represent u.  Exhaustive over every such T, one S per s < p.
+    """
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_no_t_below_p_atoms_represents_a_generic_signal(self, p):
+        d = build_spikes_sines(p)
+        for s in range(1, p):
+            support = sample_uniform_subset(2 * p, s, [p, s])
+            u = draw_generic_signal(d, support, seed=[p, s]).signal
+            assert residual_over(d, AtomSet.of(range(p)), u) <= RESIDUAL_CEILING
+            missing = [t for t in itertools.combinations(range(2 * p), p - 1) if not set(support.indices) <= set(t)]
+            assert len(missing) == math.comb(2 * p, p - 1) - math.comb(2 * p - s, p - 1 - s)
+            assert min(residual_over(d, AtomSet.of(t), u) for t in missing) > RESIDUAL_FLOOR
 
 
 class TestRepresentability:
