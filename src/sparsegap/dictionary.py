@@ -89,9 +89,15 @@ class Dictionary:
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
 
+    def indices_of(self, atom_set: AtomSet) -> list[int]:
+        """The atom set's indices as a list; ValueError if one is past the last atom."""
+        if max(atom_set.indices, default=-1) >= self.n_atoms:
+            raise ValueError(f"atom indices must be below the {self.n_atoms} atoms of the dictionary")
+        return list(atom_set.indices)
+
     def subdictionary(self, atom_set: AtomSet) -> np.ndarray:
-        """Column submatrix Phi_S for the given atom set (IndexError past the last atom)."""
-        return self.atoms[:, list(atom_set.indices)]
+        """Column submatrix Phi_S for the given atom set."""
+        return self.atoms[:, self.indices_of(atom_set)]
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
@@ -110,7 +116,7 @@ class Dictionary:
 
     def max_cross_sq(self, atom_set: AtomSet) -> float:
         """max_{v not in S} ||Phi_S* phi_v||^2 (0 if there is no v), from column sums of |G[S, :]|^2."""
-        idx = list(atom_set.indices)
+        idx = self.indices_of(atom_set)
         rows = self.gram[idx]
         col = np.sum(rows.real**2 + rows.imag**2, axis=0)
         col[idx] = 0.0  # sums are >= 0, so this drops S and gives 0 for an empty complement
@@ -327,6 +333,6 @@ def load_dictionary(path) -> Dictionary:
     d = _finalize(buf.view("<c16").reshape((m, n), order="F"), provenance)
     for name in ("coherence", "redundancy"):
         stored, actual = meta.get(name), getattr(d, name)
-        if not isinstance(stored, (int, float)) or not abs(stored - actual) <= METADATA_TOL:
+        if type(stored) not in (int, float) or not abs(stored - actual) <= METADATA_TOL:  # a JSON true is no 1
             raise ValueError(f"stored {name} {stored!r} differs from recomputed {actual!r}")
     return d

@@ -142,9 +142,10 @@ def range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_disjoint_independent(d: Dictionary, s_set: AtomSet, v_set: AtomSet):
-    """range_basis(Phi_S) for V disjoint from S and S linearly independent (or empty)."""
+    """range_basis(Phi_S) for V disjoint from S and within d, and S linearly independent (or empty)."""
     if s_set.overlap(v_set):
         raise ValueError("V must be disjoint from S")
+    d.indices_of(v_set)
     basis, sv = range_basis(d.subdictionary(s_set))
     if basis.shape[1] < len(s_set):
         raise ValueError("S is not linearly independent")

@@ -2,16 +2,16 @@
 
 A generic signal is u = Phi_S x with x drawn i.i.d. standard complex Gaussian.  Whether u can be expressed
 over an alternative atom set T is decided through the relative least-squares residual of u against range(Phi_T),
-with a two-threshold verdict policy: at or below the ceiling representable, above the floor not representable,
-in between inconclusive.  Experiments return a ``manifest.ExperimentReport``; both decide pairs (S, T) with
-``_pair_range``, which takes S and T as sorted integer index rows, a (k, s) and a (k, t) array; ``AtomSet`` is
-the public type of the reference functions.  ``gap`` samples and decides its pairs PAIR_CHUNK at a time: a round's
-Gram blocks share one ``dictionary.certify_gram_floor`` (a Cholesky of G - GRAM_EIG_FLOOR * I) and the certified
-ones one Cholesky of G, so a certified pair costs 3 Cholesky factors of its own blocks; blocks below the floor take
-SVDs one by one.  The SVD functions here are reference code for the tests.  Chunks change no stream: pair p
-samples from [seed, p] and its trial i from [seed, p, i]; ``random_subsets.rng_streams`` seeds each kind for the
-whole run in one vectorised pass, bit for bit ``default_rng`` of those lists.  A trial's x takes one
-standard_normal call.
+with a two-threshold verdict policy (``classify_residual``): at or below the ceiling representable, above the floor
+not representable, in between inconclusive.  The acceptance criteria call the SVD-based reference functions
+``make_signal``, ``draw_generic_signal``, ``rank_condition`` and ``residual_over``, which take ``AtomSet``s; no
+experiment calls them.  Experiments return a ``manifest.ExperimentReport``; both decide pairs (S, T) with
+``_pair_range``, which takes S and T as sorted integer index rows, a (k, s) and a (k, t) array.  ``gap`` samples
+and decides its pairs PAIR_CHUNK at a time: a round's Gram blocks share one ``dictionary.certify_gram_floor`` (a
+Cholesky of G - GRAM_EIG_FLOOR * I) and the certified ones one Cholesky of G, so a certified pair costs 3 Cholesky
+factors of its own blocks; blocks below the floor take SVDs one by one.  Chunks change no stream: pair p samples
+from [seed, p] and its trial i from [seed, p, i]; ``random_subsets.rng_streams`` seeds each kind for the whole run
+in one vectorised pass, bit for bit ``default_rng`` of those lists.  A trial's x takes one standard_normal call.
 """
 
 from __future__ import annotations
@@ -45,16 +45,8 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class GenericSignal:
-    support: AtomSet
     coefficients: np.ndarray
     signal: np.ndarray
-
-
-@dataclass(frozen=True)
-class RepresentabilityVerdict:
-    rank_condition_holds: bool
-    residual: float
-    verdict: Verdict
 
 
 class RedrawCapExceededError(RuntimeError):
@@ -73,7 +65,6 @@ def make_signal(d: Dictionary, support: AtomSet, coefficients: Sequence[complex]
     if coeff.shape != (len(support),):
         raise ValueError("coefficient length must match the support size")
     return GenericSignal(
-        support=support,
         coefficients=coeff,
         signal=d.subdictionary(support) @ coeff,
     )
@@ -91,7 +82,7 @@ def draw_generic_signal(d: Dictionary, support: AtomSet, seed) -> GenericSignal:
     """u = Phi_S x with x i.i.d. standard complex Gaussian, deterministic in seed."""
     phi_s = _independent_subdictionary(d, support)
     coeff = _complex_gaussian(np.random.default_rng(seed).standard_normal(2 * len(support)))
-    return GenericSignal(support=support, coefficients=coeff, signal=phi_s @ coeff)
+    return GenericSignal(coefficients=coeff, signal=phi_s @ coeff)
 
 
 def rank_condition(d: Dictionary, s_set: AtomSet, t_set: AtomSet) -> tuple[bool, int]:
@@ -116,20 +107,6 @@ def classify_residual(residual: float) -> Verdict:
     if residual > RESIDUAL_FLOOR:
         return Verdict.NOT_REPRESENTABLE
     return Verdict.INCONCLUSIVE
-
-
-def test_representability(d: Dictionary, t_set: AtomSet,
-                          signal: GenericSignal) -> RepresentabilityVerdict:
-    """Two-threshold verdict on whether the signal lies in range(Phi_T)."""
-    if len(t_set) == 0:
-        raise ValueError("T must be nonempty")
-    res = residual_over(d, t_set, signal.signal)
-    holds, _ = rank_condition(d, signal.support, t_set)
-    return RepresentabilityVerdict(rank_condition_holds=holds, residual=res,
-                                   verdict=classify_residual(res))
-
-
-test_representability.__test__ = False  # not a pytest case despite the name
 
 
 def _redraw_rounds(d: Dictionary, count: int, step, error: str) -> list:
@@ -230,8 +207,7 @@ def equivalence_experiment(d: Dictionary, s_set: Iterable[int], t_set: Iterable[
     if min(trials, seed) < 0:
         raise ValueError(f"trials and seed must not be negative: {trials}, {seed}")
     s_set, t_set = AtomSet.of(s_set), AtomSet.of(t_set)
-    if max(s_set.indices + t_set.indices, default=-1) >= d.n_atoms:
-        raise ValueError(f"atom indices must be below the {d.n_atoms} atoms of the dictionary")
+    d.indices_of(s_set.union(t_set))
     s_rows, t_rows = (np.array([a.indices], dtype=np.intp) for a in (s_set, t_set))
     (w, rank_union, rank_t, sv_t), = _pair_range(d, s_rows, t_rows)
     if sv_t is not None or not len(s_set):  # no Gram block certified S, or S is empty

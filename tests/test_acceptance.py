@@ -38,7 +38,6 @@ from sparsegap.signals import (
     make_signal,
     rank_condition,
     residual_over,
-    test_representability,
 )
 from sparsegap.thresholds import (
     donoho_elad_threshold,

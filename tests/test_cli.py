@@ -495,6 +495,15 @@ UNREADABLE_METADATA = {  # sgdict-1 metadata that no JSON object can be read fro
     "not-json": (b"sgdict-1", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
     "not-utf-8": (b"\xff{}", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0"),
 }
+
+
+def identity_3(coherence, redundancy) -> dict:
+    """A 3 x 3 identity as d.sgdict (coherence 0, redundancy 1), its metadata storing the metrics given."""
+    meta = {"format": "sgdict-1", "m": 3, "n_atoms": 3, "provenance": {}, "payload": "d.sgdict.bin",
+            "coherence": coherence, "redundancy": redundancy}
+    return {"d.sgdict": json.dumps(meta).encode(), "d.sgdict.bin": np.eye(3).astype("<c16").tobytes(order="F")}
+
+
 HUGE_ENTRY = {  # a 1 x 1 dictionary whose one entry's square overflows
     "d.sgdict": b'{"format": "sgdict-1", "m": 1, "n_atoms": 1, "provenance": {}, "payload": "d.sgdict.bin"}',
     "d.sgdict.bin": struct.pack("<2d", 1e200, 0.0),
@@ -659,6 +668,11 @@ EXIT_CONTRACT = [
     *(case(f"{command}-metadata-{name}", argv, "error: ", f"cannot read dictionary d.sgdict: {text}", config=config,
            files={"d.sgdict": data})
       for command, (argv, config) in READ_DICTIONARY.items() for name, (data, text) in UNREADABLE_METADATA.items()),
+    # stored metrics must be numbers: a JSON boolean equals 0 or 1 but is neither
+    *(case(f"dict-inspect-bool-{name}", ["dict", "--inspect", "d.sgdict"], "error: ", text, files=files)
+      for name, files, text in (
+          ("coherence", identity_3(False, 1.0), "stored coherence False differs from recomputed 0.0"),
+          ("redundancy", identity_3(0.0, True), "stored redundancy True differs from recomputed 1.0"))),
     # an entry whose square overflows: an infinite norm, and no overflow warning on stderr
     case("dict-inspect-entry-past-square-root-of-float-max", ["dict", "--inspect", "d.sgdict"], "error: ",
          "atom norms deviate from 1 by inf", files=HUGE_ENTRY),

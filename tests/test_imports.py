@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses, no private
+"""No module of the package, the tests or the benchmark imports a name it never uses, no private
 module-level helper goes unreferenced, no dataclass field goes unread, no
 public function or class exists only for its own unit tests, no
 exception class exists that nothing catches (stdlib ast, no linter), and
@@ -37,7 +37,8 @@ def test_finds_an_unused_import():
         "Optional (line 3)", "math (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(p for d in ("tests", "bench") for p in (REPO / d).glob("*.py")),
+                         ids=lambda p: p.name if p in MODULES else str(p.relative_to(REPO)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -125,15 +126,16 @@ def test_no_unread_dataclass_fields():
 
 
 def _names_in(node) -> set:
-    """Names ``node`` refers to: loads, attributes and imported names."""
+    """Names ``node`` refers to: loads and attributes.  An import on its own is no use, and neither is ``f.x = ...``:
+    the name under an attribute that is assigned does not count, nor does the assigned attribute."""
+    stored = {id(sub.value) for sub in ast.walk(node)
+              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)}
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and id(sub) not in stored:
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
             names.add(sub.attr)
-        elif isinstance(sub, (ast.ImportFrom, ast.Import)):
-            names |= {alias.name.split(".")[-1] for alias in sub.names}
     return names
 
 
@@ -142,7 +144,7 @@ def unexercised_publics(package_sources: list[str], user_sources: list[str]) -> 
 
     A package module's references include its string constants, which is how
     a ``(module, name)`` table names a function; ``user_sources`` (the
-    acceptance tests, the benchmark) count by name, attribute and import.
+    acceptance tests, the benchmark) count by name and attribute, as ``_names_in`` reads them.
     """
     defined, referenced = set(), set()
     for source in package_sources:
@@ -167,9 +169,14 @@ def test_finds_an_unexercised_public():
         "def orphan(n):\n    return orphan(n - 1) if n else 0\n"
         "class Shape:\n    pass\n"
         "class Unused:\n    def run(self):\n        return Unused()\n"
+        "def imported():\n    return 4\n"
+        "def flagged():\n    return 5\n"
+        "flagged.__test__ = False\n"
     )
-    users = ["from package import run\n", "import package\npackage.Shape()\n"]
-    assert unexercised_publics([package], users) == ["Unused", "orphan"]
+    users = ["from package import run\nrun()\n", "import package\npackage.Shape()\n",
+             "from package import imported\n"]
+    # an import on its own and an assigned attribute are no use
+    assert unexercised_publics([package], users) == ["Unused", "flagged", "imported", "orphan"]
 
 
 def test_no_public_exists_only_for_its_own_tests():
@@ -223,7 +230,8 @@ def test_finds_an_uncaught_exception():
         "    try:\n        return lib.f()\n"
         "    except (CaughtError, lib.AttributeCaughtError):\n        return Plain()\n"
     )
-    users = ["from package import AcceptanceError\n"]
+    users = ["from package import AcceptanceError, run\nwith pytest.raises(AcceptanceError):\n    run(2)\n",
+             "from package import RaisedOnlyError\n"]  # imported, never named: not caught
     assert uncaught_exceptions([package], users) == ["RaisedOnlyError", "SubError"]
     assert uncaught_exceptions([package], []) == ["AcceptanceError", "RaisedOnlyError", "SubError"]
 

@@ -17,9 +17,10 @@ from sparsegap.rank_bounds import (
     _eigvalsh_checked,
     numerical_rank,
     rank_lb_coherence,
+    rank_lb_weak,
     verify_schur_rank_identity,
 )
-from sparsegap.signals import draw_generic_signal, gap_experiment, make_signal, test_representability
+from sparsegap.signals import gap_experiment, make_signal, rank_condition, residual_over
 from sparsegap.thresholds import generic_up_threshold, strong_gap_threshold
 
 SPIKES_4 = build_spikes_sines(4)  # m = 4, N = 8
@@ -31,6 +32,15 @@ def guard(case_id, call, error, message):
 
 GUARDS = [
     guard("atom-set-negative-index", lambda: AtomSet((-1, 2)), ValueError, "atom indices must be nonnegative"),
+    *(guard(f"{case}-index-past-n", call, ValueError, "atom indices must be below the 8 atoms of the dictionary")
+      for case, call in (
+          ("subdictionary", lambda: SPIKES_4.subdictionary(AtomSet.of([99]))),
+          ("max-cross", lambda: SPIKES_4.max_cross_sq(AtomSet.of([1, 99]))),
+          ("residual-over", lambda: residual_over(SPIKES_4, AtomSet.of([99]), np.ones(4))),
+          ("rank-condition", lambda: rank_condition(SPIKES_4, AtomSet.of([0]), AtomSet.of([99]))),
+          ("subset-statistics", lambda: subset_statistics(SPIKES_4, AtomSet.of([1, 99]))),
+          ("rank-lb-weak", lambda: rank_lb_weak(SPIKES_4, AtomSet.of([0]), AtomSet.of([99]))),
+      )),
     guard("welch-m-0", lambda: welch_lower_bound(0, 4), ValueError, "m must be positive"),
     guard("rank-of-empty-matrix", lambda: numerical_rank(np.zeros((0, 3))), ValueError, "empty matrix has no rank"),
     guard("psd-not-square", lambda: _eigvalsh_checked(np.ones((2, 3))), ValueError, "input must be square"),
@@ -41,9 +51,6 @@ GUARDS = [
             "split must satisfy 0 < k < n") for split in (0, 3)),
     guard("signal-length-mismatch", lambda: make_signal(SPIKES_4, AtomSet.of([0, 1]), [1.0]), ValueError,
           "coefficient length must match the support size"),
-    guard("representability-empty-t",
-          lambda: test_representability(SPIKES_4, AtomSet(()), draw_generic_signal(SPIKES_4, AtomSet.of([0, 5]), 0)),
-          ValueError, "T must be nonempty"),
     guard("gap-delta-above-min-s-t", lambda: gap_experiment(SPIKES_4, 2, 2, 3, pairs=1, trials_per_pair=1),
           ValueError, "need s >= 1 and 0 <= delta <= min(s, t)"),
     guard("gap-union-above-n", lambda: gap_experiment(SPIKES_4, 4, 5, 0, pairs=1, trials_per_pair=1), ValueError,

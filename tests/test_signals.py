@@ -37,7 +37,6 @@ from sparsegap.signals import (
     make_signal,
     rank_condition,
     residual_over,
-    test_representability,
 )
 
 
@@ -189,15 +188,14 @@ class TestRepresentability:
     def test_superset_representable(self):
         d = build_spikes_sines(8)
         sig = draw_generic_signal(d, AtomSet.of([0, 1]), seed=1)
-        verdict = test_representability(d, AtomSet.of([0, 1, 2]), sig)
-        assert verdict.residual <= 1e-10
-        assert verdict.verdict is Verdict.REPRESENTABLE
+        residual = residual_over(d, AtomSet.of([0, 1, 2]), sig.signal)
+        assert residual <= 1e-10
+        assert classify_residual(residual) is Verdict.REPRESENTABLE
 
     def test_disjoint_orthonormal_not_representable(self):
         d = build_spikes_sines(8)
         sig = draw_generic_signal(d, AtomSet.of([0, 1]), seed=2)
-        verdict = test_representability(d, AtomSet.of([2, 3]), sig)
-        assert verdict.verdict is Verdict.NOT_REPRESENTABLE
+        assert classify_residual(residual_over(d, AtomSet.of([2, 3]), sig.signal)) is Verdict.NOT_REPRESENTABLE
         assert residual_over(d, AtomSet.of([]), sig.signal) == 1.0  # the empty span holds only 0
 
     def test_dirac_comb_measure_zero_exception(self):
@@ -207,18 +205,18 @@ class TestRepresentability:
         spikes = AtomSet.of([0, 4, 8, 12])
         sines = AtomSet.of([16, 20, 24, 28])
         comb = make_signal(d, spikes, [1, 1, 1, 1])
-        verdict = test_representability(d, sines, comb)
-        assert verdict.residual <= 1e-10
-        assert verdict.verdict is Verdict.REPRESENTABLE
-        assert verdict.rank_condition_holds
+        residual = residual_over(d, sines, comb.signal)
+        assert residual <= 1e-10
+        assert classify_residual(residual) is Verdict.REPRESENTABLE
+        assert rank_condition(d, spikes, sines)[0]
         generic = draw_generic_signal(d, spikes, seed=3)
-        assert test_representability(d, sines, generic).verdict is Verdict.NOT_REPRESENTABLE
+        assert classify_residual(residual_over(d, sines, generic.signal)) is Verdict.NOT_REPRESENTABLE
 
     def test_zero_signal_rejected(self):
         d = build_spikes_sines(4)
         sig = make_signal(d, AtomSet.of([0]), [0.0])
         with pytest.raises(ValueError):
-            test_representability(d, AtomSet.of([1]), sig)
+            residual_over(d, AtomSet.of([1]), sig.signal)
 
     @pytest.mark.parametrize("residual,verdict", [
         (1e-10, Verdict.REPRESENTABLE),  # the ceiling is inclusive
@@ -551,7 +549,7 @@ class TestSingleEngine:
         def forbidden(*args, **kwargs):
             raise AssertionError("an experiment called a reference function")
 
-        for name in ("rank_condition", "residual_over", "draw_generic_signal", "test_representability"):
+        for name in ("rank_condition", "residual_over", "draw_generic_signal"):
             monkeypatch.setattr(signals, name, forbidden)
         rep = equivalence_experiment(d, s_set, t_set, trials=3, seed=0)
         assert rep.summary["consistent"]
